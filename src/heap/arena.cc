@@ -1,6 +1,11 @@
 #include "arena.hh"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <cstring>
+#include <new>
+#include <vector>
 
 #include "sim/logging.hh"
 
@@ -17,51 +22,100 @@ constexpr std::uint64_t kAgeShift = 1;
 constexpr std::uint64_t kAgeMask = 0x3full << kAgeShift;
 constexpr std::uint64_t kFwdAddrShift = 8;
 
+// Transparent huge page size with 4 KiB base pages (x86-64, arm64).
+// Recent Linux kernels place an anonymous mapping whose length is a
+// multiple of it on a huge-page boundary.
+constexpr std::uint64_t kHugePageBytes = 2ull << 20;
+
+/** A demand-zero private mapping of @p bytes, advised for huge pages. */
+std::uint8_t *
+mapZeroed(std::uint64_t bytes)
+{
+    CHARON_ASSERT(bytes > 0, "empty arena");
+    void *p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED)
+        throw std::bad_alloc();
+#ifdef MADV_HUGEPAGE
+    // Advice only: where transparent huge pages are off, the arena
+    // runs on base pages and behaves the same.
+    madvise(p, bytes, MADV_HUGEPAGE);
+#endif
+    return static_cast<std::uint8_t *>(p);
+}
+
 } // namespace
 
 ObjectArena::ObjectArena(mem::Addr base, std::uint64_t bytes,
                          const KlassTable &klasses)
-    : base_(base), bytes_(bytes), klasses_(klasses), data_(bytes)
+    : base_(base),
+      bytes_(bytes),
+      klasses_(klasses),
+      mapBytes_(mem::alignUp(bytes, kHugePageBytes)),
+      data_(mapZeroed(mapBytes_))
 {
     CHARON_ASSERT((base & 7) == 0 && (bytes & 7) == 0,
                   "arena must be word aligned");
 }
 
-std::uint8_t *
-ObjectArena::raw(mem::Addr addr)
+ObjectArena::~ObjectArena()
 {
-    CHARON_ASSERT(contains(addr), "arena access out of bounds: 0x%llx",
-                  static_cast<unsigned long long>(addr));
-    return data_.data() + (addr - base_);
+    munmap(data_, mapBytes_);
+}
+
+std::uint64_t
+ObjectArena::residentBytes() const
+{
+    const std::uint64_t page =
+        static_cast<std::uint64_t>(sysconf(_SC_PAGESIZE));
+    std::vector<unsigned char> pages(mem::divCeil(mapBytes_, page));
+    int rc = mincore(data_, mapBytes_, pages.data());
+    CHARON_ASSERT(rc == 0, "mincore failed on the arena");
+    std::uint64_t resident = 0;
+    for (unsigned char p : pages)
+        resident += p & 1;
+    return resident * page;
+}
+
+std::uint8_t *
+ObjectArena::raw(mem::Addr addr, std::uint64_t len)
+{
+    // The whole access must fit: the mapping runs on past bytes_ to
+    // the next huge page, so neither the kernel nor a sanitizer would
+    // catch a word that straddles the limit.
+    CHARON_ASSERT(addr >= base_ && len <= bytes_
+                      && addr - base_ <= bytes_ - len,
+                  "arena access out of bounds: 0x%llx+%llu",
+                  static_cast<unsigned long long>(addr),
+                  static_cast<unsigned long long>(len));
+    return data_ + (addr - base_);
 }
 
 const std::uint8_t *
-ObjectArena::raw(mem::Addr addr) const
+ObjectArena::raw(mem::Addr addr, std::uint64_t len) const
 {
-    return const_cast<ObjectArena *>(this)->raw(addr);
+    return const_cast<ObjectArena *>(this)->raw(addr, len);
 }
 
 std::uint64_t
 ObjectArena::load64(mem::Addr addr) const
 {
     std::uint64_t v;
-    std::memcpy(&v, raw(addr), 8);
+    std::memcpy(&v, raw(addr, 8), 8);
     return v;
 }
 
 void
 ObjectArena::store64(mem::Addr addr, std::uint64_t value)
 {
-    std::memcpy(raw(addr), &value, 8);
+    std::memcpy(raw(addr, 8), &value, 8);
 }
 
 void
 ObjectArena::copyBytes(mem::Addr dst, mem::Addr src, std::uint64_t bytes)
 {
     CHARON_ASSERT(bytes > 0, "zero-byte copy");
-    raw(src + bytes - 1);
-    raw(dst + bytes - 1);
-    std::memmove(raw(dst), raw(src), bytes);
+    std::memmove(raw(dst, bytes), raw(src, bytes), bytes);
 }
 
 std::uint64_t

@@ -9,13 +9,17 @@
  * size, mark word), reference slots per klass kind, array lengths,
  * ages and forwarding pointers.  Heap organizations add spaces and
  * allocation policy on top.
+ *
+ * The bytes live in a demand-zero anonymous mapping advised for
+ * transparent huge pages, as the paper backs its heap with huge pages:
+ * a page costs host memory only once the mutator or a collector
+ * touches it, and every byte reads zero until it is first written.
  */
 
 #ifndef CHARON_HEAP_ARENA_HH
 #define CHARON_HEAP_ARENA_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "heap/klass.hh"
 #include "mem/addr.hh"
@@ -36,6 +40,11 @@ class ObjectArena
      */
     ObjectArena(mem::Addr base, std::uint64_t bytes,
                 const KlassTable &klasses);
+    ~ObjectArena();
+
+    /** Owns its mapping: neither copyable nor movable. */
+    ObjectArena(const ObjectArena &) = delete;
+    ObjectArena &operator=(const ObjectArena &) = delete;
 
     mem::Addr base() const { return base_; }
     std::uint64_t bytes() const { return bytes_; }
@@ -49,8 +58,11 @@ class ObjectArena
         return addr >= base_ && addr < base_ + bytes_;
     }
 
+    /** Host bytes of the arena's storage now resident in memory. */
+    std::uint64_t residentBytes() const;
+
     // ------------------------------------------------------------------
-    // Raw access
+    // Raw access: every byte of an access must lie inside the arena.
 
     std::uint64_t load64(mem::Addr addr) const;
     void store64(mem::Addr addr, std::uint64_t value);
@@ -93,13 +105,16 @@ class ObjectArena
     void clearForwarding(mem::Addr obj);
 
   private:
-    std::uint8_t *raw(mem::Addr addr);
-    const std::uint8_t *raw(mem::Addr addr) const;
+    /** Host pointer to [addr, addr + len), which must be in bounds. */
+    std::uint8_t *raw(mem::Addr addr, std::uint64_t len);
+    const std::uint8_t *raw(mem::Addr addr, std::uint64_t len) const;
 
     mem::Addr base_;
     std::uint64_t bytes_;
     const KlassTable &klasses_;
-    std::vector<std::uint8_t> data_;
+    /** Mapping length: bytes_ rounded up to a whole huge page. */
+    std::uint64_t mapBytes_;
+    std::uint8_t *data_;
 };
 
 } // namespace charon::heap

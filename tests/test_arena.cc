@@ -53,6 +53,9 @@ TEST_F(ArenaTest, OutOfBoundsAccessPanics)
 {
     EXPECT_DEATH(arena.load64(kBase + kBytes), "out of bounds");
     EXPECT_DEATH(arena.store64(kBase - 8, 1), "out of bounds");
+    // The first byte is inside; the rest of the word is not.
+    EXPECT_DEATH(arena.load64(kBase + kBytes - 4), "out of bounds");
+    EXPECT_DEATH(arena.store64(kBase + kBytes - 1, 1), "out of bounds");
 }
 
 TEST_F(ArenaTest, HeaderRoundTrip)
@@ -113,4 +116,37 @@ TEST_F(ArenaTest, SizeWordsForEveryBuiltinKind)
     EXPECT_EQ(arena.sizeWordsFor(klasses.longArrayId(), 9), 3u + 9u);
     EXPECT_EQ(arena.sizeWordsFor(klasses.objArrayId(), 9), 3u + 9u);
     EXPECT_EQ(arena.sizeWordsFor(klasses.fillerId(), 0), 2u);
+}
+
+TEST(ArenaStorage, FreshBytesReadZeroUntilWritten)
+{
+    // Not a whole number of huge pages, so the mapping runs past the
+    // arena's last word.
+    constexpr std::uint64_t bytes = (5ull << 20) + 24;
+    KlassTable klasses;
+    ObjectArena arena(kBase, bytes, klasses);
+    const Addr last = kBase + bytes - 8;
+    for (Addr a = kBase; a < last; a += 8 * 4099)
+        EXPECT_EQ(arena.load64(a), 0u) << std::hex << a;
+    EXPECT_EQ(arena.load64(last), 0u);
+
+    arena.store64(last, 42);
+    EXPECT_EQ(arena.load64(last), 42u);
+    EXPECT_EQ(arena.load64(last - 8), 0u);
+}
+
+TEST(ArenaStorage, UntouchedPagesAreNotResident)
+{
+    constexpr std::uint64_t bytes = 64ull << 20;
+    KlassTable klasses;
+    heap::KlassId node = klasses.defineInstance("Node", 2, 2);
+    ObjectArena arena(kBase, bytes, klasses);
+    EXPECT_EQ(arena.residentBytes(), 0u);
+
+    arena.writeHeader(kBase + bytes / 2, node,
+                      arena.sizeWordsFor(node, 0), 0);
+    // One header faults in one page: a 4 KiB one, or a 2 MiB one
+    // where transparent huge pages are on.
+    EXPECT_GT(arena.residentBytes(), 0u);
+    EXPECT_LE(arena.residentBytes(), 2ull << 20);
 }

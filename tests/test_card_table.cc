@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "heap/card_table.hh"
 
 using charon::heap::CardTable;
@@ -51,6 +53,31 @@ TEST(CardTable, FindDirtyScansRange)
     EXPECT_EQ(ct.findDirty(11, 128), 20u);
     EXPECT_EQ(ct.findDirty(21, 128), 128u);
     EXPECT_EQ(ct.findDirty(0, 10), 10u); // limit exclusive: none found
+}
+
+TEST(CardTable, FindDirtyMatchesByteScan)
+{
+    // The word-at-a-time scan against a byte-by-byte reference, over
+    // unaligned ranges and every non-clean byte value.
+    CardTable ct(0x10000, 300 * 512, 0);
+    const std::uint64_t n = ct.numCards();
+    std::mt19937_64 rng(12);
+    for (int round = 0; round < 200; ++round) {
+        ct.cleanAll();
+        const int dirty = static_cast<int>(rng() % 6);
+        for (int d = 0; d < dirty; ++d)
+            ct.xorByte(rng() % n, static_cast<std::uint8_t>(1 + rng() % 255));
+        for (int q = 0; q < 50; ++q) {
+            std::uint64_t from = rng() % (n + 1);
+            std::uint64_t limit = from + rng() % (n + 1 - from);
+            std::uint64_t want = from;
+            while (want < limit && !ct.isDirty(want))
+                ++want;
+            ASSERT_EQ(ct.findDirty(from, limit), want)
+                << "round " << round << " [" << from << ", " << limit
+                << ")";
+        }
+    }
 }
 
 TEST(CardTable, CleanAllResets)
