@@ -65,32 +65,6 @@ HostModel::invocationOverhead(PrimKind kind) const
     return clock_.cyclesToTicks(static_cast<double>(cycles));
 }
 
-Tick
-HostModel::bitmapCountTicks(std::uint64_t range_bits) const
-{
-    double cycles =
-        static_cast<double>(range_bits) * costs_.cpuCyclesPerBitmapBit;
-    return clock_.cyclesToTicks(cycles);
-}
-
-void
-HostModel::noteStallBegin(Tick at)
-{
-    if (!timeline_)
-        return;
-    timeline_->counter(stallTrack_, at,
-                       static_cast<double>(++stalledThreads_));
-}
-
-void
-HostModel::noteStallEnd(Tick at)
-{
-    if (!timeline_)
-        return;
-    timeline_->counter(stallTrack_, at,
-                       static_cast<double>(--stalledThreads_));
-}
-
 void
 HostModel::execBucket(const gc::Bucket &bucket, mem::Addr synth_addr,
                       mem::StreamCallback done)
@@ -103,12 +77,19 @@ HostModel::execBucket(const gc::Bucket &bucket, mem::Addr synth_addr,
         });
         return;
     }
-    noteStallBegin(eq_.now());
+    if (timeline_) {
+        timeline_->counter(stallTrack_, eq_.now(),
+                           static_cast<double>(++stalledThreads_));
+    }
     const Tick overhead =
         invocationOverhead(bucket.kind) * bucket.invocations;
     auto wrapped = [this, overhead, done](Tick t) {
         eq_.schedule(t + overhead, [done, t, overhead, this] {
-            noteStallEnd(eq_.now());
+            if (timeline_) {
+                timeline_->counter(stallTrack_, eq_.now(),
+                                   static_cast<double>(
+                                       --stalledThreads_));
+            }
             if (done)
                 done(t + overhead);
         });
@@ -254,7 +235,9 @@ HostModel::execBitmapCount(const gc::Bucket &b, mem::StreamCallback done)
     // The Figure 8 loop is compute-bound on the host: the touched
     // bitmap range lives comfortably in the L2 (8 KB of bitmap covers
     // 4 MB of heap), so time is cycles-per-bit over the walked range.
-    Tick t = eq_.now() + bitmapCountTicks(b.rangeBits);
+    double cycles =
+        static_cast<double>(b.rangeBits) * costs_.cpuCyclesPerBitmapBit;
+    Tick t = eq_.now() + clock_.cyclesToTicks(cycles);
     eq_.schedule(t, [done, t] {
         if (done)
             done(t);

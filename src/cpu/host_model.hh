@@ -71,23 +71,6 @@ class HostModel
     /** Window-limited dependent-miss rate (bytes/tick, 64 B lines). */
     double randomRate() const;
 
-    /** Per-invocation fixed overhead (call setup, checks), ticks. */
-    sim::Tick invocationOverhead(gc::PrimKind kind) const;
-
-    /** Ticks the Figure 8 bit loop spends walking @p range_bits. */
-    sim::Tick bitmapCountTicks(std::uint64_t range_bits) const;
-
-    /**
-     * Memory-stall counter hooks: one GC thread entered (left) an
-     * in-flight primitive bucket at tick @p at.  Only meaningful with
-     * instrumentation attached — without a timeline both are no-ops,
-     * matching the scalar execBucket path.  Exposed so the batched
-     * replay kernel can reproduce the counter samples the event-driven
-     * path emits, in the same order at the same ticks.
-     */
-    void noteStallBegin(sim::Tick at);
-    void noteStallEnd(sim::Tick at);
-
     const sim::HostConfig &config() const { return cfg_; }
 
   private:
@@ -100,6 +83,9 @@ class HostModel
                       mem::StreamCallback done);
     void execRefCount(const gc::Bucket &b, mem::Addr addr,
                       mem::StreamCallback done);
+
+    /** Per-invocation fixed overhead (call setup, checks), ticks. */
+    sim::Tick invocationOverhead(gc::PrimKind kind) const;
 
     sim::EventQueue &eq_;
     sim::HostConfig cfg_;

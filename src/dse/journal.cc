@@ -1,18 +1,17 @@
 #include "journal.hh"
 
 #include <cctype>
-#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
 
 #include <fcntl.h>
 #include <unistd.h>
+
+#include "harness/atomic_publish.hh"
 
 namespace charon::dse
 {
@@ -258,14 +257,10 @@ SweepJournal::SweepJournal(std::string path) : path_(std::move(path))
         int fd = ::open(path_.c_str(),
                         O_WRONLY | O_APPEND | O_CLOEXEC, 0644);
         if (fd >= 0) {
-            ssize_t n;
-            do {
-                n = ::write(fd, "\n", 1);
-            } while (n < 0 && errno == EINTR);
-            ::close(fd);
-            if (n == 1)
+            if (harness::writeAll(fd, "\n", 1))
                 endsWithNewline_ = true;
             // On failure (read-only fs) append() repairs lazily.
+            ::close(fd);
         }
     }
     std::istringstream lines(content);
@@ -319,18 +314,8 @@ SweepJournal::append(const JournalRecord &record)
         line += '\n';
     line += formatLine(record);
     line += '\n';
-    const char *p = line.data();
-    std::size_t left = line.size();
-    while (left > 0) {
-        ssize_t n = ::write(fd_, p, left);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        p += n;
-        left -= static_cast<std::size_t>(n);
-    }
+    if (!harness::writeAll(fd_, line.data(), line.size()))
+        return false;
     endsWithNewline_ = true;
     return true;
 }
@@ -406,67 +391,14 @@ SweepJournal::mergeJournals(const std::string &dst,
     }
     st.records = lines.size();
 
-    // Write sorted-by-key (std::map iteration order) to a temp file,
-    // fsync, rename over dst, fsync the directory: the TraceCache
-    // publish idiom.  A crash leaves either the old dst or the new
-    // one, never a torn mixture.
-    namespace fs = std::filesystem;
-    fs::path dstPath(dst);
-    fs::path dir = dstPath.parent_path();
-    if (dir.empty())
-        dir = ".";
-    std::string tmp = dst + ".merge." + std::to_string(::getpid())
-                      + ".tmp";
-    int fd = ::open(tmp.c_str(),
-                    O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-    if (fd < 0) {
-        if (error)
-            *error = "open " + tmp + ": " + std::strerror(errno);
-        return false;
-    }
+    // Sorted by key (std::map iteration order).  A crash leaves
+    // either the old dst or the new one, never a torn mixture.
     std::string body;
     for (const auto &[key, line] : lines) {
         body += line;
         body += '\n';
     }
-    const char *p = body.data();
-    std::size_t left = body.size();
-    bool writeOk = true;
-    while (left > 0) {
-        ssize_t n = ::write(fd, p, left);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            writeOk = false;
-            break;
-        }
-        p += n;
-        left -= static_cast<std::size_t>(n);
-    }
-    if (writeOk && ::fsync(fd) != 0)
-        writeOk = false;
-    ::close(fd);
-    if (!writeOk) {
-        if (error)
-            *error = "write " + tmp + ": " + std::strerror(errno);
-        ::unlink(tmp.c_str());
-        return false;
-    }
-    std::error_code ec;
-    fs::rename(tmp, dstPath, ec);
-    if (ec) {
-        if (error)
-            *error = "rename " + tmp + " -> " + dst + ": "
-                     + ec.message();
-        ::unlink(tmp.c_str());
-        return false;
-    }
-    int dirFd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-    if (dirFd >= 0) {
-        ::fsync(dirFd); // best-effort: durability of the rename itself
-        ::close(dirFd);
-    }
-    return true;
+    return harness::atomicPublish(dst, body, error);
 }
 
 namespace

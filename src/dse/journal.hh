@@ -125,9 +125,9 @@ class SweepJournal
      * Merge journal files: @p dst (if it exists) plus every readable
      * file of @p srcs, deduplicated first-writer-wins in that order
      * (dst's lines first, then each source's, line order within each
-     * file).  The result replaces @p dst atomically — records sorted
-     * by key, one line each, fsync-before-rename like the trace
-     * cache — so the merged file is deterministic: any set of shard
+     * file).  The result replaces @p dst through
+     * harness::atomicPublish — records sorted by key, one line
+     * each — so the merged file is deterministic: any set of shard
      * journals holding the same records merges to identical bytes,
      * and re-merging is idempotent.  Torn tails in any input are
      * dropped (they are uncommitted by contract).  Missing sources

@@ -20,6 +20,7 @@
 #include <unistd.h>
 
 #include "dse/explorer.hh"
+#include "harness/atomic_publish.hh"
 
 namespace charon::dse
 {
@@ -28,23 +29,6 @@ namespace
 {
 
 using Clock = std::chrono::steady_clock;
-
-/** write(2) the whole buffer, retrying on EINTR / short writes. */
-bool
-writeAll(int fd, const char *data, std::size_t size)
-{
-    while (size > 0) {
-        ssize_t n = ::write(fd, data, size);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        data += n;
-        size -= static_cast<std::size_t>(n);
-    }
-    return true;
-}
 
 /**
  * Split a journal path into (prefix, suffix) around the canonical
@@ -138,7 +122,7 @@ workerMain(const std::vector<harness::Cell> &cells,
            const SupervisorConfig &cfg, int shard, int pipeFd)
 {
     auto say = [&](const std::string &msg) {
-        writeAll(pipeFd, msg.data(), msg.size());
+        harness::writeAll(pipeFd, msg.data(), msg.size());
     };
 
     SweepJournal journal(shardJournalPath(cfg.journalPath, shard));

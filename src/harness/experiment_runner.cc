@@ -18,6 +18,7 @@
 #include <unistd.h>
 
 #include "gc/trace_io.hh"
+#include "harness/atomic_publish.hh"
 #include "platform/platform_sim.hh"
 #include "sim/logging.hh"
 #include "workload/g1_mutator.hh"
@@ -482,23 +483,6 @@ getCellResult(std::istream &is, CellResult &res)
         res.run = std::move(run);
     }
     return getTiming(is, res.timing);
-}
-
-/** write(2) the whole buffer, retrying on EINTR / short writes. */
-bool
-writeAll(int fd, const char *data, std::size_t size)
-{
-    while (size > 0) {
-        ssize_t n = ::write(fd, data, size);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        data += n;
-        size -= static_cast<std::size_t>(n);
-    }
-    return true;
 }
 
 } // namespace

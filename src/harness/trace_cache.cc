@@ -6,10 +6,8 @@
 #include <fstream>
 #include <sstream>
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include "gc/trace_io.hh"
+#include "harness/atomic_publish.hh"
 #include "sim/logging.hh"
 
 namespace charon::harness
@@ -146,46 +144,17 @@ TraceCache::store(const FunctionalKey &key, const FunctionalRun &run) const
                   ec.message().c_str());
         return false;
     }
-    const std::string final_path = path(key);
-    // Unique temp name per process; rename is atomic on POSIX, so a
-    // concurrent writer of the same key just wins the race benignly.
-    const std::string tmp_path =
-        final_path + ".tmp." + std::to_string(::getpid());
-    {
-        std::ofstream os(tmp_path, std::ios::binary);
-        if (!os) {
-            sim::warn("trace cache: cannot write %s", tmp_path.c_str());
-            return false;
-        }
-        writeHeader(os, key, run);
-        gc::writeTrace(os, run.trace);
-        if (!os) {
-            sim::warn("trace cache: write failure on %s",
-                      tmp_path.c_str());
-            std::filesystem::remove(tmp_path, ec);
-            return false;
-        }
-    }
-    // Durability: fsync the temp file before the rename so a crash or
-    // power cut cannot publish a cache entry whose bytes never hit
-    // the disk (the loader would reject it, but only after a wasted
-    // read; worse, a torn page could alias another key's hash name).
-    if (int fd = ::open(tmp_path.c_str(), O_WRONLY); fd >= 0) {
-        ::fsync(fd);
-        ::close(fd);
-    }
-    std::filesystem::rename(tmp_path, final_path, ec);
-    if (ec) {
-        sim::warn("trace cache: cannot rename into %s: %s",
-                  final_path.c_str(), ec.message().c_str());
-        std::filesystem::remove(tmp_path, ec);
+    std::ostringstream os(std::ios::binary);
+    writeHeader(os, key, run);
+    gc::writeTrace(os, run.trace);
+    // A crash or power cut must not publish an entry whose bytes
+    // never hit the disk: the loader would reject it, but only after
+    // a wasted read; worse, a torn page could alias another key's
+    // hash name.
+    std::string error;
+    if (!atomicPublish(path(key), os.view(), &error)) {
+        sim::warn("trace cache: %s", error.c_str());
         return false;
-    }
-    // And fsync the directory so the rename itself is durable.
-    if (int fd = ::open(dir_.c_str(), O_RDONLY | O_DIRECTORY);
-        fd >= 0) {
-        ::fsync(fd);
-        ::close(fd);
     }
     return true;
 }

@@ -42,9 +42,9 @@ class TraceCache
     bool load(const FunctionalKey &key, FunctionalRun &out) const;
 
     /**
-     * Persist @p run under @p key (atomic rename; concurrent writers
-     * of the same key are safe).  Failures warn and return false —
-     * a broken cache must never fail an experiment.
+     * Persist @p run under @p key through atomicPublish (concurrent
+     * writers of the same key are safe).  Failures warn and return
+     * false — a broken cache must never fail an experiment.
      */
     bool store(const FunctionalKey &key, const FunctionalRun &run) const;
 

@@ -247,11 +247,19 @@ struct PlatformSim::ThreadAgent
     }
 };
 
-void
-PlatformSim::runPhaseScalar(const gc::PhaseTrace &phase,
-                            PrimBreakdown &breakdown)
+PrimBreakdown
+PlatformSim::runPhase(const gc::PhaseTrace &phase,
+                      gc::PhaseRollup &rollup)
 {
     const Tick phase_start = eq_.now();
+    if (fault_) {
+        // Bandwidth faults (link/TSV/cube-offline) take effect at
+        // phase boundaries: applying them here keeps the engine from
+        // scheduling standing events that would stretch the phase
+        // barrier (eq_.run() drains until empty).
+        fault_->applyPendingDegrades(phase_start);
+    }
+    PrimBreakdown breakdown;
     std::vector<ThreadAgent> agents(phase.threads.size());
 
     for (std::size_t ti = 0; ti < phase.threads.size(); ++ti) {
@@ -277,25 +285,6 @@ PlatformSim::runPhaseScalar(const gc::PhaseTrace &phase,
     }
 
     eq_.run(); // phase barrier: drain every thread and flow
-}
-
-PrimBreakdown
-PlatformSim::runPhase(const gc::PhaseTrace &phase,
-                      gc::PhaseRollup &rollup)
-{
-    const Tick phase_start = eq_.now();
-    if (fault_) {
-        // Bandwidth faults (link/TSV/cube-offline) take effect at
-        // phase boundaries: applying them here keeps the engine from
-        // scheduling standing events that would stretch the phase
-        // barrier (eq_.run() drains until empty).
-        fault_->applyPendingDegrades(phase_start);
-    }
-    PrimBreakdown breakdown;
-    if (mode_ == ReplayMode::Auto && phaseBatchable(phase))
-        runPhaseBatched(phase, breakdown);
-    else
-        runPhaseScalar(phase, breakdown);
 
     // Fill the roll-up from the very same doubles the breakdown
     // accumulated (so rollup totals match PrimBreakdown exactly),

@@ -75,24 +75,6 @@ class PlatformSim
     PlatformSim(const PlatformSim &) = delete;
     PlatformSim &operator=(const PlatformSim &) = delete;
 
-    /**
-     * Replay strategy.  Auto replays a phase through the batched
-     * columnar kernel whenever every bucket's completion time is
-     * closed-form (no shared memory port, no unit pool, no fault
-     * engine — see phaseBatchable()); everything else, and the whole
-     * phase otherwise, goes event-at-a-time.  Scalar forces the
-     * event-driven path everywhere.  Both modes are bit-identical by
-     * construction; the differential replay oracle enforces it.
-     */
-    enum class ReplayMode
-    {
-        Auto,
-        Scalar,
-    };
-
-    void setReplayMode(ReplayMode mode) { mode_ = mode; }
-    ReplayMode replayMode() const { return mode_; }
-
     /** Replay the whole run; returns aggregated timing and energy. */
     RunTiming simulate(const gc::RunTrace &trace);
 
@@ -117,11 +99,12 @@ class PlatformSim
         return eq_.executedEvents();
     }
 
-    /** Events the batched kernel absorbed instead of the queue. */
-    std::uint64_t batchedEvents() const { return batchedEvents_; }
-
-    /** Buckets replayed through the batched kernel. */
-    std::uint64_t batchedBuckets() const { return batchedBuckets_; }
+    /**
+     * Always 0: every event runs through the queue.  Kept only
+     * because perfbench/driver.cc still adds it to executedEvents();
+     * delete it together with that call.
+     */
+    std::uint64_t batchedEvents() const { return 0; }
 
     /** Faults that actually fired (null-safe; 0 without a plan). */
     std::uint64_t injectedFaults() const
@@ -142,20 +125,6 @@ class PlatformSim
     PrimBreakdown runPhase(const gc::PhaseTrace &phase,
                            gc::PhaseRollup &rollup);
 
-    /** Event-driven phase body (ThreadAgent closures on the queue). */
-    void runPhaseScalar(const gc::PhaseTrace &phase,
-                        PrimBreakdown &breakdown);
-
-    /**
-     * True when every bucket of @p phase resolves to a closed-form
-     * completion time (defined in batch_replay.cc with the kernel).
-     */
-    bool phaseBatchable(const gc::PhaseTrace &phase) const;
-
-    /** Batched columnar phase body; bit-identical to the scalar one. */
-    void runPhaseBatched(const gc::PhaseTrace &phase,
-                         PrimBreakdown &breakdown);
-
     /** Lazily created "thread N" track (timeline attached only). */
     sim::Timeline::TrackId threadTrack(std::size_t thread);
 
@@ -172,10 +141,6 @@ class PlatformSim
     std::unique_ptr<cpu::HostModel> host_;
 
     double glueSecondsTotal_ = 0; ///< thread-seconds of host glue
-
-    ReplayMode mode_ = ReplayMode::Auto;
-    std::uint64_t batchedEvents_ = 0;
-    std::uint64_t batchedBuckets_ = 0;
 
     sim::Timeline *timeline_ = nullptr;
     sim::Timeline::TrackId gcTrack_ = 0;

@@ -106,17 +106,4 @@ EventQueue::run(Tick until)
     return executed;
 }
 
-void
-EventQueue::advanceTo(Tick when)
-{
-    CHARON_ASSERT(when >= now_,
-                  "advanceTo %llu before now %llu",
-                  static_cast<unsigned long long>(when),
-                  static_cast<unsigned long long>(now_));
-    CHARON_ASSERT(!findMin() || heap_.front().when >= when,
-                  "advanceTo %llu past a pending event",
-                  static_cast<unsigned long long>(when));
-    now_ = when;
-}
-
 } // namespace charon::sim

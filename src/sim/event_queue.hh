@@ -155,17 +155,6 @@ class EventQueue
      */
     bool step();
 
-    /**
-     * Jump the clock forward to @p when without executing anything.
-     *
-     * Used by batched replay kernels that simulate a span of events
-     * outside the queue and then need the queue's clock to agree with
-     * the scalar path before the next phase schedules against it.
-     *
-     * @pre when >= now() and no event pending before @p when.
-     */
-    void advanceTo(Tick when);
-
   private:
     /** Heap node: everything sift operations need, nothing more. */
     struct Node

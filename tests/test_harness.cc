@@ -11,11 +11,15 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <mutex>
 #include <set>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "gc/trace_io.hh"
+#include "harness/atomic_publish.hh"
 #include "harness/experiment_runner.hh"
 #include "harness/repo_root.hh"
 #include "harness/trace_cache.hh"
@@ -199,6 +203,33 @@ TEST(TraceCache, DisabledCacheNeverHits)
     FunctionalRun out;
     EXPECT_FALSE(cache.store(syntheticKey(), syntheticRun()));
     EXPECT_FALSE(cache.load(syntheticKey(), out));
+}
+
+TEST(AtomicPublish, ReplacesWholeFileOrLeavesNothing)
+{
+    namespace fs = std::filesystem;
+    const fs::path dir = freshDir("publish");
+    const fs::path target = dir / "entry";
+    std::ofstream(target) << "old bytes, longer than the new ones";
+
+    std::string error;
+    ASSERT_TRUE(atomicPublish(target.string(), "new", &error)) << error;
+    std::ifstream in(target, std::ios::binary);
+    std::string content((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
+    EXPECT_EQ(content, "new");
+    // No temp sibling survives a successful publish.
+    std::vector<fs::path> entries(fs::directory_iterator(dir), {});
+    EXPECT_EQ(entries, std::vector<fs::path>{target});
+
+    // A missing directory fails with the target named, creating
+    // neither the directory nor any file.
+    const fs::path orphan = dir / "missing" / "entry";
+    EXPECT_FALSE(atomicPublish(orphan.string(), "bytes", &error));
+    EXPECT_NE(error.find(orphan.string()), std::string::npos) << error;
+    EXPECT_FALSE(fs::exists(dir / "missing"));
+    entries.assign(fs::directory_iterator(dir), {});
+    EXPECT_EQ(entries, std::vector<fs::path>{target});
 }
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce)

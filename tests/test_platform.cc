@@ -209,19 +209,6 @@ TEST_P(EveryPlatform, ProducesSaneTiming)
     EXPECT_LE(bd.total(), t.gcSeconds * 8 * 1.001);
 }
 
-TEST_P(EveryPlatform, DeterministicReplay)
-{
-    const auto &params = workload::findWorkload("ALS");
-    workload::Mutator mut(params, params.heapBytes, 9);
-    mut.run();
-    PlatformSim a(GetParam(), sim::SystemConfig{}, mut.cubeShift());
-    PlatformSim b(GetParam(), sim::SystemConfig{}, mut.cubeShift());
-    auto ta = a.simulate(mut.recorder().run());
-    auto tb = b.simulate(mut.recorder().run());
-    EXPECT_DOUBLE_EQ(ta.gcSeconds, tb.gcSeconds);
-    EXPECT_DOUBLE_EQ(ta.totalEnergyJ(), tb.totalEnergyJ());
-}
-
 INSTANTIATE_TEST_SUITE_P(
     AllKinds, EveryPlatform,
     ::testing::Values(sim::PlatformKind::HostDdr4,

@@ -1,19 +1,18 @@
 /**
  * @file
- * The differential replay oracle: the batched columnar kernel
- * (PlatformSim::ReplayMode::Auto) must be bit-identical to the
- * event-at-a-time path (ReplayMode::Scalar) on every platform, for
- * every trace.
+ * The replay determinism check: two fresh PlatformSim instances
+ * replaying the same trace on the same platform must agree bit for
+ * bit.  Byte-identical reports at any --jobs count rest on this,
+ * because the harness replays every cell on its own fresh instance
+ * on whichever worker thread picks it up.
  *
- * "Bit-identical" is taken literally: every timing double, every
- * per-collection breakdown, every roll-up cell, and the full timeline
- * event stream (type, track, name, ticks, counter values, in emission
- * order) are compared with exact equality — no tolerances.  The suite
- * drives the oracle with real traces from all four collector families
- * ({ps, g1, cms, rc}) and with seeded randomized synthetic traces
- * that mix closed-form and event-driven buckets, then pins the
- * engagement guarantee (a known-batchable phase must actually take
- * the batched kernel) and the empty-capability-mask host identity.
+ * "Bit for bit" is taken literally: every timing double, every
+ * per-collection breakdown, every roll-up cell, the executed event
+ * count, and the full timeline event stream (type, track, name,
+ * ticks, counter values, in emission order) are compared with exact
+ * equality — no tolerances.  The corpus is real traces from all four
+ * collector families ({ps, g1, cms, rc}) plus seeded randomized
+ * synthetic traces, each replayed on all five platforms.
  */
 
 #include <gtest/gtest.h>
@@ -23,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "gc/capability.hh"
 #include "gc/rollup.hh"
 #include "platform/platform_sim.hh"
 #include "sim/instrumentation.hh"
@@ -79,6 +77,7 @@ expectTimingEq(const platform::RunTiming &a,
         SCOPED_TRACE("gc " + std::to_string(i));
         EXPECT_EQ(a.gcs[i].major, b.gcs[i].major);
         EXPECT_EQ(a.gcs[i].seconds, b.gcs[i].seconds);
+        EXPECT_EQ(a.gcs[i].unitSeconds, b.gcs[i].unitSeconds);
         expectBreakdownEq(a.gcs[i].breakdown, b.gcs[i].breakdown);
     }
     EXPECT_TRUE(gc::rollupEquals(a.rollup(), b.rollup()));
@@ -111,43 +110,31 @@ expectTimelineEq(const sim::Timeline &a, const sim::Timeline &b)
 }
 
 /**
- * Replay @p trace twice on @p kind — batched-where-possible vs
- * forced-scalar — and compare every observable.  Returns the number
- * of buckets the Auto replay sent through the batched kernel.
+ * Replay @p trace on two fresh @p kind instances, each with its own
+ * timeline, and compare every observable.
  */
-std::uint64_t
+void
 oracle(const gc::RunTrace &trace, int cube_shift, PlatformKind kind)
 {
     SCOPED_TRACE(sim::platformName(kind));
     auto cfg = sim::SystemConfig::table2();
 
-    sim::Timeline tl_auto("auto"), tl_scalar("scalar");
-    PlatformSim auto_sim(kind, cfg, cube_shift,
-                         sim::Instrumentation(&tl_auto));
-    PlatformSim scalar_sim(kind, cfg, cube_shift,
-                           sim::Instrumentation(&tl_scalar));
-    scalar_sim.setReplayMode(PlatformSim::ReplayMode::Scalar);
+    sim::Timeline tl_a("a"), tl_b("b");
+    PlatformSim sim_a(kind, cfg, cube_shift, sim::Instrumentation(&tl_a));
+    PlatformSim sim_b(kind, cfg, cube_shift, sim::Instrumentation(&tl_b));
 
-    auto a = auto_sim.simulate(trace);
-    auto b = scalar_sim.simulate(trace);
+    auto a = sim_a.simulate(trace);
+    auto b = sim_b.simulate(trace);
     expectTimingEq(a, b);
-    expectTimelineEq(tl_auto, tl_scalar);
-    EXPECT_EQ(scalar_sim.batchedBuckets(), 0u)
-        << "Scalar mode must never enter the batched kernel";
-    // Every event the kernel absorbs is one the queue did not run:
-    // the two replays must cover the same event population.
-    EXPECT_EQ(auto_sim.executedEvents() + auto_sim.batchedEvents(),
-              scalar_sim.executedEvents());
-    return auto_sim.batchedBuckets();
+    expectTimelineEq(tl_a, tl_b);
+    EXPECT_EQ(sim_a.executedEvents(), sim_b.executedEvents());
 }
 
-std::uint64_t
+void
 oracleAllPlatforms(const gc::RunTrace &trace, int cube_shift)
 {
-    std::uint64_t batched = 0;
     for (PlatformKind kind : kAllPlatforms)
-        batched += oracle(trace, cube_shift, kind);
-    return batched;
+        oracle(trace, cube_shift, kind);
 }
 
 // ---------------------------------------------------------------------
@@ -180,9 +167,7 @@ TEST(ReplayOracle, ParallelScavengeTraceAllPlatforms)
 {
     auto rec = record(gc::CollectorModel::ParallelScavenge);
     ASSERT_FALSE(rec.trace.gcs.empty());
-    // PS major summaries are pure Bitmap Count phases, so the kernel
-    // must engage on at least the host-route platforms.
-    EXPECT_GT(oracleAllPlatforms(rec.trace, rec.cubeShift), 0u);
+    oracleAllPlatforms(rec.trace, rec.cubeShift);
 }
 
 TEST(ReplayOracle, G1TraceAllPlatforms)
@@ -211,9 +196,9 @@ TEST(ReplayOracle, RcTraceAllPlatforms)
 }
 
 // ---------------------------------------------------------------------
-// Seeded synthetic traces: adversarial mixes of closed-form rows
-// (Ideal offloads, empty calls, Bitmap Count) and event-driven rows,
-// so batchable and non-batchable phases interleave inside one run.
+// Seeded synthetic traces: random mixes of every primitive, empty
+// calls, and host-only and offloadable rows, with shapes (thread and
+// bucket counts, byte volumes) no recorded collector produces.
 
 gc::RunTrace
 makeRandomTrace(std::uint64_t seed)
@@ -241,9 +226,6 @@ makeRandomTrace(std::uint64_t seed)
                 const int nbuckets = static_cast<int>(u(0, 5));
                 for (int bi = 0; bi < nbuckets; ++bi) {
                     gc::Bucket b;
-                    // Two-thirds closed-form-capable rows keep the
-                    // kernel engaged; the rest forces whole phases
-                    // down the event-driven path.
                     b.kind = u(0, 2) != 0
                                  ? gc::PrimKind::BitmapCount
                                  : static_cast<gc::PrimKind>(u(0, 5));
@@ -274,120 +256,10 @@ makeRandomTrace(std::uint64_t seed)
 
 TEST(ReplayOracle, SyntheticRandomTracesAllPlatforms)
 {
-    std::uint64_t batched = 0;
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {
         SCOPED_TRACE("seed " + std::to_string(seed));
-        batched += oracleAllPlatforms(makeRandomTrace(seed), 22);
+        oracleAllPlatforms(makeRandomTrace(seed), 22);
     }
-    EXPECT_GT(batched, 0u)
-        << "the randomized sweep never exercised the batched kernel";
-}
-
-// ---------------------------------------------------------------------
-// Engagement guarantee: a phase built entirely from closed-form rows
-// must take the batched kernel, and the kernel must absorb exactly
-// the events the scalar path would have queued for it.
-
-TEST(ReplayOracle, KnownBatchablePhaseTakesTheBatchedKernel)
-{
-    gc::RunTrace trace;
-    gc::GcTrace gct;
-    gct.major = true;
-    gc::PhaseTrace phase;
-    phase.kind = gc::PhaseKind::MajorSummary;
-    for (int t = 0; t < 3; ++t) {
-        gc::ThreadWork work;
-        work.glueInstructions = 5000 + 1000 * t;
-        gc::Bucket count;
-        count.kind = gc::PrimKind::BitmapCount;
-        count.hostOnly = true;
-        count.invocations = 8 + t;
-        count.rangeBits = 1 << 12;
-        work.buckets.push_back(count);
-        gc::Bucket empty;
-        empty.kind = gc::PrimKind::Copy;
-        empty.hostOnly = true;
-        empty.invocations = 0;
-        work.buckets.push_back(empty);
-        phase.addThread(work);
-    }
-    const std::uint64_t total_buckets = phase.buckets.size();
-    gct.phases.push_back(std::move(phase));
-    trace.gcs.push_back(std::move(gct));
-    trace.mutatorInstructions.push_back(0);
-
-    for (PlatformKind kind :
-         {PlatformKind::HostDdr4, PlatformKind::HostHmc}) {
-        SCOPED_TRACE(sim::platformName(kind));
-        auto cfg = sim::SystemConfig::table2();
-        PlatformSim sim_auto(kind, cfg, 22);
-        PlatformSim sim_scalar(kind, cfg, 22);
-        sim_scalar.setReplayMode(PlatformSim::ReplayMode::Scalar);
-        auto a = sim_auto.simulate(trace);
-        auto b = sim_scalar.simulate(trace);
-        expectTimingEq(a, b);
-        EXPECT_EQ(sim_auto.batchedBuckets(), total_buckets)
-            << "every bucket of the closed-form phase must batch";
-        EXPECT_GT(sim_auto.batchedEvents(), 0u);
-        EXPECT_EQ(sim_auto.executedEvents() + sim_auto.batchedEvents(),
-                  sim_scalar.executedEvents());
-    }
-
-    // On Ideal the device-eligible rows are free as well: flip the
-    // buckets to offloadable and the phase must still batch whole.
-    for (auto &g : trace.gcs)
-        for (auto &p : g.phases)
-            for (auto &flag : p.buckets.hostOnly)
-                flag = 0;
-    PlatformSim ideal(PlatformKind::Ideal, sim::SystemConfig::table2(),
-                      22);
-    PlatformSim ideal_scalar(PlatformKind::Ideal,
-                             sim::SystemConfig::table2(), 22);
-    ideal_scalar.setReplayMode(PlatformSim::ReplayMode::Scalar);
-    auto a = ideal.simulate(trace);
-    auto b = ideal_scalar.simulate(trace);
-    expectTimingEq(a, b);
-    EXPECT_EQ(ideal.batchedBuckets(), total_buckets);
-}
-
-// ---------------------------------------------------------------------
-// Empty capability mask: with every bucket recorded hostOnly and the
-// mask stamped 0, the Charon replay must degrade to the exact
-// accelerator-free host execution — and both of its replay modes must
-// agree with each other.
-
-TEST(ReplayOracle, EmptyCapabilityMaskIsHostIdentity)
-{
-    const auto &params = workload::findWorkload("CC");
-    workload::Mutator mut(params, params.minHeapBytes * 2, 1, 8, 4);
-    mut.recorder().setCapabilities(gc::CapabilitySet::none());
-    auto r = mut.run();
-    ASSERT_FALSE(r.oom);
-    const gc::RunTrace trace = mut.recorder().run();
-    ASSERT_FALSE(trace.gcs.empty());
-    for (const auto &g : trace.gcs)
-        ASSERT_EQ(g.capabilityMask, 0u);
-
-    // Batched-vs-scalar identity on the degraded Charon replay.
-    oracle(trace, mut.cubeShift(), PlatformKind::CharonNmp);
-
-    // Charon-vs-host identity: with nothing to offload the
-    // accelerator contributes nothing to time or traffic.  (Unit
-    // energy is platform-dependent bookkeeping and localAccessFraction
-    // is defined only on Charon platforms; everything else must agree
-    // bit-for-bit.)
-    auto cfg = sim::SystemConfig::table2();
-    PlatformSim charon(PlatformKind::CharonNmp, cfg, mut.cubeShift());
-    PlatformSim host(PlatformKind::HostHmc, cfg, mut.cubeShift());
-    auto a = charon.simulate(trace);
-    auto b = host.simulate(trace);
-    EXPECT_EQ(a.gcSeconds, b.gcSeconds);
-    EXPECT_EQ(a.minorSeconds, b.minorSeconds);
-    EXPECT_EQ(a.majorSeconds, b.majorSeconds);
-    EXPECT_EQ(a.mutatorSeconds, b.mutatorSeconds);
-    EXPECT_EQ(a.dramBytes, b.dramBytes);
-    EXPECT_EQ(a.hostEnergyJ, b.hostEnergyJ);
-    expectBreakdownEq(a.breakdown(), b.breakdown());
 }
 
 } // namespace
