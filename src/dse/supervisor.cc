@@ -2,25 +2,24 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <deque>
 #include <filesystem>
 #include <map>
 #include <set>
 #include <sstream>
+#include <string_view>
 #include <thread>
+#include <utility>
 
-#include <poll.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include "dse/explorer.hh"
 #include "harness/atomic_publish.hh"
+#include "harness/supervised.hh"
 
 namespace charon::dse
 {
@@ -29,6 +28,7 @@ namespace
 {
 
 using Clock = std::chrono::steady_clock;
+using harness::Supervised;
 
 /**
  * Split a journal path into (prefix, suffix) around the canonical
@@ -118,8 +118,9 @@ struct CrashHooks
 workerMain(const std::vector<harness::Cell> &cells,
            const std::vector<std::string> &keys,
            const std::vector<std::vector<std::size_t>> &units,
-           const std::vector<std::size_t> &assigned,
-           const SupervisorConfig &cfg, int shard, int pipeFd)
+           const std::deque<std::size_t> &assigned,
+           const SupervisorConfig &cfg,
+           const harness::RunnerConfig &runnerCfg, int shard, int pipeFd)
 {
     auto say = [&](const std::string &msg) {
         harness::writeAll(pipeFd, msg.data(), msg.size());
@@ -137,7 +138,7 @@ workerMain(const std::vector<harness::Cell> &cells,
             journal.seedFrom(sibling);
     }
 
-    harness::RunnerConfig rc = cfg.runner;
+    harness::RunnerConfig rc = runnerCfg;
     rc.timeline = false; // a worker's timeline would die with it
     harness::ExperimentRunner runner(rc);
     runner.setProgressHook([pipeFd] {
@@ -219,19 +220,21 @@ workerMain(const std::vector<harness::Cell> &cells,
 /** One worker slot of the current round. */
 struct Slot
 {
+    enum State
+    {
+        Idle,      ///< not started yet, or backing off to a restart
+        Running,
+        Done,      ///< all units committed / reassigned away
+        Abandoned, ///< restart budget exhausted
+        Stopped,   ///< exited 130 after the interrupt fan-out
+    };
+
     int shard = 0; ///< shard id == journal suffix
-    pid_t pid = -1;
-    int fd = -1;
-    std::string buf;
+    State state = Idle;
+    std::string buf;                   ///< bytes after the last newline
     std::deque<std::size_t> remaining; ///< global unit ids, in order
     long inflight = -1;                ///< unit id from last S
     int attempt = 0;                   ///< restarts consumed
-    bool running = false;
-    bool done = false;      ///< all units committed / reassigned away
-    bool abandoned = false; ///< restart budget exhausted
-    bool stopped = false;   ///< exited 130 after the interrupt fan-out
-    bool timedOut = false;  ///< watchdog SIGKILL pending classify
-    Clock::time_point lastProgress;
     Clock::time_point restartAt;
 };
 
@@ -361,10 +364,6 @@ runShardedSweep(const std::vector<harness::Cell> &cells,
     int shardsNow = std::max(1, cfg.shards);
     int nextShardId = 0;
 
-    const auto progressTimeout =
-        std::chrono::duration_cast<Clock::duration>(
-            std::chrono::duration<double>(cfg.progressTimeoutSec));
-
     while (!pending.empty() && shardsNow > 0
            && !SweepJournal::interrupted()) {
         // One round: interleave the pending units over the current
@@ -385,332 +384,143 @@ runShardedSweep(const std::vector<harness::Cell> &cells,
         workerRunner.jobs = std::max(
             1, totalJobs / static_cast<int>(slots.size()));
 
-        auto spawn = [&](Slot &slot) {
-            int fds[2];
-            if (::pipe(fds) != 0) {
-                result.error = "pipe() failed";
-                return false;
-            }
-            std::vector<std::size_t> assigned(slot.remaining.begin(),
-                                              slot.remaining.end());
-            SupervisorConfig workerCfg = cfg;
-            workerCfg.runner = workerRunner;
-            pid_t pid = ::fork();
-            if (pid < 0) {
-                ::close(fds[0]);
-                ::close(fds[1]);
-                result.error = "fork() failed";
-                return false;
-            }
-            if (pid == 0) {
-                ::close(fds[0]);
-                workerMain(cells, keys, units, assigned, workerCfg,
-                           slot.shard, fds[1]);
-            }
-            ::close(fds[1]);
-            slot.pid = pid;
-            slot.fd = fds[0];
-            slot.buf.clear();
-            slot.inflight = -1;
-            slot.running = true;
-            slot.timedOut = false;
-            slot.lastProgress = Clock::now();
-            return true;
-        };
+        // Worker processes, tagged by slot index; the pool's silence
+        // watchdog is the heartbeat timeout.  Leaving the round kills
+        // any worker still running (after a failed spawn), so no
+        // orphan keeps writing behind the failure report.
+        Supervised pool;
 
-        auto strikeInflight = [&](Slot &slot) {
-            if (slot.inflight < 0)
-                return;
-            auto u = static_cast<std::size_t>(slot.inflight);
-            slot.inflight = -1;
-            if (++strikes[u] < 2)
-                return;
-            quarantined.insert(u);
-            result.quarantined.push_back(u);
-            result.quarantinedKeys.push_back(keys[units[u].front()]);
-            auto it = std::find(slot.remaining.begin(),
-                                slot.remaining.end(), u);
-            if (it != slot.remaining.end())
-                slot.remaining.erase(it);
-            info("dse: quarantined poison unit %zu (%s)\n", u,
-                 keys[units[u].front()].c_str());
-        };
-
-        auto handleMessage = [&](Slot &slot, const std::string &msg) {
-            slot.lastProgress = Clock::now();
-            if (msg.empty())
-                return;
-            std::istringstream is(msg);
-            char tag = 0;
-            is >> tag;
-            if (tag == 'S') {
-                std::size_t u = 0;
-                if (is >> u)
-                    slot.inflight = static_cast<long>(u);
-            } else if (tag == 'D') {
+        auto onBytes = [&](std::size_t s, std::string_view bytes) {
+            Slot &slot = slots[s];
+            slot.buf.append(bytes);
+            std::size_t pos;
+            while ((pos = slot.buf.find('\n')) != std::string::npos) {
+                std::istringstream is(slot.buf.substr(0, pos));
+                slot.buf.erase(0, pos + 1);
+                // 'H' and 'F' only feed the pool's silence watchdog.
+                char tag = 0;
                 std::size_t u = 0, fresh = 0;
-                if (!(is >> u >> fresh))
-                    return;
-                slot.inflight = -1;
-                auto it = std::find(slot.remaining.begin(),
-                                    slot.remaining.end(), u);
-                if (it != slot.remaining.end())
-                    slot.remaining.erase(it);
-                if (committed.count(u)) {
-                    result.reEvaluatedCells += fresh;
-                } else {
-                    committed.insert(u);
-                    ++result.unitsCommitted;
+                is >> tag >> u;
+                if (tag == 'S' && is) {
+                    slot.inflight = static_cast<long>(u);
+                } else if (tag == 'D' && is >> fresh) {
+                    slot.inflight = -1;
+                    std::erase(slot.remaining, u);
+                    if (committed.count(u)) {
+                        result.reEvaluatedCells += fresh;
+                    } else {
+                        committed.insert(u);
+                        ++result.unitsCommitted;
+                    }
                 }
             }
-            // 'H' and 'F' only refresh lastProgress.
         };
 
-        auto classifyExit = [&](Slot &slot, int status) {
-            slot.running = false;
-            slot.fd = -1;
-            slot.pid = -1;
-            bool crashed;
-            std::string why;
-            if (slot.timedOut) {
-                crashed = true;
-                why = "no progress for "
-                      + std::to_string(cfg.progressTimeoutSec)
-                      + "s (watchdog)";
-            } else if (WIFSIGNALED(status)) {
-                crashed = true;
-                why = std::string("signal ")
-                      + std::to_string(WTERMSIG(status));
-            } else if (WIFEXITED(status)
-                       && WEXITSTATUS(status) == 130) {
-                slot.stopped = true;
+        auto onExit = [&](std::size_t s, const Supervised::Exit &exit) {
+            Slot &slot = slots[s];
+            slot.state = Slot::Idle;
+            if (exit.code == 130) {
+                slot.state = Slot::Stopped;
                 return;
-            } else if (WIFEXITED(status) && WEXITSTATUS(status) != 0) {
-                crashed = true;
-                why = "exit status "
-                      + std::to_string(WEXITSTATUS(status));
-            } else {
-                crashed = false;
             }
-            if (!crashed || slot.remaining.empty()) {
+            if (exit.code != 0 && !slot.remaining.empty()) {
+                ++result.workerCrashes;
+                // Strike the unit that was inflight; its second
+                // strike quarantines it.
+                const long inflight = std::exchange(slot.inflight, -1);
+                const auto u = static_cast<std::size_t>(inflight);
+                if (inflight >= 0 && ++strikes[u] >= 2) {
+                    const std::string &key = keys[units[u].front()];
+                    quarantined.insert(u);
+                    result.quarantined.push_back(u);
+                    result.quarantinedKeys.push_back(key);
+                    std::erase(slot.remaining, u);
+                    info("dse: quarantined poison unit %zu (%s)\n", u,
+                         key.c_str());
+                }
+            }
+            if (exit.code == 0 || slot.remaining.empty()) {
                 // Clean exit — or a crash *after* the last unit
                 // committed (the crash-hook tail case): the shard's
                 // work is done either way.
-                slot.done = true;
-                return;
-            }
-            ++result.workerCrashes;
-            strikeInflight(slot);
-            if (slot.remaining.empty()) {
-                slot.done = true;
-                return;
-            }
-            if (slot.attempt < cfg.restartsPerShard) {
+                slot.state = Slot::Done;
+            } else if (slot.attempt < cfg.restartsPerShard) {
                 ++slot.attempt;
                 ++result.restarts;
-                double backoff =
-                    cfg.backoffBaseSec
-                    * static_cast<double>(1 << std::min(
-                          slot.attempt - 1, 6));
-                slot.restartAt =
-                    Clock::now()
-                    + std::chrono::duration_cast<Clock::duration>(
-                        std::chrono::duration<double>(backoff));
+                const double backoff = Supervised::backoffSec(
+                    cfg.backoffBaseSec, slot.attempt - 1);
+                slot.restartAt = Supervised::after(backoff);
                 info("dse: shard %d died (%s); restart %d/%d in "
                      "%.1fs, %zu unit(s) left\n",
-                     slot.shard, why.c_str(), slot.attempt,
+                     slot.shard, exit.why.c_str(), slot.attempt,
                      cfg.restartsPerShard, backoff,
                      slot.remaining.size());
             } else {
-                slot.abandoned = true;
+                slot.state = Slot::Abandoned;
                 ++result.degradations;
                 info("dse: shard %d died (%s); restart budget "
                      "exhausted, degrading — %zu unit(s) "
                      "re-partitioned\n",
-                     slot.shard, why.c_str(), slot.remaining.size());
+                     slot.shard, exit.why.c_str(),
+                     slot.remaining.size());
             }
         };
 
-        auto liveCount = [&] {
-            std::size_t n = 0;
-            for (const auto &s : slots)
-                n += !s.done && !s.abandoned && !s.stopped;
-            return n;
+        auto live = [&] {
+            return std::any_of(slots.begin(), slots.end(),
+                               [](const Slot &slot) {
+                                   return slot.state <= Slot::Running;
+                               });
         };
 
         bool spawnFailed = false;
-        while (liveCount() > 0 && !SweepJournal::interrupted()
-               && !spawnFailed) {
+        while (live() && !SweepJournal::interrupted() && !spawnFailed) {
+            // Bounded step: the signal flag is re-checked at least
+            // every 200 ms, and a backing-off slot at its restart edge.
             const auto now = Clock::now();
-            for (auto &slot : slots) {
-                if (slot.running || slot.done || slot.abandoned
-                    || slot.stopped)
+            auto until = now + std::chrono::milliseconds(200);
+            for (std::size_t s = 0; s < slots.size(); ++s) {
+                Slot &slot = slots[s];
+                if (slot.state != Slot::Idle)
                     continue;
                 if (slot.remaining.empty()) {
-                    slot.done = true;
-                    continue;
-                }
-                if (slot.restartAt <= now && !spawn(slot))
+                    slot.state = Slot::Done;
+                } else if (slot.restartAt > now) {
+                    until = std::min(until, slot.restartAt);
+                } else if (pool.spawn(s, cfg.progressTimeoutSec,
+                                      [&](int fd) {
+                                          workerMain(cells, keys, units,
+                                                     slot.remaining, cfg,
+                                                     workerRunner,
+                                                     slot.shard, fd);
+                                      },
+                                      &result.error)) {
+                    slot.state = Slot::Running;
+                    slot.buf.clear();
+                    slot.inflight = -1;
+                } else {
                     spawnFailed = true;
-            }
-
-            std::vector<pollfd> fds;
-            std::vector<Slot *> fdOwner;
-            for (auto &slot : slots) {
-                if (slot.running) {
-                    fds.push_back(pollfd{slot.fd, POLLIN, 0});
-                    fdOwner.push_back(&slot);
                 }
             }
-            if (fds.empty()) {
-                // Every live slot is backing off: nap to the nearest
-                // restart edge (capped so interrupts stay responsive).
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(20));
-                continue;
-            }
-            // Bounded poll slice: signal flag and watchdog both get
-            // re-checked at least once a second.
-            ::poll(fds.data(), fds.size(), 200);
-
-            if (cfg.progressTimeoutSec > 0) {
-                for (auto &slot : slots) {
-                    if (slot.running && !slot.timedOut
-                        && Clock::now() - slot.lastProgress
-                               > progressTimeout) {
-                        slot.timedOut = true;
-                        ::kill(slot.pid, SIGKILL);
-                    }
-                }
-            }
-
-            for (std::size_t k = 0; k < fds.size(); ++k) {
-                Slot &slot = *fdOwner[k];
-                if (!(fds[k].revents & (POLLIN | POLLHUP | POLLERR))
-                    && !slot.timedOut)
-                    continue;
-                char chunk[4096];
-                ssize_t n = ::read(slot.fd, chunk, sizeof(chunk));
-                if (n > 0) {
-                    slot.buf.append(chunk,
-                                    static_cast<std::size_t>(n));
-                    std::size_t pos;
-                    while ((pos = slot.buf.find('\n'))
-                           != std::string::npos) {
-                        handleMessage(slot, slot.buf.substr(0, pos));
-                        slot.buf.erase(0, pos + 1);
-                    }
-                    continue;
-                }
-                if (n < 0 && (errno == EINTR || errno == EAGAIN))
-                    continue;
-                // EOF: reap and classify.
-                ::close(slot.fd);
-                int status = 0;
-                pid_t pid = slot.pid;
-                while (::waitpid(pid, &status, 0) < 0
-                       && errno == EINTR) {
-                }
-                classifyExit(slot, status);
-            }
+            pool.poll(until, onBytes, onExit);
         }
 
-        // Interrupt fan-out: SIGTERM every live worker, give the
-        // drain window for unit-boundary exits (their D messages
-        // still count), then SIGKILL stragglers.
         if (SweepJournal::interrupted()) {
-            for (auto &slot : slots)
-                if (slot.running)
-                    ::kill(slot.pid, SIGTERM);
-            const auto deadline =
-                Clock::now()
-                + std::chrono::duration_cast<Clock::duration>(
-                    std::chrono::duration<double>(cfg.drainSec));
-            auto anyRunning = [&] {
-                for (const auto &s : slots)
-                    if (s.running)
-                        return true;
-                return false;
-            };
-            while (anyRunning() && Clock::now() < deadline) {
-                std::vector<pollfd> fds;
-                std::vector<Slot *> fdOwner;
-                for (auto &slot : slots) {
-                    if (slot.running) {
-                        fds.push_back(pollfd{slot.fd, POLLIN, 0});
-                        fdOwner.push_back(&slot);
-                    }
-                }
-                ::poll(fds.data(), fds.size(), 100);
-                for (std::size_t k = 0; k < fds.size(); ++k) {
-                    Slot &slot = *fdOwner[k];
-                    if (!(fds[k].revents
-                          & (POLLIN | POLLHUP | POLLERR)))
-                        continue;
-                    char chunk[4096];
-                    ssize_t n =
-                        ::read(slot.fd, chunk, sizeof(chunk));
-                    if (n > 0) {
-                        slot.buf.append(
-                            chunk, static_cast<std::size_t>(n));
-                        std::size_t pos;
-                        while ((pos = slot.buf.find('\n'))
-                               != std::string::npos) {
-                            handleMessage(slot,
-                                          slot.buf.substr(0, pos));
-                            slot.buf.erase(0, pos + 1);
-                        }
-                        continue;
-                    }
-                    if (n < 0
-                        && (errno == EINTR || errno == EAGAIN))
-                        continue;
-                    ::close(slot.fd);
-                    int status = 0;
-                    while (::waitpid(slot.pid, &status, 0) < 0
-                           && errno == EINTR) {
-                    }
-                    slot.running = false;
-                    slot.stopped = true;
-                    slot.pid = -1;
-                    slot.fd = -1;
-                }
-            }
-            for (auto &slot : slots) {
-                if (!slot.running)
-                    continue;
-                ::kill(slot.pid, SIGKILL);
-                ::close(slot.fd);
-                int status = 0;
-                while (::waitpid(slot.pid, &status, 0) < 0
-                       && errno == EINTR) {
-                }
-                slot.running = false;
-                slot.stopped = true;
-            }
+            // Interrupt fan-out: SIGTERM every live worker, give the
+            // drain window for unit-boundary exits (their D messages
+            // still count), then SIGKILL stragglers.
+            pool.signalAll(SIGTERM);
+            const auto deadline = Supervised::after(cfg.drainSec);
+            while (pool.running() > 0 && Clock::now() < deadline)
+                pool.poll(deadline, onBytes, nullptr);
+            pool.killAll();
             result.interrupted = true;
-        }
-
-        if (spawnFailed) {
-            // fork/pipe exhaustion: stop the round's survivors so no
-            // orphan keeps writing behind the failure report.
-            for (auto &slot : slots) {
-                if (!slot.running)
-                    continue;
-                ::kill(slot.pid, SIGKILL);
-                ::close(slot.fd);
-                int status = 0;
-                while (::waitpid(slot.pid, &status, 0) < 0
-                       && errno == EINTR) {
-                }
-                slot.running = false;
-            }
         }
 
         // Collect what this round left over.
         std::size_t abandonedHere = 0;
         for (auto &slot : slots) {
-            abandonedHere += slot.abandoned ? 1 : 0;
+            abandonedHere += slot.state == Slot::Abandoned;
             for (std::size_t u : slot.remaining)
                 if (!committed.count(u) && !quarantined.count(u))
                     pending.push_back(u);

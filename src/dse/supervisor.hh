@@ -3,16 +3,17 @@
  * Sweep supervisor: fault-tolerant multi-process sharding of a DSE
  * sweep.
  *
- * `runShardedSweep` forks N worker processes, each evaluating a
- * deterministic interleaved partition of the sweep's *units* (a unit
- * is the group of cells that one worker must evaluate together — the
- * two cells of one DsePoint, or one preset cell) into its own
- * per-shard journal (`<journal>.shard-K.dse.jsonl`).  The supervisor
- * owns the robustness machinery around those workers:
+ * `runShardedSweep` forks N worker processes on the shared
+ * harness::Supervised pool, each evaluating a deterministic
+ * interleaved partition of the sweep's *units* (a unit is the group
+ * of cells that one worker must evaluate together — the two cells of
+ * one DsePoint, or one preset cell) into its own per-shard journal
+ * (`<journal>.shard-K.dse.jsonl`).  The supervisor is the policy
+ * around those workers:
  *
- *  - a pipe-based heartbeat watchdog: workers tick on every cell of
- *    runner progress, and a shard that makes no progress within the
- *    timeout is SIGKILLed and treated as crashed;
+ *  - a heartbeat watchdog: workers tick over their pipe on every cell
+ *    of runner progress, and the pool SIGKILLs a shard silent past
+ *    the timeout, which then counts as crashed;
  *  - exponential-backoff restart of dead workers, which resume from
  *    their own shard journal and so re-evaluate zero committed cells;
  *  - poison-point quarantine: a unit whose evaluation kills a worker

@@ -2,23 +2,17 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
 #include <deque>
 #include <exception>
 #include <fstream>
 #include <sstream>
 #include <thread>
 
-#include <poll.h>
-#include <signal.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
+#include "gc/rollup.hh"
 #include "gc/trace_io.hh"
 #include "harness/atomic_publish.hh"
+#include "harness/supervised.hh"
 #include "platform/platform_sim.hh"
 #include "sim/logging.hh"
 #include "workload/g1_mutator.hh"
@@ -192,9 +186,12 @@ ExperimentRunner::replay(const Cell &cell, CellResult &res,
 std::vector<CellResult>
 ExperimentRunner::run(const std::vector<Cell> &cells)
 {
-    if (cellTimeoutSec_ > 0)
-        return runIsolated(cells);
+    return cellTimeoutSec_ > 0 ? runIsolated(cells) : runInProcess(cells);
+}
 
+std::vector<CellResult>
+ExperimentRunner::runInProcess(const std::vector<Cell> &cells)
+{
     std::vector<CellResult> results(cells.size());
 
     // Resolve keys on the main thread: findWorkload() is fatal() on a
@@ -325,110 +322,95 @@ namespace
 // CellResult wire format for the crash-isolated runner: the child
 // process serializes its result over a pipe with the trace_io
 // little-endian framing; a short or missing payload marks the child
-// as crashed.
+// as crashed.  Each field table is the wire order for both directions.
+
+using platform::PrimBreakdown;
+using platform::RunTiming;
+
+constexpr double PrimBreakdown::*kBreakdownFields[] = {
+    &PrimBreakdown::copy,     &PrimBreakdown::search,
+    &PrimBreakdown::scanPush, &PrimBreakdown::bitmapCount,
+    &PrimBreakdown::bitSweep, &PrimBreakdown::refCount,
+    &PrimBreakdown::glue,
+};
+
+constexpr double RunTiming::*kTimingFields[] = {
+    &RunTiming::gcSeconds,           &RunTiming::minorSeconds,
+    &RunTiming::majorSeconds,        &RunTiming::mutatorSeconds,
+    &RunTiming::dramBytes,           &RunTiming::avgGcBandwidthGBs,
+    &RunTiming::localAccessFraction, &RunTiming::hostEnergyJ,
+    &RunTiming::dramEnergyJ,         &RunTiming::unitEnergyJ,
+};
 
 void
-putBreakdown(std::ostream &os, const platform::PrimBreakdown &b)
+putBreakdown(std::ostream &os, const PrimBreakdown &b)
 {
-    using namespace gc::io;
-    putF64(os, b.copy);
-    putF64(os, b.search);
-    putF64(os, b.scanPush);
-    putF64(os, b.bitmapCount);
-    putF64(os, b.bitSweep);
-    putF64(os, b.refCount);
-    putF64(os, b.glue);
+    for (auto field : kBreakdownFields)
+        gc::io::putF64(os, b.*field);
 }
 
 bool
-getBreakdown(std::istream &is, platform::PrimBreakdown &b)
+getBreakdown(std::istream &is, PrimBreakdown &b)
 {
-    using namespace gc::io;
-    return getF64(is, b.copy) && getF64(is, b.search)
-           && getF64(is, b.scanPush) && getF64(is, b.bitmapCount)
-           && getF64(is, b.bitSweep) && getF64(is, b.refCount)
-           && getF64(is, b.glue);
+    for (auto field : kBreakdownFields) {
+        if (!gc::io::getF64(is, b.*field))
+            return false;
+    }
+    return true;
 }
 
 void
-putTiming(std::ostream &os, const platform::RunTiming &t)
+putTiming(std::ostream &os, const RunTiming &t)
 {
     using namespace gc::io;
     putU64(os, static_cast<std::uint64_t>(t.platform));
-    putF64(os, t.gcSeconds);
-    putF64(os, t.minorSeconds);
-    putF64(os, t.majorSeconds);
-    putF64(os, t.mutatorSeconds);
-    putF64(os, t.dramBytes);
-    putF64(os, t.avgGcBandwidthGBs);
-    putF64(os, t.localAccessFraction);
-    putF64(os, t.hostEnergyJ);
-    putF64(os, t.dramEnergyJ);
-    putF64(os, t.unitEnergyJ);
+    for (auto field : kTimingFields)
+        putF64(os, t.*field);
     putBreakdown(os, t.minorBreakdown);
     putBreakdown(os, t.majorBreakdown);
     putU64(os, t.gcs.size());
     for (const auto &gc : t.gcs) {
         putU64(os, gc.major ? 1 : 0);
         putF64(os, gc.seconds);
+        putF64(os, gc.unitSeconds);
         putBreakdown(os, gc.breakdown);
-        putU64(os, gc.rollup.phases.size());
-        for (const auto &phase : gc.rollup.phases) {
-            putU64(os, static_cast<std::uint64_t>(phase.kind));
-            putF64(os, phase.wallSeconds);
-            for (const auto &prim : phase.prims) {
-                putF64(os, prim.seconds);
-                putU64(os, prim.bytes);
-                putU64(os, prim.invocations);
-            }
-            putF64(os, phase.glueSeconds);
-        }
     }
+    gc::writeRollup(os, t.rollup());
 }
 
 bool
-getTiming(std::istream &is, platform::RunTiming &t)
+getTiming(std::istream &is, RunTiming &t)
 {
     using namespace gc::io;
     std::uint64_t platform, gcs;
-    if (!getU64(is, platform) || !getF64(is, t.gcSeconds)
-        || !getF64(is, t.minorSeconds) || !getF64(is, t.majorSeconds)
-        || !getF64(is, t.mutatorSeconds) || !getF64(is, t.dramBytes)
-        || !getF64(is, t.avgGcBandwidthGBs)
-        || !getF64(is, t.localAccessFraction)
-        || !getF64(is, t.hostEnergyJ) || !getF64(is, t.dramEnergyJ)
-        || !getF64(is, t.unitEnergyJ)
-        || !getBreakdown(is, t.minorBreakdown)
+    if (!getU64(is, platform))
+        return false;
+    t.platform = static_cast<sim::PlatformKind>(platform);
+    for (auto field : kTimingFields) {
+        if (!getF64(is, t.*field))
+            return false;
+    }
+    if (!getBreakdown(is, t.minorBreakdown)
         || !getBreakdown(is, t.majorBreakdown) || !getU64(is, gcs)) {
         return false;
     }
-    t.platform = static_cast<sim::PlatformKind>(platform);
     t.gcs.resize(gcs);
     for (auto &gc : t.gcs) {
-        std::uint64_t major, phases;
+        std::uint64_t major;
         if (!getU64(is, major) || !getF64(is, gc.seconds)
-            || !getBreakdown(is, gc.breakdown) || !getU64(is, phases)) {
+            || !getF64(is, gc.unitSeconds)
+            || !getBreakdown(is, gc.breakdown)) {
             return false;
         }
         gc.major = major != 0;
-        gc.rollup.major = gc.major;
-        gc.rollup.phases.resize(phases);
-        for (auto &phase : gc.rollup.phases) {
-            std::uint64_t kind;
-            if (!getU64(is, kind) || !getF64(is, phase.wallSeconds))
-                return false;
-            phase.kind = static_cast<gc::PhaseKind>(kind);
-            for (auto &prim : phase.prims) {
-                if (!getF64(is, prim.seconds)
-                    || !getU64(is, prim.bytes)
-                    || !getU64(is, prim.invocations)) {
-                    return false;
-                }
-            }
-            if (!getF64(is, phase.glueSeconds))
-                return false;
-        }
     }
+    gc::RunRollup rollup;
+    if (!gc::readRollup(is, rollup, nullptr)
+        || rollup.gcs.size() != t.gcs.size()) {
+        return false;
+    }
+    for (std::size_t i = 0; i < t.gcs.size(); ++i)
+        t.gcs[i].rollup = std::move(rollup.gcs[i]);
     return true;
 }
 
@@ -440,17 +422,8 @@ putCellResult(std::ostream &os, const CellResult &res)
     putU64(os, res.oom ? 1 : 0);
     putString(os, res.error);
     putU64(os, res.run ? 1 : 0);
-    if (res.run) {
-        const FunctionalRun &r = *res.run;
-        putU64(os, static_cast<std::uint64_t>(r.cubeShift));
-        putU64(os, r.oom ? 1 : 0);
-        putU64(os, r.gcsMinor);
-        putU64(os, r.gcsMajor);
-        putU64(os, r.markCycles);
-        putU64(os, r.allocatedBytes);
-        putU64(os, r.mutatorInstructions);
-        gc::writeTrace(os, r.trace);
-    }
+    if (res.run)
+        writeFunctionalRun(os, *res.run);
     putTiming(os, res.timing);
 }
 
@@ -467,18 +440,7 @@ getCellResult(std::istream &is, CellResult &res)
     res.oom = oom != 0;
     if (has_run) {
         auto run = std::make_shared<FunctionalRun>();
-        std::uint64_t cube_shift, run_oom;
-        if (!getU64(is, cube_shift) || !getU64(is, run_oom)
-            || !getU64(is, run->gcsMinor) || !getU64(is, run->gcsMajor)
-            || !getU64(is, run->markCycles)
-            || !getU64(is, run->allocatedBytes)
-            || !getU64(is, run->mutatorInstructions)) {
-            return false;
-        }
-        run->cubeShift = static_cast<int>(cube_shift);
-        run->oom = run_oom != 0;
-        std::string error;
-        if (!gc::readTrace(is, run->trace, &error))
+        if (!readFunctionalRun(is, *run))
             return false;
         res.run = std::move(run);
     }
@@ -490,7 +452,7 @@ getCellResult(std::istream &is, CellResult &res)
 std::vector<CellResult>
 ExperimentRunner::runIsolated(const std::vector<Cell> &cells)
 {
-    using Clock = std::chrono::steady_clock;
+    using Clock = Supervised::Clock;
 
     std::vector<CellResult> results(cells.size());
     if (timeline_) {
@@ -500,204 +462,90 @@ ExperimentRunner::runIsolated(const std::vector<Cell> &cells)
 
     // Resolve keys on the main thread (findWorkload is fatal on a
     // typo, which must not look like a cell crash).
-    std::vector<FunctionalKey> keys(cells.size());
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        if (!cells[i].customRun)
-            keys[i] = resolve(cells[i].key);
+    for (const Cell &cell : cells) {
+        if (!cell.customRun)
+            resolve(cell.key);
     }
-
-    const auto timeout = std::chrono::duration_cast<Clock::duration>(
-        std::chrono::duration<double>(cellTimeoutSec_));
 
     struct Pending
     {
         std::size_t cell;
-        int attempt;
         Clock::time_point notBefore;
     };
-    struct Child
-    {
-        pid_t pid;
-        int fd;
-        std::size_t cell;
-        int attempt;
-        std::string buf;
-        Clock::time_point deadline;
-        bool timedOut = false;
-    };
-
     std::deque<Pending> queue;
     for (std::size_t i = 0; i < cells.size(); ++i)
-        queue.push_back(Pending{i, 0, Clock::now()});
-    std::vector<Child> active;
+        queue.push_back(Pending{i, Clock::now()});
+    // Per cell: the failed attempts so far, and the bytes its running
+    // child has written.
+    std::vector<int> attempt(cells.size(), 0);
+    std::vector<std::string> payload(cells.size());
 
-    auto runChild = [&](std::size_t i) {
-        // In the child: do the cell end-to-end, ship the result,
-        // and _Exit without running atexit handlers.  Any escape —
-        // crash, hang, sanitizer abort, exception past this frame —
-        // is classified by the parent from the wait status.
-        CellResult res;
-        try {
-            if (cells[i].customRun) {
-                res.run = std::make_shared<FunctionalRun>(
-                    cells[i].customRun());
-            } else {
-                res.run = functional(keys[i]);
-            }
-            res.oom = res.run->oom;
-            if (res.oom) {
-                res.error = sim::format(
-                    "OOM at %llu MiB",
-                    static_cast<unsigned long long>(
-                        keys[i].heapBytes >> 20));
-            } else if (!cells[i].replay) {
-                res.ok = true;
-            } else {
-                replay(cells[i], res, nullptr);
-            }
-        } catch (const std::exception &e) {
-            res.ok = false;
-            res.error = e.what();
-        }
-        std::ostringstream os;
-        putCellResult(os, res);
-        return os.str();
+    auto onBytes = [&](std::size_t i, std::string_view bytes) {
+        payload[i].append(bytes);
     };
-
-    auto spawn = [&](const Pending &p) {
-        int fds[2];
-        if (::pipe(fds) != 0)
-            sim::fatal("isolated runner: pipe() failed");
-        pid_t pid = ::fork();
-        if (pid < 0)
-            sim::fatal("isolated runner: fork() failed");
-        if (pid == 0) {
-            ::close(fds[0]);
-            const std::string payload = runChild(p.cell);
-            writeAll(fds[1], payload.data(), payload.size());
-            ::close(fds[1]);
-            std::_Exit(0);
-        }
-        ::close(fds[1]);
-        active.push_back(Child{pid, fds[0], p.cell, p.attempt, {},
-                               Clock::now() + timeout});
-    };
-
-    auto classify = [&](Child &c, int status) {
-        CellResult res;
-        std::string why;
-        if (c.timedOut) {
-            why = sim::format("timed out after %.1fs", cellTimeoutSec_);
-        } else if (WIFSIGNALED(status)) {
-            why = sim::format("killed by signal %d (%s)",
-                              WTERMSIG(status),
-                              strsignal(WTERMSIG(status)));
-        } else if (WIFEXITED(status) && WEXITSTATUS(status) != 0) {
-            why = sim::format("exited with status %d",
-                              WEXITSTATUS(status));
-        } else {
-            std::istringstream is(c.buf);
+    auto onExit = [&](std::size_t i, const Supervised::Exit &exit) {
+        if (onProgress_)
+            onProgress_();
+        std::string why = exit.why;
+        if (exit.code == 0) {
+            std::istringstream is(std::move(payload[i]));
+            CellResult res;
             if (getCellResult(is, res)) {
-                results[c.cell] = std::move(res);
+                results[i] = std::move(res);
                 return;
             }
             why = "truncated result payload (crashed mid-write?)";
         }
-        if (c.attempt < cellRetries_) {
+        payload[i].clear();
+        if (attempt[i] < cellRetries_) {
             // Exponential backoff before the retry: transient trouble
             // (resource pressure) gets room to clear; deterministic
             // crashes burn through quickly and quarantine.
-            auto backoff = std::chrono::milliseconds(100)
-                           * (1 << std::min(c.attempt, 6));
-            queue.push_back(
-                Pending{c.cell, c.attempt + 1, Clock::now() + backoff});
+            queue.push_back(Pending{
+                i, Supervised::after(
+                       Supervised::backoffSec(0.1, attempt[i]++))});
             return;
         }
-        results[c.cell].ok = false;
-        results[c.cell].error = sim::format(
-            "quarantined after %d attempt(s): %s", c.attempt + 1,
-            why.c_str());
+        results[i].ok = false;
+        results[i].error =
+            sim::format("quarantined after %d attempt(s): %s",
+                        attempt[i] + 1, why.c_str());
     };
 
-    while (!queue.empty() || !active.empty()) {
+    Supervised pool;
+    while (!queue.empty() || pool.running() > 0) {
         // Fill free job slots with pending cells whose backoff has
-        // elapsed (FIFO, so retries do not starve fresh cells).
-        const auto now = Clock::now();
+        // elapsed (FIFO, so retries do not starve fresh cells), and
+        // wake for the nearest backoff edge.
+        auto until = Clock::now() + std::chrono::seconds(1);
         for (auto it = queue.begin();
              it != queue.end()
-             && active.size() < static_cast<std::size_t>(jobs_);) {
-            if (it->notBefore <= now) {
-                spawn(*it);
-                it = queue.erase(it);
-            } else {
+             && pool.running() < static_cast<std::size_t>(jobs_);) {
+            if (it->notBefore > Clock::now()) {
+                until = std::min(until, it->notBefore);
                 ++it;
-            }
-        }
-
-        if (active.empty()) {
-            // Everything pending is backing off: sleep to the nearest
-            // notBefore.
-            auto wake = queue.front().notBefore;
-            for (const auto &p : queue)
-                wake = std::min(wake, p.notBefore);
-            std::this_thread::sleep_until(wake);
-            continue;
-        }
-
-        // Poll until data, EOF, or the nearest deadline/backoff edge.
-        auto wake = active.front().deadline;
-        for (const auto &c : active)
-            wake = std::min(wake, c.deadline);
-        for (const auto &p : queue)
-            wake = std::min(wake, p.notBefore);
-        int poll_ms = static_cast<int>(std::max<std::int64_t>(
-            0, std::chrono::duration_cast<std::chrono::milliseconds>(
-                   wake - Clock::now())
-                   .count()));
-        std::vector<pollfd> fds(active.size());
-        for (std::size_t k = 0; k < active.size(); ++k)
-            fds[k] = pollfd{active[k].fd, POLLIN, 0};
-        ::poll(fds.data(), fds.size(), std::min(poll_ms, 1000));
-
-        // Enforce deadlines: a hung child is killed and then reaped
-        // through the normal EOF path.
-        for (auto &c : active) {
-            if (!c.timedOut && Clock::now() >= c.deadline) {
-                c.timedOut = true;
-                ::kill(c.pid, SIGKILL);
-            }
-        }
-
-        for (std::size_t k = 0; k < active.size();) {
-            Child &c = active[k];
-            if (!(fds[k].revents & (POLLIN | POLLHUP | POLLERR))
-                && !c.timedOut) {
-                ++k;
                 continue;
             }
-            char chunk[65536];
-            ssize_t n = ::read(c.fd, chunk, sizeof(chunk));
-            if (n > 0) {
-                c.buf.append(chunk, static_cast<std::size_t>(n));
-                ++k;
-                continue;
+            const std::size_t i = it->cell;
+            it = queue.erase(it);
+            std::string error;
+            // The child evaluates its one cell in-process, with no
+            // timeline or progress ticks, and ships the result.
+            if (!pool.spawn(i, cellTimeoutSec_,
+                            [&](int fd) {
+                                timeline_ = false;
+                                onProgress_ = nullptr;
+                                std::ostringstream os;
+                                putCellResult(
+                                    os, runInProcess({cells[i]})[0]);
+                                const std::string bytes = os.str();
+                                writeAll(fd, bytes.data(), bytes.size());
+                            },
+                            &error)) {
+                sim::fatal("isolated runner: %s", error.c_str());
             }
-            if (n < 0 && (errno == EINTR || errno == EAGAIN)) {
-                ++k;
-                continue;
-            }
-            // EOF (or read error): the child is done; reap and
-            // classify it.
-            ::close(c.fd);
-            int status = 0;
-            ::waitpid(c.pid, &status, 0);
-            classify(c, status);
-            if (onProgress_)
-                onProgress_();
-            fds.erase(fds.begin() + static_cast<std::ptrdiff_t>(k));
-            active.erase(active.begin()
-                         + static_cast<std::ptrdiff_t>(k));
         }
+        pool.poll(until, onBytes, onExit);
     }
     return results;
 }

@@ -46,12 +46,14 @@ struct RunnerConfig
     bool timeline = false;
     /**
      * Crash isolation (--cell-timeout): when > 0, every cell runs
-     * end-to-end in its own forked child process with this wall-clock
-     * deadline in seconds.  A cell that hangs is SIGKILLed at the
-     * deadline; a cell that crashes (signal, abort, sanitizer trap)
-     * takes only itself down.  Parallelism comes from up to `jobs`
-     * concurrent children, so the parent stays single-threaded and
-     * fork-safe.  Timelines are not collected in this mode.
+     * end-to-end in its own forked child process (harness::Supervised)
+     * that is SIGKILLed once it has produced no result for this many
+     * seconds.  A cell writes nothing before its result, so a hung
+     * cell dies this long after it started; a cell that crashes
+     * (signal, abort, sanitizer trap) takes only itself down.
+     * Parallelism comes from up to `jobs` concurrent children, so the
+     * parent stays single-threaded and fork-safe.  Timelines are not
+     * collected in this mode.
      */
     double cellTimeoutSec = 0;
     /**
@@ -128,7 +130,11 @@ class ExperimentRunner
                        std::string *error = nullptr) const;
 
   private:
-    /** Crash-isolated execution (RunnerConfig::cellTimeoutSec > 0). */
+    /** Every cell in this process, on the thread pool. */
+    std::vector<CellResult> runInProcess(const std::vector<Cell> &cells);
+
+    /** Each cell in a forked child that runs runInProcess() on it
+     *  (RunnerConfig::cellTimeoutSec > 0). */
     std::vector<CellResult> runIsolated(const std::vector<Cell> &cells);
 
     /** Replay one cell's platform simulation into @p res. */

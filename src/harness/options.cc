@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -227,6 +228,17 @@ parseOptions(int argc, char **argv, Options &opt)
                 return argv[++i];
             return nullptr;
         };
+        // A non-negative int flag value, or the bad-value diagnostic.
+        auto count = [&](const char *name, const char *v, int &out) {
+            long long n;
+            if (parseInt(v, n) && n >= 0 && n <= INT_MAX) {
+                out = static_cast<int>(n);
+                return true;
+            }
+            std::fprintf(stderr, "%s: bad value for %s: '%s'\n\n%s",
+                         argv[0], name, v, opt.usageText().c_str());
+            return false;
+        };
         const Options::FlagSpec *matched = nullptr;
         std::string flagValue;
         bool missingValue = false;
@@ -269,7 +281,8 @@ parseOptions(int argc, char **argv, Options &opt)
                         opt.usageText().c_str());
             std::exit(0);
         } else if (const char *v = value("--jobs")) {
-            opt.jobs = std::atoi(v);
+            if (!count("--jobs", v, opt.jobs))
+                return false;
         } else if (const char *v = value("--cache-dir")) {
             opt.cacheDir = v;
         } else if (arg == "--no-cache") {
@@ -292,15 +305,8 @@ parseOptions(int argc, char **argv, Options &opt)
                 return false;
             }
         } else if (const char *v = value("--cell-retries")) {
-            long long n;
-            if (!parseInt(v, n) || n < 0) {
-                std::fprintf(stderr,
-                             "%s: bad value for --cell-retries: "
-                             "'%s'\n\n%s",
-                             argv[0], v, opt.usageText().c_str());
+            if (!count("--cell-retries", v, opt.cellRetries))
                 return false;
-            }
-            opt.cellRetries = static_cast<int>(n);
         } else if (arg == "--jobs" || arg == "--cache-dir"
                    || arg == "--json" || arg == "--trace-out"
                    || arg == "--cell-timeout"

@@ -31,8 +31,7 @@ fnv1a(const std::string &s)
 }
 
 void
-writeHeader(std::ostream &os, const FunctionalKey &key,
-            const FunctionalRun &run)
+writeHeader(std::ostream &os, const FunctionalKey &key)
 {
     using namespace gc::io;
     os.write(kCacheMagic, sizeof(kCacheMagic));
@@ -44,17 +43,10 @@ writeHeader(std::ostream &os, const FunctionalKey &key,
     putU64(os, static_cast<std::uint64_t>(key.gcThreads));
     putU64(os, static_cast<std::uint64_t>(key.numCubes));
     putU64(os, key.copyOffloadThreshold);
-    putU64(os, static_cast<std::uint64_t>(run.cubeShift));
-    putU64(os, run.oom ? 1 : 0);
-    putU64(os, run.gcsMinor);
-    putU64(os, run.gcsMajor);
-    putU64(os, run.markCycles);
-    putU64(os, run.allocatedBytes);
-    putU64(os, run.mutatorInstructions);
 }
 
 bool
-readHeader(std::istream &is, const FunctionalKey &key, FunctionalRun &run)
+readHeader(std::istream &is, const FunctionalKey &key)
 {
     using namespace gc::io;
     char magic[8];
@@ -75,14 +67,34 @@ readHeader(std::istream &is, const FunctionalKey &key, FunctionalRun &run)
     }
     // A hash collision or a manually renamed file: the stored key must
     // equal the requested one field-for-field.
-    if (workload != key.workload
-        || collector != static_cast<std::uint64_t>(key.collector)
-        || heap != key.heapBytes || seed != key.seed
-        || threads != static_cast<std::uint64_t>(key.gcThreads)
-        || cubes != static_cast<std::uint64_t>(key.numCubes)
-        || copy_thr != key.copyOffloadThreshold) {
-        return false;
-    }
+    return workload == key.workload
+           && collector == static_cast<std::uint64_t>(key.collector)
+           && heap == key.heapBytes && seed == key.seed
+           && threads == static_cast<std::uint64_t>(key.gcThreads)
+           && cubes == static_cast<std::uint64_t>(key.numCubes)
+           && copy_thr == key.copyOffloadThreshold;
+}
+
+} // namespace
+
+void
+writeFunctionalRun(std::ostream &os, const FunctionalRun &run)
+{
+    using namespace gc::io;
+    putU64(os, static_cast<std::uint64_t>(run.cubeShift));
+    putU64(os, run.oom ? 1 : 0);
+    putU64(os, run.gcsMinor);
+    putU64(os, run.gcsMajor);
+    putU64(os, run.markCycles);
+    putU64(os, run.allocatedBytes);
+    putU64(os, run.mutatorInstructions);
+    gc::writeTrace(os, run.trace);
+}
+
+bool
+readFunctionalRun(std::istream &is, FunctionalRun &run)
+{
+    using namespace gc::io;
     std::uint64_t cube_shift, oom;
     if (!getU64(is, cube_shift) || !getU64(is, oom)
         || !getU64(is, run.gcsMinor) || !getU64(is, run.gcsMajor)
@@ -92,10 +104,9 @@ readHeader(std::istream &is, const FunctionalKey &key, FunctionalRun &run)
     }
     run.cubeShift = static_cast<int>(cube_shift);
     run.oom = oom != 0;
-    return true;
+    std::string error;
+    return gc::readTrace(is, run.trace, &error);
 }
-
-} // namespace
 
 TraceCache::TraceCache(std::string dir) : dir_(std::move(dir)) {}
 
@@ -123,10 +134,7 @@ TraceCache::load(const FunctionalKey &key, FunctionalRun &out) const
     if (!is)
         return false;
     FunctionalRun run;
-    if (!readHeader(is, key, run))
-        return false;
-    std::string error;
-    if (!gc::readTrace(is, run.trace, &error))
+    if (!readHeader(is, key) || !readFunctionalRun(is, run))
         return false;
     out = std::move(run);
     return true;
@@ -145,8 +153,8 @@ TraceCache::store(const FunctionalKey &key, const FunctionalRun &run) const
         return false;
     }
     std::ostringstream os(std::ios::binary);
-    writeHeader(os, key, run);
-    gc::writeTrace(os, run.trace);
+    writeHeader(os, key);
+    writeFunctionalRun(os, run);
     // A crash or power cut must not publish an entry whose bytes
     // never hit the disk: the loader would reject it, but only after
     // a wasted read; worse, a torn page could alias another key's

@@ -16,6 +16,7 @@
 #ifndef CHARON_HARNESS_TRACE_CACHE_HH
 #define CHARON_HARNESS_TRACE_CACHE_HH
 
+#include <iosfwd>
 #include <string>
 
 #include "harness/cell.hh"
@@ -58,6 +59,14 @@ class TraceCache
   private:
     std::string dir_;
 };
+
+/**
+ * A FunctionalRun's mutator-side outcome and trace in the trace_io
+ * framing: the body of a cache entry, and of an isolated cell's
+ * result on its pipe.  A read of a short stream fails.
+ */
+void writeFunctionalRun(std::ostream &os, const FunctionalRun &run);
+bool readFunctionalRun(std::istream &is, FunctionalRun &run);
 
 } // namespace charon::harness
 

@@ -31,6 +31,7 @@
 #include "harness/experiment_runner.hh"
 #include "harness/options.hh"
 #include "harness/result_sink.hh"
+#include "timing_eq.hh"
 #include "workload/mutator.hh"
 
 using namespace charon;
@@ -543,6 +544,9 @@ TEST(IsolatedRunner, RealCellsMatchInProcessResults)
         EXPECT_EQ(a[i].timing.totalEnergyJ(),
                   b[i].timing.totalEnergyJ());
         EXPECT_EQ(a[i].run->gcsMinor, b[i].run->gcsMinor);
+        // Every RunTiming field, each collection's unit-seconds (the
+        // fleet arbiter's device demand) and roll-up included.
+        test::expectTimingEq(a[i].timing, b[i].timing);
     }
 }
 

@@ -3,11 +3,13 @@
  * Tests for the experiment harness: the persistent trace cache
  * (hit/miss, version invalidation, corruption fallback, collision
  * rejection), the ExperimentRunner's determinism across thread
- * counts, functional-run sharing, and OOM graceful degradation.
+ * counts, functional-run sharing, OOM graceful degradation, the
+ * crash-isolation pool's reaping, and the shared --jobs flag check.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -16,12 +18,18 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
+
+#include <unistd.h>
 
 #include "gc/trace_io.hh"
 #include "harness/atomic_publish.hh"
 #include "harness/experiment_runner.hh"
+#include "harness/options.hh"
 #include "harness/repo_root.hh"
+#include "harness/supervised.hh"
 #include "harness/trace_cache.hh"
 #include "workload/catalog.hh"
 
@@ -504,6 +512,53 @@ TEST(ExperimentRunner, RollupMatchesBreakdownExactly)
                 EXPECT_NEAR(wall, gc_timing.seconds, 1e-9);
         }
     }
+}
+
+TEST(Supervised, ReapsAnExitedChildWhileItsGrandchildHoldsThePipe)
+{
+    // The child leaves a grandchild holding the write end of its pipe,
+    // so end of file comes only when the grandchild exits; the child's
+    // bytes and exit status must arrive as soon as the child is gone.
+    Supervised pool;
+    ASSERT_TRUE(pool.spawn(7, 0, [](int fd) {
+        if (::fork() == 0) {
+            // Hold only the pipe, so the test runner does not wait on
+            // this process's copy of stdout.
+            ::close(STDOUT_FILENO);
+            ::close(STDERR_FILENO);
+            std::this_thread::sleep_for(std::chrono::seconds(3));
+            std::_Exit(0);
+        }
+        writeAll(fd, "result", 6);
+        std::_Exit(5);
+    }));
+    std::string bytes;
+    std::vector<std::pair<std::size_t, int>> exits;
+    const auto start = Supervised::Clock::now();
+    while (pool.running() > 0)
+        pool.poll(Supervised::after(0.1),
+                  [&](std::size_t, std::string_view b) { bytes += b; },
+                  [&](std::size_t tag, const Supervised::Exit &exit) {
+                      exits.emplace_back(tag, exit.code);
+                  });
+    EXPECT_LT(Supervised::Clock::now() - start, std::chrono::seconds(2));
+    EXPECT_EQ(bytes, "result");
+    ASSERT_EQ(exits.size(), 1u);
+    EXPECT_EQ(exits[0], std::make_pair(std::size_t{7}, 5));
+}
+
+TEST(Options, JobsMustBeANonNegativeInteger)
+{
+    for (const char *bad : {"--jobs=abc", "--jobs=4x"}) {
+        Options opt;
+        const char *argv[] = {"bench", bad};
+        EXPECT_FALSE(parseOptions(2, const_cast<char **>(argv), opt))
+            << bad;
+    }
+    Options opt;
+    const char *argv[] = {"bench", "--jobs=3"};
+    ASSERT_TRUE(parseOptions(2, const_cast<char **>(argv), opt));
+    EXPECT_EQ(opt.jobs, 3);
 }
 
 // ---------------------------------------------------------------------

@@ -4,10 +4,10 @@
  * first-writer-wins dedup, canonical sorted output), memory-only
  * seeding, shard journal naming/discovery, and the fault-tolerance
  * contract of runShardedSweep — worker kill/restart with zero
- * re-evaluated cells, poison-point quarantine after a double kill,
- * graceful degradation when the restart budget is exhausted,
- * shard-count invariance of the merged journal, and SIGTERM drain
- * preserving the resume contract.
+ * re-evaluated cells, poison-point quarantine after a double kill
+ * (by crash or by the silence watchdog), graceful degradation when
+ * the restart budget is exhausted, shard-count invariance of the
+ * merged journal, and SIGTERM drain preserving the resume contract.
  *
  * Worker crashes are injected with the CHARON_TEST_* hooks the
  * workers read from their environment (see src/dse/supervisor.cc);
@@ -389,6 +389,50 @@ TEST(Supervisor, PoisonPointQuarantinedByKeyAndRetriedLater)
         JournalRecord out;
         for (std::size_t cell : sweep.units[res.quarantined[0]])
             EXPECT_FALSE(check.lookup(sweep.keys[cell], out));
+    }
+
+    // With the hook gone the resume evaluates exactly the quarantined
+    // unit and nothing else.
+    auto res = runShardedSweep(sweep.cells, sweep.keys, sweep.units,
+                               cfg);
+    ASSERT_TRUE(res.ok) << res.error;
+    EXPECT_TRUE(res.quarantined.empty());
+    EXPECT_EQ(res.unitsPrecommitted, sweep.units.size() - 1);
+    EXPECT_EQ(res.unitsCommitted, 1u);
+    EXPECT_EQ(res.reEvaluatedCells, 0u);
+}
+
+TEST(Supervisor, SilentWorkerIsKilledByWatchdogThenQuarantined)
+{
+    const std::string dir = freshDir("watchdog");
+    const std::string journal = dir + "/sweep.dse.jsonl";
+    const std::string cache = dir + "/cache";
+    Sweep sweep = pairSweep({2, 4, 16, 32});
+    // Warm the trace cache first: every cell shares one functional
+    // run, so a healthy unit only replays and ticks its heartbeat far
+    // inside the watchdog, even under sanitizers.
+    {
+        harness::RunnerConfig rc;
+        rc.cacheDir = cache;
+        harness::ExperimentRunner(rc).functional(sweep.cells[0].key);
+    }
+    auto cfg = baseConfig(journal, cache, 2);
+    cfg.restartsPerShard = 6;
+    cfg.progressTimeoutSec = 3;
+
+    {
+        // The unit whose key carries /cs16/ goes silent every time it
+        // starts: the watchdog must kill its worker twice and
+        // quarantine it while the rest of the sweep completes.
+        EnvGuard hang("CHARON_TEST_HANG_POINT", "/cs16/");
+        auto res = runShardedSweep(sweep.cells, sweep.keys,
+                                   sweep.units, cfg);
+        ASSERT_TRUE(res.ok) << res.error;
+        ASSERT_EQ(res.quarantinedKeys.size(), 1u);
+        EXPECT_NE(res.quarantinedKeys[0].find("/cs16/"),
+                  std::string::npos);
+        EXPECT_EQ(res.unitsCommitted, sweep.units.size() - 1);
+        EXPECT_GE(res.workerCrashes, 2u);
     }
 
     // With the hook gone the resume evaluates exactly the quarantined
