@@ -53,21 +53,6 @@ CmsCollector::allocateHumongous(heap::KlassId klass,
 }
 
 bool
-CmsCollector::promotionGuaranteeHolds()
-{
-    Scavenge probe(heap_, rec_);
-    auto demand = probe.estimateDemand();
-    const auto &to = heap_.region(Space::To);
-    std::uint64_t overflow =
-        demand.survivorBytes > to.capacity()
-            ? demand.survivorBytes - to.capacity()
-            : 0;
-    std::uint64_t need_old =
-        demand.promoteBytes + overflow + demand.largestObject;
-    return need_old <= heap_.region(Space::Old).free();
-}
-
-bool
 CmsCollector::oldCollect()
 {
     // Top trimming gives the final free run back to the bump
@@ -98,10 +83,9 @@ CmsCollector::fullCollect()
 GcOutcome
 CmsCollector::onAllocationFailure()
 {
-    if (promotionGuaranteeHolds()) {
-        if (threshold_ == 0)
-            threshold_ = heap_.config().tenuringThreshold;
-        Scavenge sc(heap_, rec_, threshold_);
+    // The family tenures at the config threshold, probe included.
+    Scavenge sc(heap_, rec_);
+    if (sc.promotionGuaranteeHolds()) {
         auto result = sc.collect();
         ++minors_;
         if (!result.promotionFailed)
@@ -112,7 +96,7 @@ CmsCollector::onAllocationFailure()
                              : GcOutcome::OutOfMemory;
     }
     oldCollect();
-    if (promotionGuaranteeHolds())
+    if (sc.promotionGuaranteeHolds())
         return GcOutcome::Major;
     return fullCollect() ? GcOutcome::Major : GcOutcome::OutOfMemory;
 }

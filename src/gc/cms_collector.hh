@@ -56,9 +56,6 @@ class CmsCollector : public CollectorIface
     std::uint64_t concurrentModeFailures() const { return failures_; }
 
   private:
-    /** True when a scavenge's promotions are guaranteed to fit. */
-    bool promotionGuaranteeHolds();
-
     /** Old-generation mark-sweep; true when it freed anything. */
     bool oldCollect();
 
@@ -67,7 +64,6 @@ class CmsCollector : public CollectorIface
 
     heap::ManagedHeap &heap_;
     TraceRecorder &rec_;
-    int threshold_ = 0; ///< 0 until first collection (config value)
 
     /** Last sweep's free list, serving humongous allocation until
      *  the next major invalidates it. */

@@ -90,27 +90,12 @@ Collector::allocateHumongous(heap::KlassId klass,
     return heap_.allocOldObject(klass, array_len);
 }
 
-bool
-Collector::promotionGuaranteeHolds()
-{
-    Scavenge probe(heap_, rec_);
-    auto demand = probe.estimateDemand();
-    const auto &to = heap_.region(Space::To);
-    // Bytes that must land in Old: aged promotions plus survivor
-    // overflow, padded by one max-object of fragmentation slack.
-    std::uint64_t overflow =
-        demand.survivorBytes > to.capacity()
-            ? demand.survivorBytes - to.capacity()
-            : 0;
-    std::uint64_t need_old =
-        demand.promoteBytes + overflow + demand.largestObject;
-    return need_old <= heap_.region(Space::Old).free();
-}
-
 GcOutcome
 Collector::onAllocationFailure()
 {
-    if (promotionGuaranteeHolds()) {
+    // Probe with the threshold the scavenge will use (0 until the
+    // first one: the config value).
+    if (Scavenge(heap_, rec_, threshold_).promotionGuaranteeHolds()) {
         auto result = minorCollect();
         // A promotion failure already escalated to a full collection
         // inside minorCollect(); report what actually happened.

@@ -78,9 +78,6 @@ class Collector : public CollectorIface
     int tenuringThreshold() const { return threshold_; }
 
   private:
-    /** True when the promotion guarantee holds for a scavenge now. */
-    bool promotionGuaranteeHolds();
-
     heap::ManagedHeap &heap_;
     TraceRecorder &rec_;
     bool adaptive_ = false;

@@ -134,22 +134,7 @@ MarkSweep::allocateFromFreeList(heap::KlassId klass,
             it->bytes = rem * 8;
             writeFiller(heap_, it->addr, it->bytes);
         }
-        // Install a fresh header (mirrors ManagedHeap allocation).
-        std::uint64_t kid = klass;
-        heap_.store64(obj, kid | (need_words << 32));
-        heap_.store64(obj + 8, 0);
-        const auto &k = heap_.klasses().get(klass);
-        if (k.kind == heap::KlassKind::ObjArray
-            || heap::isTypeArrayKind(k.kind)) {
-            heap_.store64(obj + 16, array_len);
-            if (k.kind == heap::KlassKind::ObjArray) {
-                for (std::uint64_t i = 0; i < array_len; ++i)
-                    heap_.store64(obj + 24 + i * 8, 0);
-            }
-        } else {
-            for (std::uint64_t i = 0; i < k.refFields; ++i)
-                heap_.store64(obj + 16 + i * 8, 0);
-        }
+        heap_.arena().writeHeader(obj, klass, need_words, array_len);
         return obj;
     }
     return 0;

@@ -10,9 +10,27 @@ namespace charon::gc
 using heap::Space;
 using mem::Addr;
 
+namespace
+{
+
+// An epoch's counts live in the mark word's payload field, which a
+// non-moving collector never uses for forwarding: the epoch stamp
+// above kCountBits, the count below.  A payload stamped by an earlier
+// epoch, or a fresh header's zero, reads as count 0, so the counts
+// need no clearing pass between epochs.
+constexpr unsigned kCountBits = 32;
+constexpr std::uint64_t kCountMask = (1ull << kCountBits) - 1;
+constexpr unsigned kStampBits = 24;
+
+} // namespace
+
 RcCollector::RcCollector(heap::ManagedHeap &heap,
                          TraceRecorder &recorder)
-    : heap_(heap), rec_(recorder)
+    : heap_(heap),
+      rec_(recorder),
+      objects_(heap.region(Space::Old).start,
+               heap.region(Space::Old).capacity(),
+               /*storage_base=*/0) // bookkeeping: never traced
 {
 }
 
@@ -37,30 +55,56 @@ RcCollector::freeQueueBlocks() const
     return n;
 }
 
+bool
+RcCollector::isLive(Addr addr) const
+{
+    return heap_.inOld(addr) && objects_.test(addr);
+}
+
+template <typename Fn>
+void
+RcCollector::forEachLive(Fn fn)
+{
+    // fn may free the object it is handed: that clears a bit at the
+    // cursor, which the walk has already passed.
+    const std::uint64_t limit =
+        objects_.bitIndex(heap_.region(Space::Old).top);
+    for (std::uint64_t bit = objects_.findNextSet(0, limit); bit < limit;
+         bit = objects_.findNextSet(bit + 1, limit)) {
+        fn(objects_.bitAddr(bit));
+    }
+}
+
+std::uint64_t
+RcCollector::count(Addr obj) const
+{
+    std::uint64_t payload = heap_.arena().markPayload(obj);
+    return (payload >> kCountBits) == stamp() ? payload & kCountMask : 0;
+}
+
+void
+RcCollector::setCount(Addr obj, std::uint64_t n)
+{
+    CHARON_ASSERT(n <= kCountMask, "reference count overflow");
+    heap_.arena().setMarkPayload(obj, (stamp() << kCountBits) | n);
+}
+
 Addr
 RcCollector::takeFromBins(std::uint64_t need_words)
 {
     // Exact-fit LIFO first (the common case: workloads reallocate
-    // the sizes they just freed), then first larger bin, splitting.
+    // the sizes they just freed), then the smallest larger bin,
+    // splitting.  Drained bins stay in the map and are skipped.
     auto it = bins_.find(need_words);
     if (it == bins_.end() || it->second.empty())
         it = bins_.lower_bound(need_words);
-    while (it != bins_.end()) {
-        if (it->second.empty()) {
-            it = bins_.erase(it);
+    for (; it != bins_.end(); ++it) {
+        std::uint64_t rem = it->first - need_words;
+        // A 1-word remainder cannot hold a filler.
+        if (it->second.empty() || rem == 1)
             continue;
-        }
-        std::uint64_t chunk_words = it->first;
-        std::uint64_t rem = chunk_words - need_words;
-        if (rem == 1) {
-            // Cannot express a 1-word filler remainder.
-            ++it;
-            continue;
-        }
         Addr obj = it->second.back();
         it->second.pop_back();
-        if (it->second.empty())
-            bins_.erase(it);
         if (rem > 0) {
             Addr tail = obj + need_words * 8;
             MarkSweep::writeFiller(heap_, tail, rem * 8);
@@ -76,29 +120,12 @@ RcCollector::allocate(heap::KlassId klass, std::uint64_t array_len)
 {
     std::uint64_t need_words = heap_.sizeWordsFor(klass, array_len);
     Addr obj = takeFromBins(need_words);
-    if (obj != 0) {
-        // Install a fresh header over the recycled block (mirrors
-        // ManagedHeap allocation).
-        std::uint64_t kid = klass;
-        heap_.store64(obj, kid | (need_words << 32));
-        heap_.store64(obj + 8, 0);
-        const auto &k = heap_.klasses().get(klass);
-        if (k.kind == heap::KlassKind::ObjArray
-            || heap::isTypeArrayKind(k.kind)) {
-            heap_.store64(obj + 16, array_len);
-            if (k.kind == heap::KlassKind::ObjArray) {
-                for (std::uint64_t i = 0; i < array_len; ++i)
-                    heap_.store64(obj + 24 + i * 8, 0);
-            }
-        } else {
-            for (std::uint64_t i = 0; i < k.refFields; ++i)
-                heap_.store64(obj + 16 + i * 8, 0);
-        }
-    } else {
-        obj = heap_.allocOldObject(klass, array_len);
-    }
     if (obj != 0)
-        objects_.insert(obj);
+        heap_.arena().writeHeader(obj, klass, need_words, array_len);
+    else
+        obj = heap_.allocOldObject(klass, array_len);
+    if (obj != 0)
+        objects_.set(obj);
     return obj;
 }
 
@@ -118,7 +145,7 @@ RcCollector::freeObject(Addr obj)
     rec_.recordBlockZero(obj, bytes);
     MarkSweep::writeFiller(heap_, obj, bytes);
     bins_[bytes / 8].push_back(obj);
-    objects_.erase(obj);
+    objects_.clear(obj);
     freedBytes_ += bytes;
 }
 
@@ -126,68 +153,71 @@ GcOutcome
 RcCollector::onAllocationFailure()
 {
     const auto &costs = rec_.costs();
+    const auto &arena = heap_.arena();
     rec_.beginGc(true);
     freedBytes_ = 0;
+    CHARON_ASSERT(stamp() < (1ull << kStampBits), "RC epoch stamp overflow");
 
     // --- Epoch count update (deferred RC): recompute every object's
     // count from the roots and the live objects' reference slots.
     // Each non-null reference is one count-word RMW somewhere in the
     // heap — the RefCount primitive's traffic.
     rec_.beginPhase(PhaseKind::RcUpdate);
-    std::map<Addr, std::uint64_t> counts;
     for (Addr root : heap_.roots()) {
         rec_.recordGlue(costs.rootVisit, 1);
         if (root != 0) {
-            ++counts[root];
+            if (isLive(root))
+                setCount(root, count(root) + 1);
             rec_.recordRefCount(root, 1);
         }
         rec_.nextThread();
     }
-    for (Addr obj : objects_) {
+    forEachLive([&](Addr obj) {
         rec_.recordGlue(costs.typeDispatch, 1);
-        std::uint64_t n = heap_.refCount(obj);
+        std::uint64_t n = arena.refCount(obj);
         std::uint64_t updates = 0;
         for (std::uint64_t i = 0; i < n; ++i) {
-            Addr target = heap_.refAt(obj, i);
+            Addr target = arena.refAt(obj, i);
             // Weak slots count too: a pure-RC heap has no tracer to
             // clear weak referents, so they pin their target until
             // the backup pass runs.
-            if (target != 0 && objects_.count(target)) {
-                ++counts[target];
+            if (target != 0 && isLive(target)) {
+                setCount(target, count(target) + 1);
                 ++updates;
             }
         }
         if (updates > 0)
             rec_.recordRefCount(obj, updates);
         rec_.nextThread();
-    }
+    });
     rec_.endPhase();
 
     // --- ZCT drain: free every zero-count object, transitively
     // decrementing its children.
     rec_.beginPhase(PhaseKind::RcReclaim);
     std::vector<Addr> zct;
-    for (Addr obj : objects_) {
-        if (counts.find(obj) == counts.end())
+    forEachLive([&](Addr obj) {
+        if (count(obj) == 0)
             zct.push_back(obj);
-    }
+    });
     while (!zct.empty()) {
         Addr obj = zct.back();
         zct.pop_back();
-        if (objects_.count(obj) == 0)
+        if (!isLive(obj))
             continue; // already recycled via another path
         rec_.recordGlue(costs.popObject + costs.typeDispatch, 2);
-        std::uint64_t n = heap_.refCount(obj);
+        std::uint64_t n = arena.refCount(obj);
         std::uint64_t updates = 0;
         for (std::uint64_t i = 0; i < n; ++i) {
-            Addr target = heap_.refAt(obj, i);
-            if (target == 0 || objects_.count(target) == 0)
+            Addr target = arena.refAt(obj, i);
+            if (target == 0 || !isLive(target))
                 continue;
             ++updates;
-            auto it = counts.find(target);
-            if (it != counts.end() && it->second > 0
-                && --it->second == 0) {
-                zct.push_back(target);
+            std::uint64_t c = count(target);
+            if (c > 0) {
+                setCount(target, c - 1);
+                if (c == 1)
+                    zct.push_back(target);
             }
         }
         if (updates > 0)
@@ -209,16 +239,13 @@ RcCollector::onAllocationFailure()
 
         rec_.beginPhase(PhaseKind::RcReclaim);
         const auto &mark = heap_.begBitmap();
-        std::vector<Addr> cyclic;
-        for (Addr obj : objects_) {
-            if (!mark.test(obj))
-                cyclic.push_back(obj);
-        }
-        for (Addr obj : cyclic) {
+        forEachLive([&](Addr obj) {
+            if (mark.test(obj))
+                return;
             rec_.recordGlue(costs.popObject, 1);
             freeObject(obj);
             rec_.nextThread();
-        }
+        });
         rec_.endPhase();
     }
 

@@ -16,13 +16,17 @@
  * epoch ends with a backup mark pass over the same shared mark
  * closure the tracing collectors use, freeing whatever the counts
  * kept alive.
+ *
+ * The bookkeeping is flat, as in a HotSpot collector: the live set is
+ * a bit-per-word object-start bitmap over the Old generation, walked
+ * in address order, and each epoch's counts sit in the objects' own
+ * mark words, stamped with the epoch so that no pass clears them.
  */
 
 #ifndef CHARON_GC_RC_COLLECTOR_HH
 #define CHARON_GC_RC_COLLECTOR_HH
 
 #include <map>
-#include <set>
 #include <vector>
 
 #include "gc/collector_iface.hh"
@@ -73,12 +77,29 @@ class RcCollector : public CollectorIface
     /** Recycle @p obj: filler + zero record + bin by size. */
     void freeObject(mem::Addr obj);
 
+    /** True when @p addr starts a live collector-allocated object. */
+    bool isLive(mem::Addr addr) const;
+
+    /** Call @p fn on every live object, in address order. */
+    template <typename Fn> void forEachLive(Fn fn);
+
+    /** @p obj's reference count in the running epoch. */
+    std::uint64_t count(mem::Addr obj) const;
+    void setCount(mem::Addr obj, std::uint64_t n);
+
+    /** Stamp of the running epoch's counts: never 0. */
+    std::uint64_t stamp() const { return epochs_ + 1; }
+
     heap::ManagedHeap &heap_;
     TraceRecorder &rec_;
 
-    /** Every live collector-allocated object, in address order. */
-    std::set<mem::Addr> objects_;
-    /** Size-binned free queues: words -> LIFO block stack. */
+    /** Every live collector-allocated object: the bit of its first
+     *  word, over the Old generation. */
+    heap::MarkBitmap objects_;
+    /**
+     * Size-binned free queues: words -> LIFO block stack.  A drained
+     * bin stays in the map, so the free/reuse churn allocates nothing.
+     */
     std::map<std::uint64_t, std::vector<mem::Addr>> bins_;
 
     std::uint64_t epochs_ = 0;

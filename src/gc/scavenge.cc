@@ -1,7 +1,6 @@
 #include "scavenge.hh"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "sim/logging.hh"
 
@@ -29,15 +28,18 @@ Scavenge::estimateDemand() const
     // object as survivor (age+1 < threshold) or promotion.  Used by
     // the policy as HotSpot uses its promotion-guarantee estimate; the
     // totals are exact because survivor overflow conserves bytes.
+    // Visited objects are marked in the heap's young scratch map; the
+    // visit list is also the work list, and clearing the map through
+    // it keeps a probe O(live young objects).
     SpaceDemand demand;
-    std::unordered_set<Addr> visited;
-    std::vector<Addr> stack;
+    heap::MarkBitmap &visited = heap_.youngScratchMap();
+    std::vector<Addr> found;
 
     auto consider = [&](Addr target) {
-        if (target == 0 || !heap_.inYoung(target))
+        if (target == 0 || !heap_.inYoung(target) || visited.test(target))
             return;
-        if (visited.insert(target).second)
-            stack.push_back(target);
+        visited.set(target);
+        found.push_back(target);
     };
 
     for (Addr root : heap_.roots())
@@ -58,13 +60,12 @@ Scavenge::estimateDemand() const
         }
     }
 
-    const int threshold = threshold_;
-    while (!stack.empty()) {
-        Addr obj = stack.back();
-        stack.pop_back();
+    // found grows while it is walked: index, never iterate.
+    for (std::size_t next = 0; next < found.size(); ++next) {
+        Addr obj = found[next];
         std::uint64_t bytes = heap_.sizeBytes(obj);
         demand.largestObject = std::max(demand.largestObject, bytes);
-        if (heap_.age(obj) + 1 >= threshold)
+        if (heap_.age(obj) + 1 >= threshold_)
             demand.promoteBytes += bytes;
         else
             demand.survivorBytes += bytes;
@@ -72,7 +73,26 @@ Scavenge::estimateDemand() const
         for (std::uint64_t i = 0; i < n; ++i)
             consider(heap_.refAt(obj, i));
     }
+
+    for (Addr obj : found)
+        visited.clear(obj);
     return demand;
+}
+
+bool
+Scavenge::promotionGuaranteeHolds() const
+{
+    auto demand = estimateDemand();
+    const auto &to = heap_.region(Space::To);
+    // Bytes that must land in Old: aged promotions plus survivor
+    // overflow, padded by one max-object of fragmentation slack.
+    std::uint64_t overflow =
+        demand.survivorBytes > to.capacity()
+            ? demand.survivorBytes - to.capacity()
+            : 0;
+    std::uint64_t need_old =
+        demand.promoteBytes + overflow + demand.largestObject;
+    return need_old <= heap_.region(Space::Old).free();
 }
 
 Addr

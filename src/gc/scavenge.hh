@@ -78,8 +78,20 @@ class Scavenge
     Scavenge(heap::ManagedHeap &heap, TraceRecorder &recorder,
              int tenuring_threshold = 0);
 
-    /** Compute the pre-flight space demand (no mutation). */
+    /**
+     * Compute the pre-flight space demand (no mutation), classifying
+     * objects by this scavenge's tenuring threshold exactly as
+     * collect() will.  Costs O(live young objects).
+     */
     SpaceDemand estimateDemand() const;
+
+    /**
+     * HotSpot's promotion guarantee for this scavenge: Old can take
+     * its promotions and survivor overflow, padded by one largest
+     * object of fragmentation slack.  The collection policies run a
+     * full collection first when it fails.
+     */
+    bool promotionGuaranteeHolds() const;
 
     /**
      * Run the collection.  When the promotion guarantee is violated

@@ -15,13 +15,6 @@ namespace charon::heap
 namespace
 {
 
-// Mark-word encoding: bit 0 = forwarded, bits 1..6 = age,
-// bits 8..63 = forwarding address >> 3.
-constexpr std::uint64_t kFwdFlag = 1ull;
-constexpr std::uint64_t kAgeShift = 1;
-constexpr std::uint64_t kAgeMask = 0x3full << kAgeShift;
-constexpr std::uint64_t kFwdAddrShift = 8;
-
 // Transparent huge page size with 4 KiB base pages (x86-64, arm64).
 // Recent Linux kernels place an anonymous mapping whose length is a
 // multiple of it on a huge-page boundary.
@@ -77,40 +70,6 @@ ObjectArena::residentBytes() const
     return resident * page;
 }
 
-std::uint8_t *
-ObjectArena::raw(mem::Addr addr, std::uint64_t len)
-{
-    // The whole access must fit: the mapping runs on past bytes_ to
-    // the next huge page, so neither the kernel nor a sanitizer would
-    // catch a word that straddles the limit.
-    CHARON_ASSERT(addr >= base_ && len <= bytes_
-                      && addr - base_ <= bytes_ - len,
-                  "arena access out of bounds: 0x%llx+%llu",
-                  static_cast<unsigned long long>(addr),
-                  static_cast<unsigned long long>(len));
-    return data_ + (addr - base_);
-}
-
-const std::uint8_t *
-ObjectArena::raw(mem::Addr addr, std::uint64_t len) const
-{
-    return const_cast<ObjectArena *>(this)->raw(addr, len);
-}
-
-std::uint64_t
-ObjectArena::load64(mem::Addr addr) const
-{
-    std::uint64_t v;
-    std::memcpy(&v, raw(addr, 8), 8);
-    return v;
-}
-
-void
-ObjectArena::store64(mem::Addr addr, std::uint64_t value)
-{
-    std::memcpy(raw(addr, 8), &value, 8);
-}
-
 void
 ObjectArena::copyBytes(mem::Addr dst, mem::Addr src, std::uint64_t bytes)
 {
@@ -162,103 +121,10 @@ ObjectArena::writeHeader(mem::Addr obj, KlassId klass,
     }
 }
 
-KlassId
-ObjectArena::klassOf(mem::Addr obj) const
-{
-    return static_cast<KlassId>(load64(obj) & 0xffffffffull);
-}
-
-std::uint64_t
-ObjectArena::sizeWords(mem::Addr obj) const
-{
-    return load64(obj) >> 32;
-}
-
-std::uint64_t
-ObjectArena::arrayLength(mem::Addr obj) const
-{
-    return load64(obj + 16);
-}
-
-std::uint64_t
-ObjectArena::refCount(mem::Addr obj) const
-{
-    const Klass &k = klasses_.get(klassOf(obj));
-    if (k.kind == KlassKind::ObjArray)
-        return arrayLength(obj);
-    switch (k.kind) {
-      case KlassKind::Instance:
-      case KlassKind::InstanceMirror:
-      case KlassKind::InstanceClassLoader:
-      case KlassKind::InstanceRef:
-        return k.refFields;
-      default:
-        return 0;
-    }
-}
-
-mem::Addr
-ObjectArena::refSlotAddr(mem::Addr obj, std::uint64_t i) const
-{
-    const Klass &k = klasses_.get(klassOf(obj));
-    if (k.kind == KlassKind::ObjArray)
-        return obj + 24 + i * 8;
-    return obj + 16 + i * 8;
-}
-
-mem::Addr
-ObjectArena::refAt(mem::Addr obj, std::uint64_t i) const
-{
-    return load64(refSlotAddr(obj, i));
-}
-
 void
 ObjectArena::setRef(mem::Addr obj, std::uint64_t i, mem::Addr target)
 {
     store64(refSlotAddr(obj, i), target);
-}
-
-int
-ObjectArena::age(mem::Addr obj) const
-{
-    return static_cast<int>((load64(obj + 8) & kAgeMask) >> kAgeShift);
-}
-
-void
-ObjectArena::setAge(mem::Addr obj, int age)
-{
-    std::uint64_t mark = load64(obj + 8);
-    mark = (mark & ~kAgeMask)
-           | ((static_cast<std::uint64_t>(age) << kAgeShift) & kAgeMask);
-    store64(obj + 8, mark);
-}
-
-bool
-ObjectArena::isForwarded(mem::Addr obj) const
-{
-    return load64(obj + 8) & kFwdFlag;
-}
-
-mem::Addr
-ObjectArena::forwardee(mem::Addr obj) const
-{
-    CHARON_ASSERT(isForwarded(obj), "forwardee of unforwarded object");
-    return (load64(obj + 8) >> kFwdAddrShift) << 3;
-}
-
-void
-ObjectArena::setForwarding(mem::Addr obj, mem::Addr to)
-{
-    CHARON_ASSERT((to & 7) == 0, "unaligned forwardee");
-    std::uint64_t mark = load64(obj + 8);
-    mark = (mark & kAgeMask) | kFwdFlag | ((to >> 3) << kFwdAddrShift);
-    store64(obj + 8, mark);
-}
-
-void
-ObjectArena::clearForwarding(mem::Addr obj)
-{
-    store64(obj + 8, load64(obj + 8) & kAgeMask);
 }
 
 } // namespace charon::heap

@@ -20,9 +20,11 @@
 #define CHARON_HEAP_ARENA_HH
 
 #include <cstdint>
+#include <cstring>
 
 #include "heap/klass.hh"
 #include "mem/addr.hh"
+#include "sim/logging.hh"
 
 namespace charon::heap
 {
@@ -104,7 +106,22 @@ class ObjectArena
     /** Drop the forwarding mark, keeping the age bits. */
     void clearForwarding(mem::Addr obj);
 
+    /**
+     * The mark word's forwarding-address field (bits 8..63), free
+     * storage for a collector that never forwards.  Writing it
+     * zeroes bits 0..7, so the object reads unforwarded and age 0.
+     */
+    std::uint64_t markPayload(mem::Addr obj) const;
+    void setMarkPayload(mem::Addr obj, std::uint64_t payload);
+
   private:
+    // Mark-word encoding: bit 0 = forwarded, bits 1..6 = age,
+    // bits 8..63 = forwarding address >> 3.
+    static constexpr std::uint64_t kFwdFlag = 1ull;
+    static constexpr std::uint64_t kAgeShift = 1;
+    static constexpr std::uint64_t kAgeMask = 0x3full << kAgeShift;
+    static constexpr std::uint64_t kFwdAddrShift = 8;
+
     /** Host pointer to [addr, addr + len), which must be in bounds. */
     std::uint8_t *raw(mem::Addr addr, std::uint64_t len);
     const std::uint8_t *raw(mem::Addr addr, std::uint64_t len) const;
@@ -116,6 +133,153 @@ class ObjectArena
     std::uint64_t mapBytes_;
     std::uint8_t *data_;
 };
+
+// ----------------------------------------------------------------------
+// The per-object accessors below run tens of millions of times per
+// collection, so they are defined here for inlining; raw() keeps the
+// bounds check on every access.
+
+inline std::uint8_t *
+ObjectArena::raw(mem::Addr addr, std::uint64_t len)
+{
+    // The whole access must fit: the mapping runs on past bytes_ to
+    // the next huge page, so neither the kernel nor a sanitizer would
+    // catch a word that straddles the limit.
+    CHARON_ASSERT(addr >= base_ && len <= bytes_
+                      && addr - base_ <= bytes_ - len,
+                  "arena access out of bounds: 0x%llx+%llu",
+                  static_cast<unsigned long long>(addr),
+                  static_cast<unsigned long long>(len));
+    return data_ + (addr - base_);
+}
+
+inline const std::uint8_t *
+ObjectArena::raw(mem::Addr addr, std::uint64_t len) const
+{
+    return const_cast<ObjectArena *>(this)->raw(addr, len);
+}
+
+inline std::uint64_t
+ObjectArena::load64(mem::Addr addr) const
+{
+    std::uint64_t v;
+    std::memcpy(&v, raw(addr, 8), 8);
+    return v;
+}
+
+inline void
+ObjectArena::store64(mem::Addr addr, std::uint64_t value)
+{
+    std::memcpy(raw(addr, 8), &value, 8);
+}
+
+inline KlassId
+ObjectArena::klassOf(mem::Addr obj) const
+{
+    return static_cast<KlassId>(load64(obj) & 0xffffffffull);
+}
+
+inline std::uint64_t
+ObjectArena::sizeWords(mem::Addr obj) const
+{
+    return load64(obj) >> 32;
+}
+
+inline std::uint64_t
+ObjectArena::arrayLength(mem::Addr obj) const
+{
+    return load64(obj + 16);
+}
+
+inline std::uint64_t
+ObjectArena::refCount(mem::Addr obj) const
+{
+    const Klass &k = klasses_.get(klassOf(obj));
+    if (k.kind == KlassKind::ObjArray)
+        return arrayLength(obj);
+    switch (k.kind) {
+      case KlassKind::Instance:
+      case KlassKind::InstanceMirror:
+      case KlassKind::InstanceClassLoader:
+      case KlassKind::InstanceRef:
+        return k.refFields;
+      default:
+        return 0;
+    }
+}
+
+inline mem::Addr
+ObjectArena::refSlotAddr(mem::Addr obj, std::uint64_t i) const
+{
+    const Klass &k = klasses_.get(klassOf(obj));
+    if (k.kind == KlassKind::ObjArray)
+        return obj + 24 + i * 8;
+    return obj + 16 + i * 8;
+}
+
+inline mem::Addr
+ObjectArena::refAt(mem::Addr obj, std::uint64_t i) const
+{
+    return load64(refSlotAddr(obj, i));
+}
+
+inline int
+ObjectArena::age(mem::Addr obj) const
+{
+    return static_cast<int>((load64(obj + 8) & kAgeMask) >> kAgeShift);
+}
+
+inline void
+ObjectArena::setAge(mem::Addr obj, int age)
+{
+    std::uint64_t mark = load64(obj + 8);
+    mark = (mark & ~kAgeMask)
+           | ((static_cast<std::uint64_t>(age) << kAgeShift) & kAgeMask);
+    store64(obj + 8, mark);
+}
+
+inline bool
+ObjectArena::isForwarded(mem::Addr obj) const
+{
+    return load64(obj + 8) & kFwdFlag;
+}
+
+inline mem::Addr
+ObjectArena::forwardee(mem::Addr obj) const
+{
+    CHARON_ASSERT(isForwarded(obj), "forwardee of unforwarded object");
+    return (load64(obj + 8) >> kFwdAddrShift) << 3;
+}
+
+inline void
+ObjectArena::setForwarding(mem::Addr obj, mem::Addr to)
+{
+    CHARON_ASSERT((to & 7) == 0, "unaligned forwardee");
+    std::uint64_t mark = load64(obj + 8);
+    mark = (mark & kAgeMask) | kFwdFlag | ((to >> 3) << kFwdAddrShift);
+    store64(obj + 8, mark);
+}
+
+inline void
+ObjectArena::clearForwarding(mem::Addr obj)
+{
+    store64(obj + 8, load64(obj + 8) & kAgeMask);
+}
+
+inline std::uint64_t
+ObjectArena::markPayload(mem::Addr obj) const
+{
+    return load64(obj + 8) >> kFwdAddrShift;
+}
+
+inline void
+ObjectArena::setMarkPayload(mem::Addr obj, std::uint64_t payload)
+{
+    CHARON_ASSERT(payload >> (64 - kFwdAddrShift) == 0,
+                  "mark payload 0x%llx overflows the address field",
+                  static_cast<unsigned long long>(payload));
+    store64(obj + 8, payload << kFwdAddrShift);
+}
 
 } // namespace charon::heap
 

@@ -19,30 +19,6 @@ MarkBitmap::MarkBitmap(mem::Addr heap_base, std::uint64_t heap_bytes,
 }
 
 void
-MarkBitmap::setBit(std::uint64_t bit)
-{
-    CHARON_ASSERT(bit < numBits_, "bit %llu out of range",
-                  static_cast<unsigned long long>(bit));
-    words_[bit >> 6] |= (1ull << (bit & 63));
-}
-
-void
-MarkBitmap::clearBit(std::uint64_t bit)
-{
-    CHARON_ASSERT(bit < numBits_, "bit %llu out of range",
-                  static_cast<unsigned long long>(bit));
-    words_[bit >> 6] &= ~(1ull << (bit & 63));
-}
-
-bool
-MarkBitmap::testBit(std::uint64_t bit) const
-{
-    CHARON_ASSERT(bit < numBits_, "bit %llu out of range",
-                  static_cast<unsigned long long>(bit));
-    return (words_[bit >> 6] >> (bit & 63)) & 1;
-}
-
-void
 MarkBitmap::clearAll()
 {
     std::fill(words_.begin(), words_.end(), 0);

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "mem/addr.hh"
+#include "sim/logging.hh"
 
 namespace charon::heap
 {
@@ -63,9 +64,26 @@ class MarkBitmap
     void clear(mem::Addr addr) { clearBit(bitIndex(addr)); }
     bool test(mem::Addr addr) const { return testBit(bitIndex(addr)); }
 
-    void setBit(std::uint64_t bit);
-    void clearBit(std::uint64_t bit);
-    bool testBit(std::uint64_t bit) const;
+    void
+    setBit(std::uint64_t bit)
+    {
+        checkBit(bit);
+        words_[bit >> 6] |= (1ull << (bit & 63));
+    }
+
+    void
+    clearBit(std::uint64_t bit)
+    {
+        checkBit(bit);
+        words_[bit >> 6] &= ~(1ull << (bit & 63));
+    }
+
+    bool
+    testBit(std::uint64_t bit) const
+    {
+        checkBit(bit);
+        return (words_[bit >> 6] >> (bit & 63)) & 1;
+    }
 
     /** Clear the whole map. */
     void clearAll();
@@ -93,6 +111,13 @@ class MarkBitmap
     std::uint64_t numWords() const { return words_.size(); }
 
   private:
+    void
+    checkBit(std::uint64_t bit) const
+    {
+        CHARON_ASSERT(bit < numBits_, "bit %llu out of range",
+                      static_cast<unsigned long long>(bit));
+    }
+
     mem::Addr heapBase_;
     mem::Addr storageBase_;
     std::uint64_t numBits_;

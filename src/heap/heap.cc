@@ -112,18 +112,6 @@ ManagedHeap::inYoung(mem::Addr addr) const
            || to_.contains(addr);
 }
 
-std::uint64_t
-ManagedHeap::load64(mem::Addr addr) const
-{
-    return arena_.load64(addr);
-}
-
-void
-ManagedHeap::store64(mem::Addr addr, std::uint64_t value)
-{
-    arena_.store64(addr, value);
-}
-
 void
 ManagedHeap::copyObjectBytes(mem::Addr dst, mem::Addr src,
                              std::uint64_t bytes)
@@ -235,42 +223,6 @@ ManagedHeap::noteOldAllocation(mem::Addr obj)
         firstObjInCard_[card] = obj;
 }
 
-KlassId
-ManagedHeap::klassOf(mem::Addr obj) const
-{
-    return arena_.klassOf(obj);
-}
-
-std::uint64_t
-ManagedHeap::sizeWords(mem::Addr obj) const
-{
-    return arena_.sizeWords(obj);
-}
-
-std::uint64_t
-ManagedHeap::arrayLength(mem::Addr obj) const
-{
-    return arena_.arrayLength(obj);
-}
-
-std::uint64_t
-ManagedHeap::refCount(mem::Addr obj) const
-{
-    return arena_.refCount(obj);
-}
-
-mem::Addr
-ManagedHeap::refSlotAddr(mem::Addr obj, std::uint64_t i) const
-{
-    return arena_.refSlotAddr(obj, i);
-}
-
-mem::Addr
-ManagedHeap::refAt(mem::Addr obj, std::uint64_t i) const
-{
-    return arena_.refAt(obj, i);
-}
-
 void
 ManagedHeap::storeRef(mem::Addr obj, std::uint64_t i, mem::Addr target)
 {
@@ -279,48 +231,6 @@ ManagedHeap::storeRef(mem::Addr obj, std::uint64_t i, mem::Addr target)
     // HotSpot's card-table post-barrier.
     if (inOld(obj))
         cards_.dirty(obj);
-}
-
-void
-ManagedHeap::setRefRaw(mem::Addr obj, std::uint64_t i, mem::Addr target)
-{
-    store64(refSlotAddr(obj, i), target);
-}
-
-int
-ManagedHeap::age(mem::Addr obj) const
-{
-    return arena_.age(obj);
-}
-
-void
-ManagedHeap::setAge(mem::Addr obj, int age)
-{
-    arena_.setAge(obj, age);
-}
-
-bool
-ManagedHeap::isForwarded(mem::Addr obj) const
-{
-    return arena_.isForwarded(obj);
-}
-
-mem::Addr
-ManagedHeap::forwardee(mem::Addr obj) const
-{
-    return arena_.forwardee(obj);
-}
-
-void
-ManagedHeap::setForwarding(mem::Addr obj, mem::Addr to)
-{
-    arena_.setForwarding(obj, to);
-}
-
-void
-ManagedHeap::clearForwarding(mem::Addr obj)
-{
-    arena_.clearForwarding(obj);
 }
 
 void
@@ -385,6 +295,18 @@ ManagedHeap::rebuildBlockOffsets()
     forEachObject(Space::Old, [this](mem::Addr obj) {
         noteOldAllocation(obj);
     });
+}
+
+MarkBitmap &
+ManagedHeap::youngScratchMap()
+{
+    if (!youngScratch_) {
+        // Eden and both survivor spaces run to the end of the heap.
+        youngScratch_.emplace(eden_.start,
+                              cfg_.base + cfg_.heapBytes - eden_.start,
+                              /*storage_base=*/0);
+    }
+    return *youngScratch_;
 }
 
 void

@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "heap/arena.hh"
@@ -139,21 +140,41 @@ class ManagedHeap
     // ------------------------------------------------------------------
     // Object access
 
-    KlassId klassOf(mem::Addr obj) const;
-    std::uint64_t sizeWords(mem::Addr obj) const;
+    KlassId klassOf(mem::Addr obj) const { return arena_.klassOf(obj); }
+    std::uint64_t
+    sizeWords(mem::Addr obj) const
+    {
+        return arena_.sizeWords(obj);
+    }
     std::uint64_t sizeBytes(mem::Addr obj) const { return sizeWords(obj) * 8; }
 
     /** Array length (array klasses only). */
-    std::uint64_t arrayLength(mem::Addr obj) const;
+    std::uint64_t
+    arrayLength(mem::Addr obj) const
+    {
+        return arena_.arrayLength(obj);
+    }
 
     /** Number of reference slots in @p obj. */
-    std::uint64_t refCount(mem::Addr obj) const;
+    std::uint64_t
+    refCount(mem::Addr obj) const
+    {
+        return arena_.refCount(obj);
+    }
 
     /** VA of reference slot @p i of @p obj. */
-    mem::Addr refSlotAddr(mem::Addr obj, std::uint64_t i) const;
+    mem::Addr
+    refSlotAddr(mem::Addr obj, std::uint64_t i) const
+    {
+        return arena_.refSlotAddr(obj, i);
+    }
 
     /** Read reference slot @p i. */
-    mem::Addr refAt(mem::Addr obj, std::uint64_t i) const;
+    mem::Addr
+    refAt(mem::Addr obj, std::uint64_t i) const
+    {
+        return arena_.refAt(obj, i);
+    }
 
     /**
      * Mutator reference store: writes slot @p i of @p obj and dirties
@@ -162,11 +183,19 @@ class ManagedHeap
     void storeRef(mem::Addr obj, std::uint64_t i, mem::Addr target);
 
     /** GC-internal slot write: no card marking. */
-    void setRefRaw(mem::Addr obj, std::uint64_t i, mem::Addr target);
+    void
+    setRefRaw(mem::Addr obj, std::uint64_t i, mem::Addr target)
+    {
+        store64(refSlotAddr(obj, i), target);
+    }
 
     /** Raw 64-bit load/store at a heap VA (slots, payload). */
-    std::uint64_t load64(mem::Addr addr) const;
-    void store64(mem::Addr addr, std::uint64_t value);
+    std::uint64_t load64(mem::Addr addr) const { return arena_.load64(addr); }
+    void
+    store64(mem::Addr addr, std::uint64_t value)
+    {
+        arena_.store64(addr, value);
+    }
 
     /**
      * Move @p bytes from @p src to @p dst inside the heap
@@ -178,12 +207,16 @@ class ManagedHeap
     // ------------------------------------------------------------------
     // Mark word: age and forwarding (minor GC)
 
-    int age(mem::Addr obj) const;
-    void setAge(mem::Addr obj, int age);
-    bool isForwarded(mem::Addr obj) const;
-    mem::Addr forwardee(mem::Addr obj) const;
-    void setForwarding(mem::Addr obj, mem::Addr to);
-    void clearForwarding(mem::Addr obj);
+    int age(mem::Addr obj) const { return arena_.age(obj); }
+    void setAge(mem::Addr obj, int age) { arena_.setAge(obj, age); }
+    bool isForwarded(mem::Addr obj) const { return arena_.isForwarded(obj); }
+    mem::Addr forwardee(mem::Addr obj) const { return arena_.forwardee(obj); }
+    void
+    setForwarding(mem::Addr obj, mem::Addr to)
+    {
+        arena_.setForwarding(obj, to);
+    }
+    void clearForwarding(mem::Addr obj) { arena_.clearForwarding(obj); }
 
     // ------------------------------------------------------------------
     // Iteration
@@ -215,6 +248,14 @@ class ManagedHeap
     MarkBitmap &endBitmap() { return endMap_; }
     const MarkBitmap &begBitmap() const { return begMap_; }
     const MarkBitmap &endBitmap() const { return endMap_; }
+
+    /**
+     * Bit-per-word scratch map over the young generation for a pass
+     * that records no trace (Scavenge's promotion probe), so it has no
+     * storage VA.  All clear between uses: a user clears every bit it
+     * set before returning.  Built on first use.
+     */
+    MarkBitmap &youngScratchMap();
 
     /** Root set (simulated stack + globals); owned by the mutator. */
     std::vector<mem::Addr> &roots() { return roots_; }
@@ -261,6 +302,7 @@ class ManagedHeap
     CardTable cards_;
     MarkBitmap begMap_;
     MarkBitmap endMap_;
+    std::optional<MarkBitmap> youngScratch_;
 
     /** Block-offset table: first object starting in each old card. */
     std::vector<mem::Addr> firstObjInCard_;

@@ -158,11 +158,4 @@ KlassTable::define(std::string name, KlassKind kind)
     return klasses_.back().id;
 }
 
-const Klass &
-KlassTable::get(KlassId id) const
-{
-    CHARON_ASSERT(id > 0 && id < klasses_.size(), "bad klass id %u", id);
-    return klasses_[id];
-}
-
 } // namespace charon::heap

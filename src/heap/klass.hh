@@ -18,6 +18,8 @@
 #include <string>
 #include <vector>
 
+#include "sim/logging.hh"
+
 namespace charon::heap
 {
 
@@ -117,7 +119,15 @@ class KlassTable
     /** Register an array or metadata class of the given kind. */
     KlassId define(std::string name, KlassKind kind);
 
-    const Klass &get(KlassId id) const;
+    /** Class @p id (inline: every object access looks one up). */
+    const Klass &
+    get(KlassId id) const
+    {
+        CHARON_ASSERT(id > 0 && id < klasses_.size(), "bad klass id %u",
+                      id);
+        return klasses_[id];
+    }
+
     std::size_t size() const { return klasses_.size(); }
 
     /** Convenience ids for the always-present array klasses. */

@@ -487,6 +487,17 @@ TEST_F(GcTest, MarkSweepFreeListAllocationReusesHoles)
     EXPECT_EQ(heap->sizeWords(obj), 6u);
     EXPECT_EQ(ms.freeList().size(), chunks_before); // split, not drop
     heap->verifySpace(Space::Old);
+
+    // A metadata blob filling the next hole exactly gets the whole
+    // header a bump allocation writes, its length word included.
+    auto pool = klasses.define("Pool", heap::KlassKind::ConstantPool);
+    ASSERT_EQ(heap->sizeWordsFor(pool, 50), 10u);
+    Addr blob = ms.allocateFromFreeList(pool, 50);
+    ASSERT_NE(blob, 0u);
+    EXPECT_EQ(heap->klassOf(blob), pool);
+    EXPECT_EQ(heap->arrayLength(blob), 50u);
+    EXPECT_EQ(ms.freeList().size(), chunks_before - 1);
+    heap->verifySpace(Space::Old);
 }
 
 TEST_F(GcTest, MarkSweepNeverEmitsBitmapCount)
@@ -575,6 +586,60 @@ TEST_F(GcTest, AdaptiveTenuringRaisesThresholdWhenSurvivorsIdle)
     // With a high threshold the lone object keeps ping-ponging in
     // the survivor spaces instead of promoting.
     EXPECT_TRUE(heap->inYoung(heap->roots()[0]));
+}
+
+TEST_F(GcTest, PromotionGuaranteeProbesWithTheLiveThreshold)
+{
+    Collector coll(*heap, *rec);
+    coll.setAdaptiveTenuring(true);
+    // One To-space overflow walks the threshold from 2 down to 1:
+    // from now on every live young object promotes.
+    std::uint64_t to_cap = heap->region(Space::To).capacity();
+    for (std::uint64_t i = 0; i < to_cap / (103 * 8) * 3; ++i) {
+        Addr o = heap->allocEden(bigId);
+        ASSERT_NE(o, 0u);
+        heap->roots().push_back(o);
+    }
+    coll.minorCollect();
+    ASSERT_EQ(coll.tenuringThreshold(), 1);
+    heap->roots().clear();
+
+    // Fresh age-0 nodes: the config threshold would copy them to To,
+    // the live one promotes them all.
+    for (std::size_t i = 0; i < 50; ++i)
+        rootNode(i);
+    auto demand =
+        Scavenge(*heap, *rec, coll.tenuringThreshold()).estimateDemand();
+    ASSERT_EQ(demand.survivorBytes, 0u);
+    ASSERT_EQ(demand.promoteBytes, 50 * heap->sizeWordsFor(nodeId, 0) * 8);
+
+    // Leave Old one word short of that demand: the guarantee fails,
+    // so the policy must collect the whole heap instead of starting a
+    // scavenge whose promotions cannot fit.
+    std::uint64_t need_old = demand.promoteBytes + demand.largestObject;
+    std::uint64_t blocker_words =
+        (heap->region(Space::Old).free() - (need_old - 8)) / 8;
+    ASSERT_NE(heap->allocOldObject(klasses.longArrayId(),
+                                   blocker_words - 3),
+              0u);
+    ASSERT_EQ(heap->region(Space::Old).free(), need_old - 8);
+    EXPECT_EQ(coll.onAllocationFailure(), GcOutcome::Major);
+    EXPECT_EQ(coll.majorCount(), 1u);
+    ASSERT_EQ(coll.tenuringThreshold(), 1);
+
+    // With room again, the next scavenge splits its bytes exactly as
+    // a probe at the live threshold predicted.
+    for (std::size_t i = 50; i < 60; ++i)
+        rootNode(i);
+    auto next = Scavenge(*heap, *rec, coll.tenuringThreshold())
+                    .estimateDemand();
+    EXPECT_GT(next.promoteBytes, 0u);
+    auto result = coll.minorCollect();
+    EXPECT_EQ(next.promoteBytes,
+              result.bytesPromoted - result.bytesOverflowPromoted);
+    EXPECT_EQ(next.survivorBytes,
+              result.bytesCopied + result.bytesOverflowPromoted);
+    checkHeapIntegrity(*heap);
 }
 
 TEST_F(GcTest, FixedTenuringStaysPut)

@@ -5,17 +5,21 @@
  * counts cannot see must be handed to the backup mark pass (and only
  * then), and recycled blocks must flow through the size-binned free
  * queues — exact-fit LIFO reuse, larger-bin splitting with a binned
- * remainder, bump allocation as the cold path.
+ * remainder, bump allocation as the cold path.  Epochs must preserve
+ * the live graph, and the counts they keep in mark words must never
+ * read as a forwarding pointer or an age.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <vector>
 
 #include "gc/rc_collector.hh"
 #include "gc/recorder.hh"
 #include "gc/verify.hh"
+#include "sim/rng.hh"
 
 using namespace charon;
 using namespace charon::gc;
@@ -221,6 +225,83 @@ TEST_F(RcCollectorTest, EpochWithNothingToFreeReportsOutOfMemory)
     EXPECT_EQ(heap->roots()[0], keep);
 }
 
+TEST_F(RcCollectorTest, EpochsPreserveTheLiveGraphAndMarkWords)
+{
+    // A seeded rooted graph, mutated before every epoch: new objects
+    // and edges (cycles included), overwritten slots and dropped roots
+    // that orphan live subgraphs, plus fresh acyclic and cyclic
+    // garbage.  Bulk garbage on even epochs lets the count drain alone
+    // clear the backup-pass trigger; odd epochs take the mark pass.
+    sim::Rng rng(1515);
+    auto reachable = [&] {
+        std::vector<Addr> found;
+        std::set<Addr> seen;
+        auto visit = [&](Addr obj) {
+            if (obj != 0 && seen.insert(obj).second)
+                found.push_back(obj);
+        };
+        for (Addr r : heap->roots())
+            visit(r);
+        for (std::size_t i = 0; i < found.size(); ++i) {
+            for (std::uint64_t s = 0; s < heap->refCount(found[i]); ++s)
+                visit(heap->refAt(found[i], s));
+        }
+        return found;
+    };
+    auto link = [&](Addr from, Addr to) {
+        std::uint64_t slots = heap->refCount(from);
+        heap->storeRef(from, rng.below(slots), to);
+    };
+    root(0, node());
+    for (int epoch = 0; epoch < 6; ++epoch) {
+        std::vector<Addr> live = reachable();
+        for (int i = 0; i < 150; ++i) {
+            Addr obj = rng.chance(0.2)
+                           ? rc->allocate(klasses.objArrayId(),
+                                          rng.range(1, 8))
+                           : node();
+            ASSERT_NE(obj, 0u);
+            link(live[rng.below(live.size())], obj);
+            if (rng.chance(0.1))
+                root(heap->roots().size(), obj);
+            live.push_back(obj);
+        }
+        for (int i = 0; i < 100; ++i)
+            link(live[rng.below(live.size())],
+                 live[rng.below(live.size())]);
+        for (std::size_t r = 1; r < heap->roots().size(); ++r) {
+            if (rng.chance(0.2))
+                heap->roots()[r] = 0;
+        }
+        for (int i = 0; i < 20; ++i) {
+            // Dead chain a -> b -> c pointing into the live graph,
+            // and a dead cycle x <-> y.
+            Addr a = node(), b = node(), c = node();
+            heap->storeRef(a, 0, b);
+            heap->storeRef(b, 0, c);
+            heap->storeRef(c, 1, live[rng.below(live.size())]);
+            Addr x = node(), y = node();
+            heap->storeRef(x, 0, y);
+            heap->storeRef(y, 0, x);
+        }
+        if (epoch % 2 == 0)
+            bulkGarbage();
+
+        const GraphFingerprint before = fingerprintHeap(*heap);
+        ASSERT_EQ(rc->onAllocationFailure(), GcOutcome::Major);
+        EXPECT_EQ(fingerprintHeap(*heap), before) << "epoch " << epoch;
+        checkHeapIntegrity(*heap);
+        heap->forEachObject(Space::Old, [&](Addr obj) {
+            EXPECT_FALSE(heap->isForwarded(obj))
+                << "epoch " << epoch << ", object 0x" << std::hex << obj;
+            EXPECT_EQ(heap->age(obj), 0)
+                << "epoch " << epoch << ", object 0x" << std::hex << obj;
+        });
+    }
+    EXPECT_EQ(rc->majorCount(), 6u);
+    EXPECT_EQ(rc->backupMarkPasses(), 3u);
+}
+
 // ---------------------------------------------------------------------
 // Binned free-queue recycling
 
@@ -245,6 +326,22 @@ TEST_F(RcCollectorTest, ExactFitReusesTheFreedBlock)
               heap->sizeWordsFor(nodeId, 0));
     EXPECT_EQ(heap->roots()[0], keep);
     checkHeapIntegrity(*heap);
+}
+
+TEST_F(RcCollectorTest, RecycledBlockGetsTheFullHeaderOfItsNewKind)
+{
+    // A freed Node block re-allocated as a metadata blob of the same
+    // size carries the blob's length word, as a bump allocation does.
+    auto pool = klasses.define("Pool", heap::KlassKind::ConstantPool);
+    Addr dead = node();
+    EXPECT_EQ(rc->onAllocationFailure(), GcOutcome::Major);
+    ASSERT_EQ(rc->freeQueueBlocks(), 1u);
+
+    ASSERT_EQ(heap->sizeWordsFor(pool, 20), heap->sizeWordsFor(nodeId, 0));
+    Addr blob = rc->allocate(pool, 20);
+    EXPECT_EQ(blob, dead);
+    EXPECT_EQ(heap->klassOf(blob), pool);
+    EXPECT_EQ(heap->arrayLength(blob), 20u);
 }
 
 TEST_F(RcCollectorTest, SameSizedBlocksRecycleLifo)
