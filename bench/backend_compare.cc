@@ -34,13 +34,8 @@ using namespace charon::bench;
 namespace
 {
 
-constexpr CollectorKind kFamilies[] = {
-    CollectorKind::ParallelScavenge,
-    CollectorKind::G1,
-    CollectorKind::Cms,
-    CollectorKind::Rc,
-};
-constexpr int kNumFamilies = 4;
+constexpr const auto &kFamilies = gc::kCollectorModels;
+constexpr int kNumFamilies = static_cast<int>(std::size(kFamilies));
 
 // Baseline first: speedups below divide by the grid row at offset 0.
 constexpr sim::PlatformKind kPlatforms[] = {
@@ -82,17 +77,17 @@ main(int argc, char **argv)
     for (const auto &name : workloads) {
         const std::uint64_t catalog_heap =
             workload::findWorkload(name).heapBytes;
-        for (CollectorKind kind : kFamilies) {
+        for (CollectorModel kind : kFamilies) {
             std::uint64_t heap_bytes = 0;
-            if (kind == CollectorKind::Rc
-                || (kind == CollectorKind::G1 && name == "ALS")) {
+            if (kind == CollectorModel::Rc
+                || (kind == CollectorModel::G1 && name == "ALS")) {
                 heap_bytes = catalog_heap * 2;
             }
             for (auto platform : kPlatforms) {
                 Cell c = cell(name, platform, heap_bytes);
                 c.key.collector = kind;
                 c.label = name + " ("
-                          + harness::collectorKindToken(kind) + ") on "
+                          + gc::collectorToken(kind) + ") on "
                           + sim::platformName(platform);
                 cells.push_back(c);
             }
@@ -131,13 +126,13 @@ main(int argc, char **argv)
     // One four-way table per collector family.
     for (int f = 0; f < kNumFamilies; ++f) {
         const std::string tok =
-            harness::collectorKindToken(kFamilies[f]);
+            gc::collectorToken(kFamilies[f]);
         std::vector<std::string> cols = {"workload"};
         for (auto platform : kPlatforms)
             cols.push_back(sim::platformName(platform));
         auto &table = report.table(
             "backend_speedup_" + tok,
-            std::string(harness::collectorKindName(kFamilies[f]))
+            std::string(gc::collectorTitle(kFamilies[f]))
                 + ": GC speedup per backend over the host + DDR4 "
                   "baseline",
             cols);
@@ -175,7 +170,7 @@ main(int argc, char **argv)
             cols);
         for (int f = 0; f < kNumFamilies; ++f) {
             std::vector<std::string> row = {
-                harness::collectorKindToken(kFamilies[f])};
+                gc::collectorToken(kFamilies[f])};
             for (int p = 0; p < kNumPlatforms; ++p) {
                 row.push_back(
                     speedups[f][p].empty()

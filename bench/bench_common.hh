@@ -28,7 +28,7 @@ namespace charon::bench
 
 using harness::Cell;
 using harness::CellResult;
-using harness::CollectorKind;
+using gc::CollectorModel;
 using harness::ExperimentRunner;
 using harness::FunctionalKey;
 using harness::Report;

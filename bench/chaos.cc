@@ -195,8 +195,9 @@ main(int argc, char **argv)
     // The clean functional run all recovery rows compare against.
     workload::Mutator cleanRun(params, params.heapBytes, /*seed=*/1);
     auto cleanResult = cleanRun.run();
-    gc::checkHeapIntegrity(cleanRun.heap());
-    auto cleanFp = gc::fingerprintHeap(cleanRun.heap());
+    auto &cleanHeap = cleanRun.generationalHeap();
+    gc::checkHeapIntegrity(cleanHeap);
+    auto cleanFp = gc::fingerprintGraph(cleanHeap);
     if (cleanResult.oom)
         sim::fatal("chaos: clean %s run OOMed — grid is miscalibrated",
                    workload.c_str());
@@ -205,10 +206,10 @@ main(int argc, char **argv)
       // must finish degraded (promotion failure) and the policy must
       // escalate to a full collection that reclaims the heap.
         workload::Mutator m(params, params.heapBytes, /*seed=*/1);
-        m.heap().setGcAllocFault(/*after=*/32, /*count=*/4);
+        m.generationalHeap().setGcAllocFault(/*after=*/32, /*count=*/4);
         auto r = m.run();
-        gc::checkHeapIntegrity(m.heap());
-        auto cards = gc::verifyCardTable(m.heap());
+        gc::checkHeapIntegrity(m.generationalHeap());
+        auto cards = gc::verifyCardTable(m.generationalHeap());
         if (r.oom)
             fail("alloc-fail", "faulted run OOMed");
         else if (!cards.ok())
@@ -231,8 +232,8 @@ main(int argc, char **argv)
         workload::Mutator m(params, params.heapBytes, /*seed=*/1);
         m.recorder().armFailover(/*after=*/64);
         auto r = m.run();
-        gc::checkHeapIntegrity(m.heap());
-        auto fp = gc::fingerprintHeap(m.heap());
+        gc::checkHeapIntegrity(m.generationalHeap());
+        auto fp = gc::fingerprintGraph(m.heap());
         if (r.oom)
             fail("charon-failover", "faulted run OOMed");
         else if (!m.recorder().failoverTripped())
@@ -255,8 +256,8 @@ main(int argc, char **argv)
         spec.kind = fault::FaultKind::CardFlip;
         spec.count = 8;
         plan.specs.push_back(spec);
-        auto flips = fault::applyHeapFaults(cleanRun.heap(), plan);
-        auto audit = gc::verifyCardTable(cleanRun.heap());
+        auto flips = fault::applyHeapFaults(cleanHeap, plan);
+        auto audit = gc::verifyCardTable(cleanHeap);
         if (audit.ok())
             fail("card-flip",
                  sim::format("%llu flips went undetected",
@@ -271,16 +272,16 @@ main(int argc, char **argv)
     }
 
     { // Seeded mark-bitmap corruption must be detected.
-        gc::populateMarkBitmaps(cleanRun.heap());
-        auto before = gc::verifyMarkBitmaps(cleanRun.heap());
+        gc::populateMarkBitmaps(cleanHeap);
+        auto before = gc::verifyMarkBitmaps(cleanHeap);
         fault::FaultPlan plan;
         plan.seed = faultSeed;
         fault::FaultSpec spec;
         spec.kind = fault::FaultKind::MarkBitmapFlip;
         spec.count = 8;
         plan.specs.push_back(spec);
-        auto flips = fault::applyHeapFaults(cleanRun.heap(), plan);
-        auto audit = gc::verifyMarkBitmaps(cleanRun.heap());
+        auto flips = fault::applyHeapFaults(cleanHeap, plan);
+        auto audit = gc::verifyMarkBitmaps(cleanHeap);
         if (!before.ok())
             fail("mark-bitmap-flip",
                  "bitmaps corrupt before injection: " + before.str());

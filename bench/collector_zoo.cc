@@ -34,13 +34,8 @@ using gc::PrimKind;
 namespace
 {
 
-constexpr CollectorKind kZoo[] = {
-    CollectorKind::ParallelScavenge,
-    CollectorKind::G1,
-    CollectorKind::Cms,
-    CollectorKind::Rc,
-};
-constexpr int kNumZoo = 4;
+constexpr const auto &kZoo = gc::kCollectorModels;
+constexpr int kNumZoo = static_cast<int>(std::size(kZoo));
 
 /** Per-collector capability evidence accumulated across workloads. */
 struct Evidence
@@ -130,10 +125,10 @@ main(int argc, char **argv)
     for (const auto &name : workloads) {
         const std::uint64_t catalog_heap =
             workload::findWorkload(name).heapBytes;
-        for (CollectorKind kind : kZoo) {
+        for (CollectorModel kind : kZoo) {
             std::uint64_t heap_bytes = 0;
-            if (kind == CollectorKind::Rc
-                || (kind == CollectorKind::G1 && name == "ALS")) {
+            if (kind == CollectorModel::Rc
+                || (kind == CollectorModel::G1 && name == "ALS")) {
                 heap_bytes = catalog_heap * 2;
             }
             for (auto platform : {sim::PlatformKind::HostDdr4,
@@ -141,7 +136,7 @@ main(int argc, char **argv)
                 Cell c = cell(name, platform, heap_bytes);
                 c.key.collector = kind;
                 c.label = name + " ("
-                          + harness::collectorKindToken(kind) + ") on "
+                          + gc::collectorToken(kind) + ") on "
                           + sim::platformName(platform);
                 cells.push_back(c);
             }
@@ -187,8 +182,8 @@ main(int argc, char **argv)
     // Table 1, computed: primitive x collector.
     {
         std::vector<std::string> cols = {"primitive"};
-        for (CollectorKind kind : kZoo)
-            cols.push_back(harness::collectorKindName(kind));
+        for (CollectorModel kind : kZoo)
+            cols.push_back(gc::collectorTitle(kind));
         auto &table = report.table(
             "table1_computed",
             "Computed Table 1: primitive applicability per collector "
@@ -211,8 +206,8 @@ main(int argc, char **argv)
     // End-to-end speedups.
     {
         std::vector<std::string> cols = {"workload"};
-        for (CollectorKind kind : kZoo) {
-            cols.push_back(std::string(harness::collectorKindToken(kind))
+        for (CollectorModel kind : kZoo) {
+            cols.push_back(std::string(gc::collectorToken(kind))
                            + " speedup");
         }
         auto &table = report.table(
@@ -258,7 +253,7 @@ main(int argc, char **argv)
                     speedup = report::times(primHost[z][k]
                                             / primCharon[z][k]);
                 }
-                table.addRow({harness::collectorKindToken(kZoo[z]),
+                table.addRow({gc::collectorToken(kZoo[z]),
                               gc::primKindName(kind),
                               report::num(primHost[z][k], 4),
                               report::num(primCharon[z][k], 4),

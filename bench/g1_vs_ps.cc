@@ -46,7 +46,7 @@ main(int argc, char **argv)
         for (auto kind : {sim::PlatformKind::HostDdr4,
                           sim::PlatformKind::CharonNmp}) {
             Cell c = cell(name, kind, g1_heap);
-            c.key.collector = CollectorKind::G1;
+            c.key.collector = CollectorModel::G1;
             c.label = name + " (G1) on "
                       + sim::platformName(kind);
             cells.push_back(c);

@@ -81,8 +81,8 @@ g1Demo()
     for (int i = 0; i < 400000; ++i) {
         mem::Addr obj = heap.allocate(node);
         if (obj == 0) {
-            if (g1.collectOnAllocationFailure()
-                == gc::G1Outcome::OutOfMemory) {
+            if (g1.onAllocationFailure(/*humongous=*/false)
+                == gc::GcOutcome::OutOfMemory) {
                 break;
             }
             obj = heap.allocate(node);
@@ -116,13 +116,13 @@ cmsDemo()
     // Build some state with the normal mutator, then run the
     // non-moving old-generation collector on top.
     mut.run();
-    gc::MarkSweep ms(mut.heap(), mut.recorder());
+    gc::MarkSweep ms(mut.generationalHeap(), mut.recorder());
     ms.collect();
     // Only inspect the mark-sweep GC (the last trace entry) plus one
     // scavenge for the young generation.
     gc::RunTrace cms;
     cms.gcs.push_back(mut.recorder().run().gcs.back());
-    gc::Scavenge sc(mut.heap(), mut.recorder());
+    gc::Scavenge sc(mut.generationalHeap(), mut.recorder());
     sc.collect();
     cms.gcs.push_back(mut.recorder().run().gcs.back());
 

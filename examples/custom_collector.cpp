@@ -62,7 +62,7 @@ main()
                     heap.region(heap::Space::Old).used() >> 10));
 
     // CMS-style old collection: mark + sweep, nothing moves.
-    auto fp = gc::fingerprintHeap(heap);
+    auto fp = gc::fingerprintGraph(heap);
     gc::MarkSweep ms(heap, recorder);
     auto result = ms.collect();
     std::printf("mark-sweep: %llu live objects (%llu KiB), reclaimed "
@@ -71,7 +71,7 @@ main()
                 static_cast<unsigned long long>(result.liveBytes >> 10),
                 static_cast<unsigned long long>(result.freedBytes >> 10),
                 static_cast<unsigned long long>(result.freeChunks));
-    if (!(gc::fingerprintHeap(heap) == fp)) {
+    if (!(gc::fingerprintGraph(heap) == fp)) {
         std::printf("ERROR: mark-sweep changed the live graph!\n");
         return 1;
     }

@@ -68,8 +68,8 @@ main()
     for (int i = 0; i < 1500000; ++i) {
         mem::Addr obj = heap.allocate(node);
         if (obj == 0) {
-            auto outcome = g1.collectOnAllocationFailure();
-            if (outcome == gc::G1Outcome::OutOfMemory) {
+            auto outcome = g1.onAllocationFailure(/*humongous=*/false);
+            if (outcome == gc::GcOutcome::OutOfMemory) {
                 std::printf("out of memory!\n");
                 return 1;
             }
@@ -89,8 +89,8 @@ main()
     std::printf("allocated %llu objects; %llu young, %llu mixed "
                 "collections, %llu marking cycles\n",
                 static_cast<unsigned long long>(allocated),
-                static_cast<unsigned long long>(g1.youngCount()),
-                static_cast<unsigned long long>(g1.mixedCount()),
+                static_cast<unsigned long long>(g1.minorCount()),
+                static_cast<unsigned long long>(g1.majorCount()),
                 static_cast<unsigned long long>(g1.markCount()));
     heap.verify();
 

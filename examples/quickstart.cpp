@@ -59,7 +59,7 @@ main()
     gc::TraceRecorder recorder(/*gc threads=*/8, cube_shift);
     gc::Collector collector(heap, recorder);
 
-    auto fingerprint_before = gc::fingerprintHeap(heap);
+    auto fingerprint_before = gc::fingerprintGraph(heap);
     auto minor = collector.minorCollect();
     std::printf("minor GC: copied %llu objects (%llu KiB), all "
                 "garbage reclaimed\n",
@@ -73,7 +73,7 @@ main()
                 static_cast<unsigned long long>(major.liveObjects));
 
     // The live graph is bit-for-bit intact after both collections.
-    if (!(gc::fingerprintHeap(heap) == fingerprint_before)) {
+    if (!(gc::fingerprintGraph(heap) == fingerprint_before)) {
         std::printf("ERROR: object graph changed!\n");
         return 1;
     }

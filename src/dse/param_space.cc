@@ -21,8 +21,8 @@ DsePoint::str() const
     // Emit the collector token only off the default, so every
     // pre-existing journal key (all ParallelScavenge) still matches
     // and resume stays intact.
-    if (collector != harness::CollectorKind::ParallelScavenge)
-        os << '/' << harness::collectorKindToken(collector);
+    if (collector != gc::CollectorModel::ParallelScavenge)
+        os << '/' << gc::collectorToken(collector);
     // Same back-compat rule for the backend axis: the default
     // (near-memory Charon) emits nothing, so journals written before
     // the axis existed resume with zero re-evaluated cells.
@@ -142,16 +142,9 @@ const AxisDef kAxes[] = {
      }},
     {"collector", "collector family (ps g1 cms rc)",
      [](DsePoint &p, const std::string &v) {
-         using harness::CollectorKind;
-         static const std::pair<const char *, CollectorKind> kinds[] = {
-             {"ps", CollectorKind::ParallelScavenge},
-             {"g1", CollectorKind::G1},
-             {"cms", CollectorKind::Cms},
-             {"rc", CollectorKind::Rc},
-         };
-         for (const auto &[token, kind] : kinds) {
-             if (v == token) {
-                 p.collector = kind;
+         for (gc::CollectorModel model : gc::kCollectorModels) {
+             if (v == gc::collectorToken(model)) {
+                 p.collector = model;
                  return true;
              }
          }

@@ -35,8 +35,7 @@ struct DsePoint
 {
     // Functional knobs (enter the trace-cache key).
     std::string workload = "KM";
-    harness::CollectorKind collector =
-        harness::CollectorKind::ParallelScavenge;
+    gc::CollectorModel collector = gc::CollectorModel::ParallelScavenge;
     std::uint64_t heapBytes = 0; ///< 0 = catalog default
     std::uint64_t seed = 1;
     int gcThreads = 8;

@@ -297,6 +297,23 @@ listShardJournals(const std::string &canonical)
     return out;
 }
 
+ShardAbsorb
+absorbShardJournals(const std::string &canonical, bool leftovers_only)
+{
+    ShardAbsorb out;
+    const auto shardFiles = listShardJournals(canonical);
+    out.shardFiles = shardFiles.size();
+    if (leftovers_only && shardFiles.empty())
+        return out;
+    out.ok = SweepJournal::mergeJournals(canonical, shardFiles,
+                                         &out.error, &out.merge);
+    if (out.ok) {
+        for (const auto &f : shardFiles)
+            ::unlink(f.c_str());
+    }
+    return out;
+}
+
 SupervisorResult
 runShardedSweep(const std::vector<harness::Cell> &cells,
                 const std::vector<std::string> &keys,
@@ -320,18 +337,14 @@ runShardedSweep(const std::vector<harness::Cell> &cells,
     // canonical journal before partitioning, so precommit filtering
     // sees everything any previous incarnation committed.
     {
-        auto leftovers = listShardJournals(cfg.journalPath);
-        if (!leftovers.empty()) {
+        auto absorbed = absorbShardJournals(cfg.journalPath,
+                                            /*leftovers_only=*/true);
+        if (absorbed.shardFiles > 0)
             info("dse: absorbing %zu leftover shard journal(s)\n",
-                 leftovers.size());
-            std::string err;
-            if (!SweepJournal::mergeJournals(cfg.journalPath, leftovers,
-                                             &err)) {
-                result.error = "shard journal merge failed: " + err;
-                return result;
-            }
-            for (const auto &f : leftovers)
-                ::unlink(f.c_str());
+                 absorbed.shardFiles);
+        if (!absorbed.ok) {
+            result.error = "shard journal merge failed: " + absorbed.error;
+            return result;
         }
     }
 
@@ -544,16 +557,14 @@ runShardedSweep(const std::vector<harness::Cell> &cells,
     // interrupt or failure, so committed cells survive for the next
     // resume and a torn shard tail never reaches a reader.
     {
-        auto shardFiles = listShardJournals(cfg.journalPath);
-        std::string err;
-        if (!SweepJournal::mergeJournals(cfg.journalPath, shardFiles,
-                                         &err, &result.merge)) {
+        auto absorbed = absorbShardJournals(cfg.journalPath);
+        result.merge = absorbed.merge;
+        if (!absorbed.ok) {
             if (result.error.empty())
-                result.error = "shard journal merge failed: " + err;
+                result.error =
+                    "shard journal merge failed: " + absorbed.error;
             return result;
         }
-        for (const auto &f : shardFiles)
-            ::unlink(f.c_str());
     }
 
     if (result.interrupted)

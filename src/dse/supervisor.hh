@@ -139,6 +139,24 @@ std::string shardJournalPath(const std::string &canonical, int shard);
 std::vector<std::string>
 listShardJournals(const std::string &canonical);
 
+/** What absorbShardJournals() found and merged. */
+struct ShardAbsorb
+{
+    bool ok = true;
+    std::size_t shardFiles = 0;     ///< shard journals found
+    SweepJournal::MergeStats merge; ///< all zero when no merge ran
+    std::string error;              ///< why the merge failed
+};
+
+/**
+ * Absorb the shard journals of @p canonical into it: merge them with
+ * SweepJournal::mergeJournals, then delete them — only once the merge
+ * succeeded.  With @p leftovers_only, a journal without shard files
+ * is left untouched: no merge runs.
+ */
+ShardAbsorb absorbShardJournals(const std::string &canonical,
+                                bool leftovers_only = false);
+
 } // namespace charon::dse
 
 #endif // CHARON_DSE_SUPERVISOR_HH

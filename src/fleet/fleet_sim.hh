@@ -58,8 +58,7 @@ struct TenantSpec
 {
     std::string name;       ///< display tag ("t0:SRV"); filled by mixes
     std::string workload = "SRV";
-    harness::CollectorKind collector =
-        harness::CollectorKind::ParallelScavenge;
+    gc::CollectorModel collector = gc::CollectorModel::ParallelScavenge;
     /** Offload platform for this tenant's collections. */
     sim::PlatformKind platform = sim::PlatformKind::CharonNmp;
     std::uint64_t heapBytes = 0; ///< 0 = catalog default

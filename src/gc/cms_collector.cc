@@ -81,7 +81,7 @@ CmsCollector::fullCollect()
 }
 
 GcOutcome
-CmsCollector::onAllocationFailure()
+CmsCollector::onAllocationFailure(bool)
 {
     // The family tenures at the config threshold, probe included.
     Scavenge sc(heap_, rec_);

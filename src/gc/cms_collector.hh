@@ -47,7 +47,7 @@ class CmsCollector : public CollectorIface
     mem::Addr allocateHumongous(heap::KlassId klass,
                                 std::uint64_t array_len = 0) override;
 
-    GcOutcome onAllocationFailure() override;
+    GcOutcome onAllocationFailure(bool humongous) override;
 
     std::uint64_t minorCount() const override { return minors_; }
     std::uint64_t majorCount() const override { return majors_; }

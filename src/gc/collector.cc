@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "gc/cms_collector.hh"
+#include "gc/g1_collector.hh"
 #include "gc/rc_collector.hh"
 #include "sim/logging.hh"
 
@@ -23,30 +24,75 @@ gcOutcomeName(GcOutcome outcome)
 }
 
 const char *
-collectorModelName(CollectorModel model)
+collectorToken(CollectorModel model)
 {
     switch (model) {
       case CollectorModel::ParallelScavenge: return "ps";
+      case CollectorModel::G1:               return "g1";
       case CollectorModel::Cms:              return "cms";
       case CollectorModel::Rc:               return "rc";
     }
-    return "unknown";
+    return "?";
+}
+
+const char *
+collectorTitle(CollectorModel model)
+{
+    switch (model) {
+      case CollectorModel::ParallelScavenge: return "ParallelScavenge";
+      case CollectorModel::G1:               return "G1";
+      case CollectorModel::Cms:              return "CMS";
+      case CollectorModel::Rc:               return "RC";
+    }
+    return "?";
+}
+
+std::unique_ptr<heap::ObjectHeap>
+makeHeap(CollectorModel model, std::uint64_t heap_bytes,
+         const heap::KlassTable &klasses)
+{
+    if (model != CollectorModel::G1) {
+        heap::HeapConfig cfg;
+        cfg.heapBytes = mem::alignUp(heap_bytes, 4096);
+        return std::make_unique<heap::ManagedHeap>(cfg, klasses);
+    }
+    heap::G1Config cfg;
+    cfg.heapBytes = mem::alignUp(heap_bytes, 1 * sim::kMiB);
+    cfg.regionBytes = std::max<std::uint64_t>(
+        256 * 1024, cfg.heapBytes / 64); // ~64 regions, G1's target
+    // Whole regions; a region of heap/64 need not be a power of two.
+    cfg.heapBytes =
+        mem::divCeil(cfg.heapBytes, cfg.regionBytes) * cfg.regionBytes;
+    // Young budget ~ a quarter of the heap, like ManagedHeap's Eden
+    // share.
+    cfg.maxEdenRegions = std::max<int>(
+        2, static_cast<int>(cfg.heapBytes / cfg.regionBytes / 4));
+    return std::make_unique<heap::G1Heap>(cfg, klasses);
 }
 
 std::unique_ptr<CollectorIface>
-makeCollector(CollectorModel model, heap::ManagedHeap &heap,
+makeCollector(CollectorModel model, heap::ObjectHeap &heap,
               TraceRecorder &recorder)
 {
+    using heap::heapAs;
+    using heap::ManagedHeap;
     std::unique_ptr<CollectorIface> c;
     switch (model) {
       case CollectorModel::ParallelScavenge:
-        c = std::make_unique<Collector>(heap, recorder);
+        c = std::make_unique<Collector>(heapAs<ManagedHeap>(heap),
+                                        recorder);
+        break;
+      case CollectorModel::G1:
+        c = std::make_unique<G1Collector>(heapAs<heap::G1Heap>(heap),
+                                          recorder);
         break;
       case CollectorModel::Cms:
-        c = std::make_unique<CmsCollector>(heap, recorder);
+        c = std::make_unique<CmsCollector>(heapAs<ManagedHeap>(heap),
+                                           recorder);
         break;
       case CollectorModel::Rc:
-        c = std::make_unique<RcCollector>(heap, recorder);
+        c = std::make_unique<RcCollector>(heapAs<ManagedHeap>(heap),
+                                          recorder);
         break;
     }
     CHARON_ASSERT(c != nullptr, "unknown collector model");
@@ -91,7 +137,7 @@ Collector::allocateHumongous(heap::KlassId klass,
 }
 
 GcOutcome
-Collector::onAllocationFailure()
+Collector::onAllocationFailure(bool)
 {
     // Probe with the threshold the scavenge will use (0 until the
     // first one: the config value).

@@ -47,11 +47,11 @@ class Collector : public CollectorIface
                                 std::uint64_t array_len = 0) override;
 
     /**
-     * Collect in response to an Eden allocation failure.
-     * The failed allocation should be retried afterwards (unless
-     * OutOfMemory).
+     * Collect in response to a failed Eden or humongous allocation
+     * (both are answered alike).  The failed allocation should be
+     * retried afterwards (unless OutOfMemory).
      */
-    GcOutcome onAllocationFailure() override;
+    GcOutcome onAllocationFailure(bool humongous) override;
 
     /** Force a full collection (System.gc()-style). */
     MarkCompact::Result fullCollect();

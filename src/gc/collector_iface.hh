@@ -16,6 +16,7 @@
 #ifndef CHARON_GC_COLLECTOR_IFACE_HH
 #define CHARON_GC_COLLECTOR_IFACE_HH
 
+#include <cstdint>
 #include <memory>
 
 #include "gc/capability.hh"
@@ -24,7 +25,7 @@
 
 namespace charon::heap
 {
-class ManagedHeap;
+class ObjectHeap;
 }
 
 namespace charon::gc
@@ -42,15 +43,29 @@ enum class GcOutcome
 
 const char *gcOutcomeName(GcOutcome outcome);
 
-/** The collector families the factory can build on a ManagedHeap. */
-enum class CollectorModel
+/**
+ * The collector families the factory builds.  The values are
+ * persisted (trace-cache headers), so the order never changes.
+ */
+enum class CollectorModel : std::uint8_t
 {
-    ParallelScavenge, ///< copying minors + mark-compact majors
-    Cms,              ///< copying minors + non-moving mark-sweep majors
-    Rc,               ///< reference counting with ZCT reclamation
+    ParallelScavenge = 0, ///< copying minors + mark-compact majors
+    G1 = 1,               ///< region evacuation + marking + mixed
+    Cms = 2,              ///< copying minors + non-moving mark-sweep majors
+    Rc = 3,               ///< reference counting with ZCT reclamation
 };
 
-const char *collectorModelName(CollectorModel model);
+/** Short lowercase token ("ps", "g1", "cms", "rc"): keys, cache
+ *  file names, journal keys and the DSE collector axis. */
+const char *collectorToken(CollectorModel model);
+
+/** Display name ("ParallelScavenge", "G1", "CMS", "RC"). */
+const char *collectorTitle(CollectorModel model);
+
+/** Every family, in persisted order. */
+constexpr CollectorModel kCollectorModels[] = {
+    CollectorModel::ParallelScavenge, CollectorModel::G1,
+    CollectorModel::Cms, CollectorModel::Rc};
 
 /**
  * One collector family on one heap.
@@ -85,23 +100,37 @@ class CollectorIface
                                         std::uint64_t array_len = 0) = 0;
 
     /**
-     * Collect in response to an allocation failure.  The failed
-     * allocation should be retried afterwards (unless OutOfMemory).
+     * Collect in response to a failed allocation.  The allocation
+     * should be retried afterwards (unless OutOfMemory).
+     * @param humongous the failed allocation was allocateHumongous()
+     *        (G1 answers with a marking cycle; the others ignore it)
      */
-    virtual GcOutcome onAllocationFailure() = 0;
+    virtual GcOutcome onAllocationFailure(bool humongous) = 0;
 
     virtual std::uint64_t minorCount() const = 0;
     virtual std::uint64_t majorCount() const = 0;
+    /** Stand-alone marking cycles (G1's); 0 for families that mark
+     *  only inside a major collection. */
+    virtual std::uint64_t markCount() const { return 0; }
 };
 
 /**
- * Build a @p model collector on @p heap, recording into @p recorder.
- * The recorder's capability gate is set to the new collector's
- * declared set as a side effect, so every subsequent record is
- * offload-eligible only where the declaration allows.
+ * A heap of the shape @p model collects, sized from @p heap_bytes:
+ * a ManagedHeap rounded to whole pages for PS, CMS and RC; a G1Heap
+ * of about 64 regions for G1.
+ */
+std::unique_ptr<heap::ObjectHeap>
+makeHeap(CollectorModel model, std::uint64_t heap_bytes,
+         const heap::KlassTable &klasses);
+
+/**
+ * Build a @p model collector on @p heap (from makeHeap()), recording
+ * into @p recorder.  The recorder's capability gate is set to the
+ * new collector's declared set as a side effect, so every subsequent
+ * record is offload-eligible only where the declaration allows.
  */
 std::unique_ptr<CollectorIface> makeCollector(CollectorModel model,
-                                              heap::ManagedHeap &heap,
+                                              heap::ObjectHeap &heap,
                                               TraceRecorder &recorder);
 
 } // namespace charon::gc

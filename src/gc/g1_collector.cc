@@ -445,42 +445,21 @@ G1Collector::capabilities() const
 }
 
 GcOutcome
-G1Collector::onAllocationFailure()
+G1Collector::onAllocationFailure(bool humongous)
 {
-    switch (collectOnAllocationFailure()) {
-      case G1Outcome::Young: return GcOutcome::Minor;
-      case G1Outcome::Mixed: return GcOutcome::Major;
-      case G1Outcome::OutOfMemory: break;
-    }
-    return GcOutcome::OutOfMemory;
-}
-
-G1Outcome
-G1Collector::collectOnHumongousFailure()
-{
-    concurrentMark();
-    auto r = mixedCollect();
-    return r.outOfRegions ? G1Outcome::OutOfMemory : G1Outcome::Mixed;
-}
-
-G1Outcome
-G1Collector::collectOnAllocationFailure()
-{
-    // Garbage-first policy, simplified: evacuate young when there is
-    // comfortable headroom; otherwise mark and run a mixed collection
-    // to reclaim mostly-dead old regions.
-    int used_young = heap_.regionCount(G1RegionKind::Eden)
-                     + heap_.regionCount(G1RegionKind::Survivor);
-    if (heap_.freeRegionCount() >= used_young + 2) {
-        auto r = youngCollect();
-        if (!r.outOfRegions)
-            return G1Outcome::Young;
-        // Evacuation failure retained regions in place; escalate to a
-        // marking cycle + mixed collection before giving up.
+    if (!humongous) {
+        int used_young = heap_.regionCount(G1RegionKind::Eden)
+                         + heap_.regionCount(G1RegionKind::Survivor);
+        if (heap_.freeRegionCount() >= used_young + 2) {
+            if (!youngCollect().outOfRegions)
+                return GcOutcome::Minor;
+            // Evacuation failure retained regions in place; escalate
+            // to a marking cycle + mixed collection before giving up.
+        }
     }
     concurrentMark();
-    auto r = mixedCollect();
-    return r.outOfRegions ? G1Outcome::OutOfMemory : G1Outcome::Mixed;
+    return mixedCollect().outOfRegions ? GcOutcome::OutOfMemory
+                                       : GcOutcome::Major;
 }
 
 } // namespace charon::gc

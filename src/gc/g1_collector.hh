@@ -37,14 +37,6 @@
 namespace charon::gc
 {
 
-/** What the G1 driver did on an allocation failure. */
-enum class G1Outcome
-{
-    Young,
-    Mixed,
-    OutOfMemory,
-};
-
 /**
  * The collector.
  */
@@ -99,14 +91,24 @@ class G1Collector : public CollectorIface
         return heap_.allocateHumongous(klass, array_len);
     }
 
-    /** Family-neutral adapter over collectOnAllocationFailure(). */
-    GcOutcome onAllocationFailure() override;
+    /**
+     * Garbage-first policy, simplified: a young evacuation (Minor)
+     * when there is comfortable headroom, else a marking cycle plus
+     * a mixed collection (Major).  A failed humongous allocation
+     * needs contiguous free regions; as in real G1 it always starts
+     * a marking cycle, which reclaims dead humongous objects eagerly,
+     * plus a mixed collection.
+     */
+    GcOutcome onAllocationFailure(bool humongous) override;
 
+    /** Young evacuations. */
     std::uint64_t minorCount() const override { return youngs_; }
+    /** Mixed collections. */
     std::uint64_t majorCount() const override { return mixeds_; }
+    std::uint64_t markCount() const override { return marks_; }
 
     // ------------------------------------------------------------------
-    // G1-specific driver API (fine-grained outcomes)
+    // G1 phases
 
     /** Evacuate all Eden + Survivor regions. */
     EvacResult youngCollect();
@@ -121,20 +123,6 @@ class G1Collector : public CollectorIface
      *      (the driver guarantees this)
      */
     EvacResult mixedCollect(double live_threshold = 0.65);
-
-    /** Policy driver for the mutator's allocation failures. */
-    G1Outcome collectOnAllocationFailure();
-
-    /**
-     * A humongous allocation needs contiguous free regions; as in
-     * real G1, its failure initiates a marking cycle (which reclaims
-     * dead humongous objects eagerly) plus a mixed collection.
-     */
-    G1Outcome collectOnHumongousFailure();
-
-    std::uint64_t youngCount() const { return youngs_; }
-    std::uint64_t mixedCount() const { return mixeds_; }
-    std::uint64_t markCount() const { return marks_; }
 
   private:
     struct SlotRef

@@ -150,7 +150,7 @@ RcCollector::freeObject(Addr obj)
 }
 
 GcOutcome
-RcCollector::onAllocationFailure()
+RcCollector::onAllocationFailure(bool)
 {
     const auto &costs = rec_.costs();
     const auto &arena = heap_.arena();

@@ -59,7 +59,7 @@ class RcCollector : public CollectorIface
     mem::Addr allocateHumongous(heap::KlassId klass,
                                 std::uint64_t array_len = 0) override;
 
-    GcOutcome onAllocationFailure() override;
+    GcOutcome onAllocationFailure(bool humongous) override;
 
     /** RC epochs are whole-heap passes: all count as major. */
     std::uint64_t minorCount() const override { return 0; }

@@ -12,10 +12,75 @@ namespace charon::gc
 using heap::Space;
 using mem::Addr;
 
-GraphFingerprint
-fingerprintHeap(const heap::ManagedHeap &heap)
+namespace
 {
-    return fingerprintGraph(heap);
+
+/** 64-bit FNV-1a step. */
+std::uint64_t
+fnvMix(std::uint64_t h, std::uint64_t v)
+{
+    h ^= v;
+    h *= 0x100000001b3ull;
+    return h;
+}
+
+} // namespace
+
+GraphFingerprint
+fingerprintGraph(const heap::ObjectHeap &heap)
+{
+    GraphFingerprint fp;
+    fp.hash = 0xcbf29ce484222325ull;
+
+    std::unordered_map<Addr, std::uint64_t> ids;
+    std::deque<Addr> queue;
+    auto discover = [&](Addr obj) -> std::uint64_t {
+        auto [it, fresh] = ids.emplace(obj, ids.size());
+        if (fresh)
+            queue.push_back(obj);
+        return it->second;
+    };
+
+    for (Addr root : heap.roots()) {
+        if (root == 0) {
+            fp.hash = fnvMix(fp.hash, ~0ull);
+            continue;
+        }
+        fp.hash = fnvMix(fp.hash, discover(root));
+    }
+
+    while (!queue.empty()) {
+        Addr obj = queue.front();
+        queue.pop_front();
+        ++fp.objects;
+        std::uint64_t size_words = heap.sizeWords(obj);
+        fp.bytes += size_words * 8;
+        fp.hash = fnvMix(fp.hash, heap.klassOf(obj));
+        fp.hash = fnvMix(fp.hash, size_words);
+
+        std::uint64_t refs = heap.refCount(obj);
+        fp.edges += refs;
+        for (std::uint64_t i = 0; i < refs; ++i) {
+            Addr t = heap.refAt(obj, i);
+            fp.hash = fnvMix(fp.hash, t == 0 ? ~0ull : discover(t));
+        }
+        const auto &k = heap.klasses().get(heap.klassOf(obj));
+        std::uint64_t payload_start_word;
+        if (k.kind == heap::KlassKind::ObjArray) {
+            payload_start_word = size_words;
+            fp.hash = fnvMix(fp.hash, heap.arrayLength(obj));
+        } else if (heap::isTypeArrayKind(k.kind)
+                   || k.kind == heap::KlassKind::ConstantPool
+                   || k.kind == heap::KlassKind::MethodData) {
+            payload_start_word = 3;
+            fp.hash = fnvMix(fp.hash, heap.arrayLength(obj));
+        } else {
+            payload_start_word = 2 + k.refFields;
+        }
+        for (std::uint64_t w = payload_start_word; w < size_words; ++w)
+            fp.hash = fnvMix(fp.hash, heap.load64(obj + w * 8));
+    }
+    return fp;
 }
 
 void

@@ -39,16 +39,9 @@ struct GraphFingerprint
     }
 };
 
-/** Compute the fingerprint of everything reachable from the roots. */
-GraphFingerprint fingerprintHeap(const heap::ManagedHeap &heap);
-
-/**
- * Fingerprint over any heap shape exposing roots() plus the
- * ObjectArena accessors (klassOf, sizeWords, refCount, refAt,
- * arrayLength, load64, klasses).  Shared by ManagedHeap and G1Heap.
- */
-template <typename HeapT>
-GraphFingerprint fingerprintGraph(const HeapT &heap);
+/** Fingerprint everything reachable from the roots of any heap
+ *  shape. */
+GraphFingerprint fingerprintGraph(const heap::ObjectHeap &heap);
 
 /**
  * Structural invariants that must hold after any GC: every root and
@@ -102,7 +95,5 @@ void populateMarkBitmaps(heap::ManagedHeap &heap);
 MetadataVerifyReport verifyMarkBitmaps(const heap::ManagedHeap &heap);
 
 } // namespace charon::gc
-
-#include "gc/verify_impl.hh"
 
 #endif // CHARON_GC_VERIFY_HH

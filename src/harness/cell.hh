@@ -20,6 +20,7 @@
 #include <string>
 
 #include "fault/fault.hh"
+#include "gc/collector_iface.hh"
 #include "gc/trace.hh"
 #include "platform/results.hh"
 #include "sim/config.hh"
@@ -27,18 +28,8 @@
 namespace charon::harness
 {
 
-/** Which collector family produces the functional trace. */
-enum class CollectorKind : std::uint8_t
-{
-    ParallelScavenge, ///< workload::Mutator (the paper's collector)
-    G1,               ///< workload::G1Mutator (Table 1 extension)
-    Cms,              ///< Mutator over gc::CmsCollector (BitSweep)
-    Rc,               ///< Mutator over gc::RcCollector (RefCount)
-};
-
-const char *collectorKindName(CollectorKind kind);
-/** Short lowercase token used in keys and cache paths ("ps", "g1"). */
-const char *collectorKindToken(CollectorKind kind);
+/** The earlier name of gc::CollectorModel, kept for perfbench. */
+using CollectorKind = gc::CollectorModel;
 
 /**
  * Everything that determines the bytes of a functional trace.  Two
@@ -48,7 +39,7 @@ const char *collectorKindToken(CollectorKind kind);
 struct FunctionalKey
 {
     std::string workload;     ///< catalog short name ("KM", "CC", ...)
-    CollectorKind collector = CollectorKind::ParallelScavenge;
+    gc::CollectorModel collector = gc::CollectorModel::ParallelScavenge;
     std::uint64_t heapBytes = 0; ///< 0 = catalog default (resolved by the runner)
     std::uint64_t seed = 1;
     int gcThreads = 8;

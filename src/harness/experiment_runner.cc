@@ -15,41 +15,16 @@
 #include "harness/supervised.hh"
 #include "platform/platform_sim.hh"
 #include "sim/logging.hh"
-#include "workload/g1_mutator.hh"
 #include "workload/mutator.hh"
 
 namespace charon::harness
 {
 
-const char *
-collectorKindName(CollectorKind kind)
-{
-    switch (kind) {
-      case CollectorKind::ParallelScavenge: return "ParallelScavenge";
-      case CollectorKind::G1:               return "G1";
-      case CollectorKind::Cms:              return "CMS";
-      case CollectorKind::Rc:               return "RC";
-    }
-    return "?";
-}
-
-const char *
-collectorKindToken(CollectorKind kind)
-{
-    switch (kind) {
-      case CollectorKind::ParallelScavenge: return "ps";
-      case CollectorKind::G1:               return "g1";
-      case CollectorKind::Cms:              return "cms";
-      case CollectorKind::Rc:               return "rc";
-    }
-    return "?";
-}
-
 std::string
 FunctionalKey::str() const
 {
     std::ostringstream os;
-    os << workload << '/' << collectorKindToken(collector) << "/h"
+    os << workload << '/' << gc::collectorToken(collector) << "/h"
        << heapBytes << "/s" << seed << "/t" << gcThreads << "/c"
        << numCubes << "/ct" << copyOffloadThreshold;
     return os.str();
@@ -107,39 +82,20 @@ ExperimentRunner::resolve(FunctionalKey key)
 FunctionalRun
 ExperimentRunner::executeFunctional(const FunctionalKey &key)
 {
-    const auto &params = workload::findWorkload(key.workload);
+    workload::Mutator mut(workload::findWorkload(key.workload),
+                          key.heapBytes, key.seed, key.gcThreads,
+                          key.numCubes, key.collector);
+    mut.recorder().setCopyOffloadThreshold(key.copyOffloadThreshold);
+    auto r = mut.run();
     FunctionalRun out;
-    if (key.collector == CollectorKind::G1) {
-        workload::G1Mutator mut(params, key.heapBytes, key.seed,
-                                key.gcThreads, key.numCubes);
-        mut.recorder().setCopyOffloadThreshold(key.copyOffloadThreshold);
-        auto r = mut.run();
-        out.trace = mut.recorder().run();
-        out.cubeShift = mut.cubeShift();
-        out.oom = r.oom;
-        out.gcsMinor = r.youngGcs;
-        out.gcsMajor = r.mixedGcs;
-        out.markCycles = r.markCycles;
-        out.allocatedBytes = r.allocatedBytes;
-        out.mutatorInstructions = r.mutatorInstructions;
-    } else {
-        gc::CollectorModel model = gc::CollectorModel::ParallelScavenge;
-        if (key.collector == CollectorKind::Cms)
-            model = gc::CollectorModel::Cms;
-        else if (key.collector == CollectorKind::Rc)
-            model = gc::CollectorModel::Rc;
-        workload::Mutator mut(params, key.heapBytes, key.seed,
-                              key.gcThreads, key.numCubes, model);
-        mut.recorder().setCopyOffloadThreshold(key.copyOffloadThreshold);
-        auto r = mut.run();
-        out.trace = mut.recorder().run();
-        out.cubeShift = mut.cubeShift();
-        out.oom = r.oom;
-        out.gcsMinor = r.minorGcs;
-        out.gcsMajor = r.majorGcs;
-        out.allocatedBytes = r.allocatedBytes;
-        out.mutatorInstructions = r.mutatorInstructions;
-    }
+    out.trace = mut.recorder().run();
+    out.cubeShift = mut.cubeShift();
+    out.oom = r.oom;
+    out.gcsMinor = r.minorGcs;
+    out.gcsMajor = r.majorGcs;
+    out.markCycles = r.markCycles;
+    out.allocatedBytes = r.allocatedBytes;
+    out.mutatorInstructions = r.mutatorInstructions;
     return out;
 }
 

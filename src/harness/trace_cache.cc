@@ -114,7 +114,7 @@ std::string
 TraceCache::path(const FunctionalKey &key) const
 {
     std::ostringstream name;
-    name << key.workload << '-' << collectorKindToken(key.collector)
+    name << key.workload << '-' << gc::collectorToken(key.collector)
          << '-'
          << std::hex
          << fnv1a(key.str() + "/v"

@@ -19,8 +19,8 @@ g1RegionKindName(G1RegionKind kind)
 }
 
 G1Heap::G1Heap(const G1Config &cfg, const KlassTable &klasses)
-    : cfg_(cfg),
-      arena_(cfg.base, cfg.heapBytes, klasses),
+    : ObjectHeap(cfg.base, cfg.heapBytes, klasses),
+      cfg_(cfg),
       begMap_(cfg.base, cfg.heapBytes, cfg.base + cfg.heapBytes),
       endMap_(cfg.base, cfg.heapBytes,
               cfg.base + cfg.heapBytes + cfg.heapBytes / 64)
@@ -249,12 +249,6 @@ G1Heap::storeRef(mem::Addr obj, std::uint64_t i, mem::Addr target)
     arena_.store64(slot, target);
     // G1 post-barrier: cross-region stores feed the remembered set.
     recordRemset(slot, target);
-}
-
-void
-G1Heap::setRefRaw(mem::Addr obj, std::uint64_t i, mem::Addr target)
-{
-    arena_.setRef(obj, i, target);
 }
 
 void

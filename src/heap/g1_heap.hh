@@ -25,9 +25,8 @@
 #include <unordered_set>
 #include <vector>
 
-#include "heap/arena.hh"
 #include "heap/bitmap.hh"
-#include "heap/klass.hh"
+#include "heap/object_heap.hh"
 #include "sim/types.hh"
 
 namespace charon::heap
@@ -88,15 +87,12 @@ struct G1Region
 /**
  * The region-structured heap.
  */
-class G1Heap
+class G1Heap final : public ObjectHeap
 {
   public:
     G1Heap(const G1Config &cfg, const KlassTable &klasses);
 
     const G1Config &config() const { return cfg_; }
-    const KlassTable &klasses() const { return arena_.klasses(); }
-    ObjectArena &arena() { return arena_; }
-    const ObjectArena &arena() const { return arena_; }
 
     // ------------------------------------------------------------------
     // Regions
@@ -147,43 +143,11 @@ class G1Heap
     // ------------------------------------------------------------------
     // Mutator reference store with the G1 cross-region barrier
 
-    void storeRef(mem::Addr obj, std::uint64_t i, mem::Addr target);
-
-    /** GC-internal slot write: no barrier. */
-    void setRefRaw(mem::Addr obj, std::uint64_t i, mem::Addr target);
+    void storeRef(mem::Addr obj, std::uint64_t i,
+                  mem::Addr target) override;
 
     /** Record @p slot in @p target's region's remembered set. */
     void recordRemset(mem::Addr slot, mem::Addr target);
-
-    // ------------------------------------------------------------------
-    // Object access passthrough (shared object model)
-
-    KlassId klassOf(mem::Addr o) const { return arena_.klassOf(o); }
-    std::uint64_t sizeWords(mem::Addr o) const
-    {
-        return arena_.sizeWords(o);
-    }
-    std::uint64_t sizeBytes(mem::Addr o) const
-    {
-        return arena_.sizeWords(o) * 8;
-    }
-    std::uint64_t arrayLength(mem::Addr o) const
-    {
-        return arena_.arrayLength(o);
-    }
-    std::uint64_t refCount(mem::Addr o) const
-    {
-        return arena_.refCount(o);
-    }
-    mem::Addr refSlotAddr(mem::Addr o, std::uint64_t i) const
-    {
-        return arena_.refSlotAddr(o, i);
-    }
-    mem::Addr refAt(mem::Addr o, std::uint64_t i) const
-    {
-        return arena_.refAt(o, i);
-    }
-    std::uint64_t load64(mem::Addr a) const { return arena_.load64(a); }
 
     // ------------------------------------------------------------------
     // Iteration and marking support
@@ -197,25 +161,14 @@ class G1Heap
     const MarkBitmap &begBitmap() const { return begMap_; }
     const MarkBitmap &endBitmap() const { return endMap_; }
 
-    /** Root set (simulated stack + globals). */
-    std::vector<mem::Addr> &roots() { return roots_; }
-    const std::vector<mem::Addr> &roots() const { return roots_; }
-
-    mem::Addr base() const { return cfg_.base; }
-    std::uint64_t heapBytes() const { return cfg_.heapBytes; }
-    mem::Addr vaLimit() const { return vaLimit_; }
-
     /** Walk every used region checking object-header sanity. */
     void verify() const;
 
   private:
     G1Config cfg_;
-    ObjectArena arena_;
     std::vector<G1Region> regions_;
     MarkBitmap begMap_;
     MarkBitmap endMap_;
-    std::vector<mem::Addr> roots_;
-    mem::Addr vaLimit_ = 0;
 
     /** Current allocation region per kind (-1 = none). */
     int currentEden_ = -1;

@@ -21,9 +21,8 @@ spaceName(Space space)
 }
 
 ManagedHeap::ManagedHeap(const HeapConfig &cfg, const KlassTable &klasses)
-    : cfg_(cfg),
-      klasses_(klasses),
-      arena_(cfg.base, cfg.heapBytes, klasses),
+    : ObjectHeap(cfg.base, cfg.heapBytes, klasses),
+      cfg_(cfg),
       cards_(/*covered_base=*/cfg.base,
              /*covered_bytes=*/static_cast<std::uint64_t>(
                  (1.0 - cfg.youngFraction) * cfg.heapBytes),
@@ -110,19 +109,6 @@ ManagedHeap::inYoung(mem::Addr addr) const
 {
     return eden_.contains(addr) || from_.contains(addr)
            || to_.contains(addr);
-}
-
-void
-ManagedHeap::copyObjectBytes(mem::Addr dst, mem::Addr src,
-                             std::uint64_t bytes)
-{
-    arena_.copyBytes(dst, src, bytes);
-}
-
-std::uint64_t
-ManagedHeap::sizeWordsFor(KlassId klass, std::uint64_t array_len) const
-{
-    return arena_.sizeWordsFor(klass, array_len);
 }
 
 mem::Addr
@@ -338,7 +324,7 @@ ManagedHeap::verifySpace(Space space) const
     mem::Addr p = r.start;
     while (p < r.top) {
         KlassId kid = klassOf(p);
-        CHARON_ASSERT(kid > 0 && kid < klasses_.size(),
+        CHARON_ASSERT(kid > 0 && kid < klasses().size(),
                       "bad klass id %u at 0x%llx", kid,
                       static_cast<unsigned long long>(p));
         std::uint64_t size = sizeWords(p);

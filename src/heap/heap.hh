@@ -26,11 +26,9 @@
 #include <optional>
 #include <vector>
 
-#include "heap/arena.hh"
 #include "heap/bitmap.hh"
 #include "heap/card_table.hh"
-#include "heap/klass.hh"
-#include "mem/addr.hh"
+#include "heap/object_heap.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -77,13 +75,12 @@ struct Region
 /**
  * The managed heap.
  */
-class ManagedHeap
+class ManagedHeap final : public ObjectHeap
 {
   public:
     ManagedHeap(const HeapConfig &cfg, const KlassTable &klasses);
 
     const HeapConfig &config() const { return cfg_; }
-    const KlassTable &klasses() const { return klasses_; }
 
     // ------------------------------------------------------------------
     // Geometry
@@ -93,10 +90,6 @@ class ManagedHeap
     Space spaceOf(mem::Addr addr) const;
     bool inYoung(mem::Addr addr) const;
     bool inOld(mem::Addr addr) const { return old_.contains(addr); }
-    /** [base, base+heapBytes) plus metadata: total VA span. */
-    mem::Addr vaLimit() const { return vaLimit_; }
-    std::uint64_t heapBytes() const { return cfg_.heapBytes; }
-    mem::Addr base() const { return cfg_.base; }
 
     // ------------------------------------------------------------------
     // Allocation
@@ -124,10 +117,6 @@ class ManagedHeap
      */
     mem::Addr allocOldObject(KlassId klass, std::uint64_t array_len = 0);
 
-    /** Size in words an object of @p klass with @p array_len needs. */
-    std::uint64_t sizeWordsFor(KlassId klass,
-                               std::uint64_t array_len) const;
-
     /**
      * Fault injection: after @p after further successful GC-internal
      * allocations (allocTo / allocOld), fail the next @p count calls
@@ -137,86 +126,12 @@ class ManagedHeap
      */
     void setGcAllocFault(std::uint64_t after, std::uint64_t count);
 
-    // ------------------------------------------------------------------
-    // Object access
-
-    KlassId klassOf(mem::Addr obj) const { return arena_.klassOf(obj); }
-    std::uint64_t
-    sizeWords(mem::Addr obj) const
-    {
-        return arena_.sizeWords(obj);
-    }
-    std::uint64_t sizeBytes(mem::Addr obj) const { return sizeWords(obj) * 8; }
-
-    /** Array length (array klasses only). */
-    std::uint64_t
-    arrayLength(mem::Addr obj) const
-    {
-        return arena_.arrayLength(obj);
-    }
-
-    /** Number of reference slots in @p obj. */
-    std::uint64_t
-    refCount(mem::Addr obj) const
-    {
-        return arena_.refCount(obj);
-    }
-
-    /** VA of reference slot @p i of @p obj. */
-    mem::Addr
-    refSlotAddr(mem::Addr obj, std::uint64_t i) const
-    {
-        return arena_.refSlotAddr(obj, i);
-    }
-
-    /** Read reference slot @p i. */
-    mem::Addr
-    refAt(mem::Addr obj, std::uint64_t i) const
-    {
-        return arena_.refAt(obj, i);
-    }
-
     /**
      * Mutator reference store: writes slot @p i of @p obj and dirties
      * the holder's card when @p obj is in the Old generation.
      */
-    void storeRef(mem::Addr obj, std::uint64_t i, mem::Addr target);
-
-    /** GC-internal slot write: no card marking. */
-    void
-    setRefRaw(mem::Addr obj, std::uint64_t i, mem::Addr target)
-    {
-        store64(refSlotAddr(obj, i), target);
-    }
-
-    /** Raw 64-bit load/store at a heap VA (slots, payload). */
-    std::uint64_t load64(mem::Addr addr) const { return arena_.load64(addr); }
-    void
-    store64(mem::Addr addr, std::uint64_t value)
-    {
-        arena_.store64(addr, value);
-    }
-
-    /**
-     * Move @p bytes from @p src to @p dst inside the heap
-     * (memmove semantics: overlapping leftward moves are safe).
-     */
-    void copyObjectBytes(mem::Addr dst, mem::Addr src,
-                         std::uint64_t bytes);
-
-    // ------------------------------------------------------------------
-    // Mark word: age and forwarding (minor GC)
-
-    int age(mem::Addr obj) const { return arena_.age(obj); }
-    void setAge(mem::Addr obj, int age) { arena_.setAge(obj, age); }
-    bool isForwarded(mem::Addr obj) const { return arena_.isForwarded(obj); }
-    mem::Addr forwardee(mem::Addr obj) const { return arena_.forwardee(obj); }
-    void
-    setForwarding(mem::Addr obj, mem::Addr to)
-    {
-        arena_.setForwarding(obj, to);
-    }
-    void clearForwarding(mem::Addr obj) { arena_.clearForwarding(obj); }
+    void storeRef(mem::Addr obj, std::uint64_t i,
+                  mem::Addr target) override;
 
     // ------------------------------------------------------------------
     // Iteration
@@ -257,10 +172,6 @@ class ManagedHeap
      */
     MarkBitmap &youngScratchMap();
 
-    /** Root set (simulated stack + globals); owned by the mutator. */
-    std::vector<mem::Addr> &roots() { return roots_; }
-    const std::vector<mem::Addr> &roots() const { return roots_; }
-
     /** Reset a space's bump pointer (post-GC reclamation). */
     void resetSpace(Space space);
 
@@ -282,10 +193,6 @@ class ManagedHeap
     sim::StatGroup &stats() { return stats_; }
     double bytesAllocated() const { return bytesAllocated_.value(); }
 
-    /** The underlying object model (shared with other heap shapes). */
-    ObjectArena &arena() { return arena_; }
-    const ObjectArena &arena() const { return arena_; }
-
   private:
     mem::Addr allocIn(Region &region, std::uint64_t size_words);
     mem::Addr allocOldRaw(std::uint64_t size_words);
@@ -293,11 +200,8 @@ class ManagedHeap
     bool gcAllocFaultFires();
 
     HeapConfig cfg_;
-    const KlassTable &klasses_;
-    ObjectArena arena_;
 
     Region old_, eden_, from_, to_;
-    mem::Addr vaLimit_ = 0;
 
     CardTable cards_;
     MarkBitmap begMap_;
@@ -306,8 +210,6 @@ class ManagedHeap
 
     /** Block-offset table: first object starting in each old card. */
     std::vector<mem::Addr> firstObjInCard_;
-
-    std::vector<mem::Addr> roots_;
 
     bool gcFaultArmed_ = false;
     std::uint64_t gcFaultAfter_ = 0;

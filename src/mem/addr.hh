@@ -9,6 +9,8 @@
 
 #include <cstdint>
 
+#include "sim/logging.hh"
+
 namespace charon::mem
 {
 
@@ -22,18 +24,23 @@ alignDown(std::uint64_t v, std::uint64_t align)
     return v & ~(align - 1);
 }
 
-/** Round @p v up to a multiple of @p align (power of two). */
-constexpr std::uint64_t
-alignUp(std::uint64_t v, std::uint64_t align)
-{
-    return (v + align - 1) & ~(align - 1);
-}
-
 /** True when @p v is a power of two (and nonzero). */
 constexpr bool
 isPow2(std::uint64_t v)
 {
     return v != 0 && (v & (v - 1)) == 0;
+}
+
+/**
+ * Round @p v up to a multiple of @p align, which must be a power of
+ * two: the rounding masks.  Use divCeil for any other unit.
+ */
+constexpr std::uint64_t
+alignUp(std::uint64_t v, std::uint64_t align)
+{
+    CHARON_ASSERT(isPow2(align), "alignUp to %llu, not a power of two",
+                  static_cast<unsigned long long>(align));
+    return (v + align - 1) & ~(align - 1);
 }
 
 /** log2 of a power of two. */

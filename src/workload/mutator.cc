@@ -7,7 +7,6 @@
 namespace charon::workload
 {
 
-using heap::Space;
 using mem::Addr;
 
 int
@@ -42,15 +41,21 @@ findMinimumHeapBytes(const WorkloadParams &params, std::uint64_t seed)
 Mutator::Mutator(const WorkloadParams &params, std::uint64_t heap_bytes,
                  std::uint64_t seed, int gc_threads, int num_cubes,
                  gc::CollectorModel model)
-    : params_(params), rng_(seed)
+    : params_(params),
+      heap_(gc::makeHeap(model, heap_bytes, klasses_.table)),
+      rng_(seed)
 {
-    heapCfg_.heapBytes = mem::alignUp(heap_bytes, 4096);
-    heap_ = std::make_unique<heap::ManagedHeap>(heapCfg_, klasses_.table);
     cubeShift_ = chooseCubeShift(heap_->vaLimit(), num_cubes);
     rec_ = std::make_unique<gc::TraceRecorder>(gc_threads, cubeShift_,
                                                num_cubes);
     collector_ = gc::makeCollector(model, *heap_, *rec_);
     tempRing_.reserve(params_.tempRingSlots);
+}
+
+heap::ManagedHeap &
+Mutator::generationalHeap()
+{
+    return heap::heapAs<heap::ManagedHeap>(*heap_);
 }
 
 Mutator::RootSlot
@@ -113,39 +118,21 @@ Mutator::allocate(heap::KlassId klass, std::uint64_t array_len)
     result_.mutatorInstructions += static_cast<std::uint64_t>(
         static_cast<double>(size_words) * params_.instrPerWord);
 
-    // Humongous path: objects the collector's fast path can never
-    // hold bypass it (for the generational families that is
-    // direct-to-Old, as in HotSpot).
-    if (collector_->isHumongous(size_words)) {
-        Addr obj = collector_->allocateHumongous(klass, array_len);
-        if (obj == 0) {
-            rec_->recordMutator(result_.mutatorInstructions);
-            result_.mutatorInstructions = 0;
-            auto outcome = collector_->onAllocationFailure();
-            if (outcome == gc::GcOutcome::Minor)
-                ++result_.minorGcs;
-            else if (outcome == gc::GcOutcome::Major)
-                ++result_.majorGcs;
-            obj = collector_->allocateHumongous(klass, array_len);
-            if (obj == 0) {
-                oom_ = true;
-                return 0;
-            }
-        }
-        result_.allocatedBytes += size_words * 8;
-        return obj;
-    }
-
+    // Objects the collector's fast path can never hold take its
+    // humongous path (for the generational families that is
+    // direct-to-Old, as in HotSpot; contiguous regions for G1).
+    const bool humongous = collector_->isHumongous(size_words);
     for (int attempt = 0; attempt < 3; ++attempt) {
-        Addr obj = collector_->allocate(klass, array_len);
+        Addr obj = humongous
+                       ? collector_->allocateHumongous(klass, array_len)
+                       : collector_->allocate(klass, array_len);
         if (obj != 0) {
             result_.allocatedBytes += size_words * 8;
             return obj;
         }
         rec_->recordMutator(result_.mutatorInstructions);
         result_.mutatorInstructions = 0;
-        auto outcome = collector_->onAllocationFailure();
-        switch (outcome) {
+        switch (collector_->onAllocationFailure(humongous)) {
           case gc::GcOutcome::Minor:
             ++result_.minorGcs;
             break;
@@ -157,7 +144,7 @@ Mutator::allocate(heap::KlassId klass, std::uint64_t array_len)
             return 0;
         }
     }
-    oom_ = true; // could not free enough Eden in three collections
+    oom_ = true; // three collections could not make room
     return 0;
 }
 
@@ -319,9 +306,8 @@ Mutator::serveRequests()
 }
 
 void
-Mutator::runIteration(int iteration)
+Mutator::runIteration()
 {
-    (void)iteration;
     // --- GraphChi-style shard/interval buffers: large arrays that
     // live for one interval (copied by about one scavenge each,
     // rarely promoted).
@@ -436,13 +422,14 @@ Mutator::run()
     }
     buildGraph();
     for (int it = 0; it < params_.iterations && !oom_; ++it)
-        runIteration(it);
+        runIteration();
 
     rec_->recordMutator(result_.mutatorInstructions);
     rec_->finishRun();
     result_.oom = oom_;
     result_.minorGcs = collector_->minorCount();
     result_.majorGcs = collector_->majorCount();
+    result_.markCycles = collector_->markCount();
     std::uint64_t total_instr = 0;
     for (auto n : rec_->run().mutatorInstructions)
         total_instr += n;

@@ -1,13 +1,15 @@
 /**
  * @file
- * The synthetic mutator: drives a ManagedHeap through a workload's
- * allocation pattern, triggering collections on Eden exhaustion, and
- * leaves the resulting primitive trace in a TraceRecorder.
+ * The synthetic mutator: drives a heap through a workload's
+ * allocation pattern, triggering collections when allocation fails,
+ * and leaves the resulting primitive trace in a TraceRecorder.
  *
  * The mutator is the functional stand-in for running Spark/GraphChi
  * on a JVM: object *demography* (sizes, lifetimes, reference density)
  * follows the WorkloadParams, while the GC activity it provokes is
- * completely real.
+ * completely real.  It is the same for every collector family: the
+ * heap's shape and the collection policy sit behind
+ * gc::CollectorIface and heap::ObjectHeap.
  */
 
 #ifndef CHARON_WORKLOAD_MUTATOR_HH
@@ -50,8 +52,9 @@ class Mutator
     struct RunResult
     {
         bool oom = false;
-        std::uint64_t minorGcs = 0;
-        std::uint64_t majorGcs = 0;
+        std::uint64_t minorGcs = 0;   ///< minor / G1 young collections
+        std::uint64_t majorGcs = 0;   ///< major / G1 mixed collections
+        std::uint64_t markCycles = 0; ///< G1 marking cycles
         std::uint64_t allocatedBytes = 0;
         std::uint64_t mutatorInstructions = 0;
     };
@@ -75,7 +78,9 @@ class Mutator
 
     gc::CollectorIface &collector() { return *collector_; }
     gc::TraceRecorder &recorder() { return *rec_; }
-    heap::ManagedHeap &heap() { return *heap_; }
+    heap::ObjectHeap &heap() { return *heap_; }
+    /** The heap of the PS, CMS and RC families; panics under G1. */
+    heap::ManagedHeap &generationalHeap();
     int cubeShift() const { return cubeShift_; }
     const WorkloadParams &params() const { return params_; }
 
@@ -83,8 +88,9 @@ class Mutator
     using RootSlot = std::size_t;
 
     /**
-     * Allocate with GC-on-failure (and the humongous direct-to-old
-     * path for objects larger than Eden).  Returns 0 on OOM.
+     * Allocate with GC-on-failure: up to three attempts, the
+     * collector's humongous path for objects its fast path can never
+     * hold.  Returns 0 on OOM.
      */
     mem::Addr allocate(heap::KlassId klass, std::uint64_t array_len = 0);
 
@@ -103,15 +109,14 @@ class Mutator
     void holdBigTemp(mem::Addr obj);
 
     void buildGraph();
-    void runIteration(int iteration);
+    void runIteration();
     void serveRequests();
     void allocSmallTemps();
     mem::Addr randomGraphNode();
 
     WorkloadParams params_;
     MutatorKlasses klasses_;
-    heap::HeapConfig heapCfg_;
-    std::unique_ptr<heap::ManagedHeap> heap_;
+    std::unique_ptr<heap::ObjectHeap> heap_;
     std::unique_ptr<gc::TraceRecorder> rec_;
     std::unique_ptr<gc::CollectorIface> collector_;
     sim::Rng rng_;

@@ -18,10 +18,8 @@
 
 #include "fault/inject.hh"
 #include "gc/capability.hh"
-#include "gc/g1_collector.hh"
 #include "gc/verify.hh"
 #include "platform/platform_sim.hh"
-#include "workload/g1_mutator.hh"
 #include "workload/mutator.hh"
 
 using namespace charon;
@@ -44,38 +42,19 @@ record(gc::CollectorModel model)
 {
     const auto &params = workload::findWorkload("CC");
     // The RC collector serves every allocation from the old space,
-    // so it needs the full catalog heap; the generational families
-    // are happy with far less.
-    std::uint64_t heap = model == gc::CollectorModel::Rc
-                             ? params.heapBytes * 2
-                             : params.minHeapBytes * 2;
+    // so it needs the full catalog heap; G1 keeps the catalog heap;
+    // the generational families are happy with far less.
+    std::uint64_t heap = params.minHeapBytes * 2;
+    if (model == gc::CollectorModel::Rc)
+        heap = params.heapBytes * 2;
+    else if (model == gc::CollectorModel::G1)
+        heap = params.heapBytes;
     workload::Mutator mut(params, heap, 1, 8, 4, model);
     CapabilitySet caps = mut.collector().capabilities();
     auto r = mut.run();
     EXPECT_FALSE(r.oom) << "OOM under "
-                        << gc::collectorModelName(model);
+                        << gc::collectorToken(model);
     return Recorded{mut.recorder().run(), caps, mut.cubeShift()};
-}
-
-Recorded
-recordG1()
-{
-    const auto &params = workload::findWorkload("CC");
-    workload::G1Mutator mut(params, params.heapBytes, 1, 8, 4);
-    auto r = mut.run();
-    EXPECT_FALSE(r.oom) << "OOM under g1";
-    Recorded rec;
-    rec.trace = mut.recorder().run();
-    rec.cubeShift = mut.cubeShift();
-    // G1Mutator owns its collector privately; re-derive the declared
-    // set from a scratch instance (capabilities are static per
-    // family).
-    heap::KlassTable klasses;
-    heap::G1Config cfg;
-    heap::G1Heap heap(cfg, klasses);
-    gc::TraceRecorder scratch(1, 20);
-    rec.caps = gc::G1Collector(heap, scratch).capabilities();
-    return rec;
 }
 
 /** Union of primitives with any recorded invocations. */
@@ -132,7 +111,7 @@ TEST(Capability, ParallelScavengeDeclarationMatchesTrace)
 
 TEST(Capability, G1DeclarationMatchesTrace)
 {
-    auto rec = recordG1();
+    auto rec = record(gc::CollectorModel::G1);
     checkHonest(rec, "g1");
     // Evacuation Copy + Scan&Push; no card-table Search (remembered
     // sets replace it).

@@ -25,6 +25,7 @@
 #include "dse/objective.hh"
 #include "dse/param_space.hh"
 #include "dse/presets.hh"
+#include "gc/trace_io.hh"
 #include "harness/experiment_runner.hh"
 
 using namespace charon;
@@ -163,6 +164,62 @@ TEST(ParamSpace, FleetAxesOmittedOnDefaultForJournalBackCompat)
     EXPECT_FALSE(applyAxisValue(p, "arb", "lifo", &error));
     EXPECT_FALSE(applyAxisValue(p, "tenants", "65", &error));
     EXPECT_FALSE(applyAxisValue(p, "slo-ms", "-1", &error));
+}
+
+TEST(PersistedForms, CollectorValuesAndTokensNeverMove)
+{
+    // Trace-cache headers store each family's enum value; cache keys
+    // and journal keys spell its token.  Reordering the enum or
+    // renaming a token would silently orphan every cache entry and
+    // journal record of the families it moved.
+    struct Family
+    {
+        gc::CollectorModel model;
+        std::uint64_t headerValue;
+        const char *token;
+    };
+    const Family families[] = {
+        {gc::CollectorModel::ParallelScavenge, 0, "ps"},
+        {gc::CollectorModel::G1, 1, "g1"},
+        {gc::CollectorModel::Cms, 2, "cms"},
+        {gc::CollectorModel::Rc, 3, "rc"},
+    };
+    harness::TraceCache cache(freshDir("persisted-forms"));
+    for (const auto &f : families) {
+        SCOPED_TRACE(f.token);
+        harness::FunctionalKey key;
+        key.workload = "KM";
+        key.collector = f.model;
+        key.heapBytes = 64 * sim::kMiB;
+        EXPECT_EQ(key.str(), std::string("KM/") + f.token
+                                 + "/h67108864/s1/t8/c4/ct256");
+
+        // Header: magic, format version, workload, collector.
+        ASSERT_TRUE(cache.store(key, harness::FunctionalRun{}));
+        std::ifstream is(cache.path(key), std::ios::binary);
+        char magic[8];
+        std::uint64_t version = 0, collector = 99;
+        std::string workload;
+        ASSERT_TRUE(is.read(magic, sizeof(magic)));
+        ASSERT_TRUE(gc::io::getU64(is, version));
+        ASSERT_TRUE(gc::io::getString(is, workload));
+        ASSERT_TRUE(gc::io::getU64(is, collector));
+        EXPECT_EQ(collector, f.headerValue);
+
+        // The DSE axis parses the token; the journal key carries it
+        // off the default family only.
+        std::string error;
+        DsePoint p;
+        ASSERT_TRUE(applyAxisValue(p, "collector", f.token, &error))
+            << error;
+        EXPECT_EQ(p.collector, f.model);
+        if (f.model == gc::CollectorModel::ParallelScavenge)
+            EXPECT_EQ(p.str(), DsePoint().str());
+    }
+    DsePoint g1;
+    g1.collector = gc::CollectorModel::G1;
+    EXPECT_EQ(g1.str(),
+              "KM/g1/h0/s1/t8/c4/ct256/cs8/bc8/sp8/tsv320/link80/uni");
 }
 
 TEST(ParamSpace, ServiceWorkloadsAreValidAxisValues)

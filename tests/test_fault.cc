@@ -241,7 +241,7 @@ TEST_F(PromotionFaultTest, ScavengeSelfForwardsAndPreservesGraph)
     mem::Addr b = rootNode(1);
     heap->storeRef(a, 0, b);
     heap->storeRef(b, 1, a);
-    auto before = gc::fingerprintHeap(*heap);
+    auto before = gc::fingerprintGraph(*heap);
 
     heap->setGcAllocFault(/*after=*/0, /*count=*/1u << 20);
     gc::Scavenge scavenge(*heap, *rec);
@@ -250,7 +250,7 @@ TEST_F(PromotionFaultTest, ScavengeSelfForwardsAndPreservesGraph)
     EXPECT_GT(result.objectsFailed, 0u);
 
     gc::checkHeapIntegrity(*heap);
-    auto after = gc::fingerprintHeap(*heap);
+    auto after = gc::fingerprintGraph(*heap);
     EXPECT_TRUE(before == after)
         << "failed scavenge must preserve the reachable graph";
 }
@@ -259,7 +259,7 @@ TEST_F(PromotionFaultTest, CollectorEscalatesToFullGc)
 {
     for (std::size_t i = 0; i < 64; ++i)
         rootNode(i);
-    auto before = gc::fingerprintHeap(*heap);
+    auto before = gc::fingerprintGraph(*heap);
 
     gc::Collector collector(*heap, *rec);
     heap->setGcAllocFault(/*after=*/4, /*count=*/1u << 20);
@@ -270,7 +270,7 @@ TEST_F(PromotionFaultTest, CollectorEscalatesToFullGc)
     EXPECT_EQ(collector.majorCount(), 1u);
 
     gc::checkHeapIntegrity(*heap);
-    auto after = gc::fingerprintHeap(*heap);
+    auto after = gc::fingerprintGraph(*heap);
     EXPECT_TRUE(before == after);
 }
 
@@ -278,13 +278,14 @@ TEST(PromotionFault, MutatorRunRecoversEndToEnd)
 {
     const auto &params = workload::findWorkload("CC");
     workload::Mutator m(params, params.minHeapBytes * 2);
-    m.heap().setGcAllocFault(/*after=*/32, /*count=*/4);
+    auto &heap = m.generationalHeap();
+    heap.setGcAllocFault(/*after=*/32, /*count=*/4);
     auto result = m.run();
     EXPECT_FALSE(result.oom);
     EXPECT_GT(result.majorGcs, 0u) << "the injected failure must "
                                       "have escalated at least once";
-    gc::checkHeapIntegrity(m.heap());
-    EXPECT_TRUE(gc::verifyCardTable(m.heap()).ok());
+    gc::checkHeapIntegrity(heap);
+    EXPECT_TRUE(gc::verifyCardTable(heap).ok());
 }
 
 // --- recorder failover ----------------------------------------------
@@ -297,7 +298,7 @@ TEST(Failover, TripsToHostOnlyAndPreservesFingerprint)
     workload::Mutator clean(params, heapBytes);
     auto cleanResult = clean.run();
     ASSERT_FALSE(cleanResult.oom);
-    auto cleanFp = gc::fingerprintHeap(clean.heap());
+    auto cleanFp = gc::fingerprintGraph(clean.heap());
 
     workload::Mutator faulted(params, heapBytes);
     faulted.recorder().armFailover(/*after=*/0);
@@ -307,7 +308,7 @@ TEST(Failover, TripsToHostOnlyAndPreservesFingerprint)
 
     // Degrading the recording is timing-model-only: the functional
     // collections are untouched, so the final graph matches.
-    auto fp = gc::fingerprintHeap(faulted.heap());
+    auto fp = gc::fingerprintGraph(faulted.heap());
     EXPECT_TRUE(fp == cleanFp);
     EXPECT_EQ(result.minorGcs, cleanResult.minorGcs);
     EXPECT_EQ(result.majorGcs, cleanResult.majorGcs);

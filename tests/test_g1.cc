@@ -283,8 +283,8 @@ TEST_F(G1Test, PolicyDriverCollectsUnderPressure)
     for (int i = 0; i < 600000; ++i) {
         Addr obj = heap->allocate(nodeId);
         if (obj == 0) {
-            auto outcome = g1->collectOnAllocationFailure();
-            ASSERT_NE(outcome, G1Outcome::OutOfMemory);
+            auto outcome = g1->onAllocationFailure(/*humongous=*/false);
+            ASSERT_NE(outcome, GcOutcome::OutOfMemory);
             obj = heap->allocate(nodeId);
             ASSERT_NE(obj, 0u);
         }
@@ -297,8 +297,8 @@ TEST_F(G1Test, PolicyDriverCollectsUnderPressure)
             }
         }
     }
-    EXPECT_GT(g1->youngCount(), 0u);
-    EXPECT_GT(g1->mixedCount(), 0u);
+    EXPECT_GT(g1->minorCount(), 0u);
+    EXPECT_GT(g1->majorCount(), 0u);
     EXPECT_GT(g1->markCount(), 0u);
     heap->verify();
 }
@@ -339,8 +339,8 @@ TEST_F(G1Test, PropertyRandomGraphSurvivesG1Cycles)
                                       rng.range(1, 12))
                      : heap->allocate(nodeId);
         if (o == 0) {
-            ASSERT_NE(g1->collectOnAllocationFailure(),
-                      G1Outcome::OutOfMemory);
+            ASSERT_NE(g1->onAllocationFailure(/*humongous=*/false),
+                      GcOutcome::OutOfMemory);
             --i;
             continue;
         }
@@ -425,10 +425,10 @@ TEST_F(G1Test, PolicyEscalatesAfterEvacuationFailure)
     for (int i = 0; i < 400000; ++i) {
         Addr obj = heap->allocate(nodeId);
         if (obj == 0) {
-            auto outcome = g1->collectOnAllocationFailure();
-            if (outcome == G1Outcome::OutOfMemory)
+            auto outcome = g1->onAllocationFailure(/*humongous=*/false);
+            if (outcome == GcOutcome::OutOfMemory)
                 break;
-            outcome_mixed += outcome == G1Outcome::Mixed ? 1 : 0;
+            outcome_mixed += outcome == GcOutcome::Major ? 1 : 0;
             obj = heap->allocate(nodeId);
             if (obj == 0)
                 break;
@@ -444,5 +444,5 @@ TEST_F(G1Test, PolicyEscalatesAfterEvacuationFailure)
         }
     }
     heap->verify();
-    EXPECT_GT(outcome_mixed + static_cast<int>(g1->mixedCount()), 0);
+    EXPECT_GT(outcome_mixed + static_cast<int>(g1->majorCount()), 0);
 }

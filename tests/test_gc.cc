@@ -69,12 +69,12 @@ TEST_F(GcTest, ScavengeKeepsReachableDropsGarbage)
     Addr child = heap->allocEden(nodeId);
     heap->storeRef(keep, 0, child);
 
-    auto before = fingerprintHeap(*heap);
+    auto before = fingerprintGraph(*heap);
     Scavenge sc(*heap, *rec);
     auto result = sc.collect();
 
     EXPECT_EQ(result.objectsCopied + result.objectsPromoted, 2u);
-    EXPECT_EQ(fingerprintHeap(*heap), before);
+    EXPECT_EQ(fingerprintGraph(*heap), before);
     // Eden empty, survivors in From (post-swap).
     EXPECT_EQ(heap->region(Space::Eden).used(), 0u);
     EXPECT_EQ(heap->objectCount(Space::From), 2u);
@@ -246,13 +246,13 @@ TEST_F(GcTest, MarkCompactPreservesGraph)
     heap->storeRef(c, 1, a);
     heap->allocEden(bigId); // garbage
 
-    auto before = fingerprintHeap(*heap);
+    auto before = fingerprintGraph(*heap);
     MarkCompact mc(*heap, *rec);
     auto result = mc.collect();
 
     EXPECT_FALSE(result.outOfMemory);
     EXPECT_EQ(result.liveObjects, 3u);
-    EXPECT_EQ(fingerprintHeap(*heap), before);
+    EXPECT_EQ(fingerprintGraph(*heap), before);
     checkHeapIntegrity(*heap);
 }
 
@@ -283,11 +283,11 @@ TEST_F(GcTest, MarkCompactIsIdempotentOnPackedHeap)
     for (int i = 0; i < 20; ++i)
         rootNode(static_cast<std::size_t>(i));
     MarkCompact(*heap, *rec).collect();
-    auto fp1 = fingerprintHeap(*heap);
+    auto fp1 = fingerprintGraph(*heap);
     auto r2 = MarkCompact(*heap, *rec).collect();
     // Already packed: every object "moves" to its own address.
     EXPECT_EQ(r2.bytesMoved, 0u);
-    EXPECT_EQ(fingerprintHeap(*heap), fp1);
+    EXPECT_EQ(fingerprintGraph(*heap), fp1);
 }
 
 TEST_F(GcTest, MarkCompactEmitsBitmapCountAndCopy)
@@ -350,10 +350,10 @@ TEST_F(GcTest, MarkCompactOutOfMemoryLeavesHeapIntact)
     }
     (void)big_bytes;
 
-    auto before = fingerprintHeap(*heap);
+    auto before = fingerprintGraph(*heap);
     auto result = MarkCompact(*heap, *rec).collect();
     EXPECT_TRUE(result.outOfMemory);
-    EXPECT_EQ(fingerprintHeap(*heap), before);
+    EXPECT_EQ(fingerprintGraph(*heap), before);
 }
 
 // ---------------------------------------------------------------------
@@ -363,7 +363,7 @@ TEST_F(GcTest, PolicyRunsMinorWhenGuaranteeHolds)
 {
     rootNode(0);
     Collector coll(*heap, *rec);
-    EXPECT_EQ(coll.onAllocationFailure(), GcOutcome::Minor);
+    EXPECT_EQ(coll.onAllocationFailure(/*humongous=*/false), GcOutcome::Minor);
     EXPECT_EQ(coll.minorCount(), 1u);
     EXPECT_EQ(coll.majorCount(), 0u);
 }
@@ -401,7 +401,7 @@ TEST_F(GcTest, PolicyEscalatesToMajorWhenOldIsFull)
         heap->roots().push_back(o);
     }
     Collector coll(*heap, *rec);
-    EXPECT_EQ(coll.onAllocationFailure(), GcOutcome::Major);
+    EXPECT_EQ(coll.onAllocationFailure(/*humongous=*/false), GcOutcome::Major);
     EXPECT_EQ(coll.majorCount(), 1u);
     checkHeapIntegrity(*heap);
 }
@@ -430,13 +430,13 @@ TEST_F(GcTest, MarkSweepReclaimsDeadOldObjects)
     for (std::size_t i = 0; i < all.size(); i += 2)
         heap->roots().push_back(all[i]);
 
-    auto before = fingerprintHeap(*heap);
+    auto before = fingerprintGraph(*heap);
     MarkSweep ms(*heap, *rec);
     auto result = ms.collect();
 
     EXPECT_EQ(result.liveObjects, all.size() / 2);
     EXPECT_EQ(result.freedBytes, (all.size() / 2) * 80);
-    EXPECT_EQ(fingerprintHeap(*heap), before); // nothing moved
+    EXPECT_EQ(fingerprintGraph(*heap), before); // nothing moved
     heap->verifySpace(Space::Old);             // fillers walkable
     checkHeapIntegrity(*heap);
 }
@@ -541,13 +541,13 @@ TEST_F(GcTest, PropertyRandomGraphsSurviveManyCollections)
             heap->roots().push_back(o);
     }
 
-    auto fp = fingerprintHeap(*heap);
+    auto fp = fingerprintGraph(*heap);
     for (int round = 0; round < 6; ++round) {
         if (round % 3 == 2)
             MarkCompact(*heap, *rec).collect();
         else
             Scavenge(*heap, *rec).collect();
-        ASSERT_EQ(fingerprintHeap(*heap), fp) << "round " << round;
+        ASSERT_EQ(fingerprintGraph(*heap), fp) << "round " << round;
         checkHeapIntegrity(*heap);
     }
 }
@@ -623,7 +623,7 @@ TEST_F(GcTest, PromotionGuaranteeProbesWithTheLiveThreshold)
                                    blocker_words - 3),
               0u);
     ASSERT_EQ(heap->region(Space::Old).free(), need_old - 8);
-    EXPECT_EQ(coll.onAllocationFailure(), GcOutcome::Major);
+    EXPECT_EQ(coll.onAllocationFailure(/*humongous=*/false), GcOutcome::Major);
     EXPECT_EQ(coll.majorCount(), 1u);
     ASSERT_EQ(coll.tenuringThreshold(), 1);
 

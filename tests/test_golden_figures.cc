@@ -104,15 +104,15 @@ zooCells()
     const auto &cc = workload::findWorkload("CC");
     struct Row
     {
-        CollectorKind kind;
+        gc::CollectorModel kind;
         std::uint64_t heap;
     };
     // G1 wants the catalog region heap; RC keeps everything in the
     // old space and needs double; CMS matches the fig12 sizing.
     const Row rows[] = {
-        {CollectorKind::G1, cc.heapBytes},
-        {CollectorKind::Cms, cc.minHeapBytes * 2},
-        {CollectorKind::Rc, cc.heapBytes * 2},
+        {gc::CollectorModel::G1, cc.heapBytes},
+        {gc::CollectorModel::Cms, cc.minHeapBytes * 2},
+        {gc::CollectorModel::Rc, cc.heapBytes * 2},
     };
     std::vector<Cell> cells;
     for (const auto &row : rows) {
@@ -124,7 +124,7 @@ zooCells()
             c.key.heapBytes = row.heap;
             c.platform = kind;
             c.label = std::string("CC (")
-                      + collectorKindToken(row.kind) + ") on "
+                      + gc::collectorToken(row.kind) + ") on "
                       + sim::platformName(kind);
             cells.push_back(c);
         }
@@ -186,7 +186,7 @@ Golden
 measureZoo()
 {
     return measureCells(zooCells(), [](const Cell &c) {
-        return std::string(collectorKindToken(c.key.collector));
+        return std::string(gc::collectorToken(c.key.collector));
     });
 }
 

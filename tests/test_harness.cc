@@ -130,7 +130,7 @@ TEST(TraceCache, DistinctKeysAreDistinctEntries)
     FunctionalKey b = a;
     b.seed = 4;
     FunctionalKey c = a;
-    c.collector = CollectorKind::G1;
+    c.collector = gc::CollectorModel::G1;
     EXPECT_NE(cache.path(a), cache.path(b));
     EXPECT_NE(cache.path(a), cache.path(c));
 

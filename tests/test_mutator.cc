@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "gc/verify.hh"
+#include "heap/g1_heap.hh"
 #include "workload/mutator.hh"
 
 using namespace charon;
@@ -80,7 +81,7 @@ TEST_P(MutatorRun, CompletesWithHealthyHeapAndBothGcKinds)
     EXPECT_GT(result.majorGcs, 0u) << params.name;
     EXPECT_GT(result.allocatedBytes, params.heapBytes)
         << "should churn more than one heap's worth";
-    gc::checkHeapIntegrity(mut.heap());
+    gc::checkHeapIntegrity(mut.generationalHeap());
 
     // The trace must carry every GC plus per-GC mutator segments.
     const auto &run = mut.recorder().run();
@@ -177,18 +178,18 @@ TEST(Mutator, MinHeapCompletesWithoutOom)
 // ---------------------------------------------------------------------
 // The same workloads on the G1 collector
 
-#include "workload/g1_mutator.hh"
+constexpr auto kG1 = gc::CollectorModel::G1;
 
-TEST(G1Mutator, RunsWorkloadsWithBothCycleKinds)
+TEST(MutatorG1, RunsWorkloadsWithBothCycleKinds)
 {
     for (const char *name : {"KM", "CC"}) {
         const auto &params = findWorkload(name);
-        workload::G1Mutator mut(params, params.heapBytes, 1);
+        Mutator mut(params, params.heapBytes, 1, 8, 4, kG1);
         auto result = mut.run();
         EXPECT_FALSE(result.oom) << name;
-        EXPECT_GT(result.youngGcs + result.mixedGcs, 0u) << name;
+        EXPECT_GT(result.minorGcs + result.majorGcs, 0u) << name;
         EXPECT_GT(result.allocatedBytes, params.heapBytes) << name;
-        mut.heap().verify();
+        heap::heapAs<heap::G1Heap>(mut.heap()).verify();
         // The trace carries the primitives Table 1 promises.
         const auto &run = mut.recorder().run();
         std::uint64_t copies = 0, scans = 0;
@@ -201,26 +202,37 @@ TEST(G1Mutator, RunsWorkloadsWithBothCycleKinds)
     }
 }
 
-TEST(G1Mutator, Deterministic)
+TEST(MutatorG1, Deterministic)
 {
     const auto &params = findWorkload("ALS");
-    workload::G1Mutator a(params, params.heapBytes * 2, 7);
-    workload::G1Mutator b(params, params.heapBytes * 2, 7);
+    Mutator a(params, params.heapBytes * 2, 7, 8, 4, kG1);
+    Mutator b(params, params.heapBytes * 2, 7, 8, 4, kG1);
     auto ra = a.run();
     auto rb = b.run();
     EXPECT_EQ(ra.oom, rb.oom);
-    EXPECT_EQ(ra.youngGcs, rb.youngGcs);
-    EXPECT_EQ(ra.mixedGcs, rb.mixedGcs);
+    EXPECT_EQ(ra.minorGcs, rb.minorGcs);
+    EXPECT_EQ(ra.majorGcs, rb.majorGcs);
     EXPECT_EQ(ra.allocatedBytes, rb.allocatedBytes);
 }
 
-TEST(G1Mutator, HumongousChurnSurvivesViaMarkingCycles)
+TEST(MutatorG1, HumongousChurnSurvivesViaMarkingCycles)
 {
     // ALS's per-iteration humongous factors demand G1's
     // humongous-allocation-failure marking path.
     const auto &params = findWorkload("ALS");
-    workload::G1Mutator mut(params, params.heapBytes * 2, 1);
+    Mutator mut(params, params.heapBytes * 2, 1, 8, 4, kG1);
     auto result = mut.run();
     EXPECT_FALSE(result.oom);
     EXPECT_GT(result.markCycles, 0u);
+}
+
+TEST(MutatorG1, RegionOfAnyHeapSizeTilesTheHeap)
+{
+    // 111 MiB / 64 regions is no power of two: the sizing must round
+    // the heap to whole regions by division, not by masking.
+    const auto &params = findWorkload("KM");
+    Mutator mut(params, 111 * sim::kMiB, 1, 8, 4, kG1);
+    auto result = mut.run();
+    EXPECT_FALSE(result.oom);
+    EXPECT_GT(result.minorGcs, 0u);
 }

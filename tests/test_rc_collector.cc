@@ -122,7 +122,7 @@ TEST_F(RcCollectorTest, ZctDrainReclaimsAcyclicGarbageTransitively)
     heap->storeRef(b, 0, c);
     bulkGarbage(); // keeps this epoch below the backup-pass trigger
 
-    EXPECT_EQ(rc->onAllocationFailure(), GcOutcome::Major);
+    EXPECT_EQ(rc->onAllocationFailure(/*humongous=*/false), GcOutcome::Major);
 
     EXPECT_EQ(rc->backupMarkPasses(), 0u)
         << "acyclic garbage must not need the backup pass";
@@ -154,7 +154,7 @@ TEST_F(RcCollectorTest, DeadCycleIsHandedToTheBackupMarkPass)
     heap->storeRef(x, 0, y);
     heap->storeRef(y, 0, x);
 
-    EXPECT_EQ(rc->onAllocationFailure(), GcOutcome::Major);
+    EXPECT_EQ(rc->onAllocationFailure(/*humongous=*/false), GcOutcome::Major);
 
     EXPECT_EQ(rc->backupMarkPasses(), 1u);
     EXPECT_EQ(rc->freeQueueBlocks(), 2u);
@@ -189,7 +189,7 @@ TEST_F(RcCollectorTest, RootedCycleSurvivesUntilUnrooted)
 
     // Epoch 1: the backup pass runs (too little recovered) but must
     // not touch the reachable cycle.
-    EXPECT_EQ(rc->onAllocationFailure(), GcOutcome::Major);
+    EXPECT_EQ(rc->onAllocationFailure(/*humongous=*/false), GcOutcome::Major);
     EXPECT_EQ(rc->backupMarkPasses(), 1u);
     EXPECT_EQ(heap->refAt(r, 0), x);
     EXPECT_EQ(heap->refAt(x, 0), y);
@@ -199,7 +199,7 @@ TEST_F(RcCollectorTest, RootedCycleSurvivesUntilUnrooted)
     // one, and the second backup pass reclaims x and y.
     root(0, 0);
     node();
-    EXPECT_EQ(rc->onAllocationFailure(), GcOutcome::Major);
+    EXPECT_EQ(rc->onAllocationFailure(/*humongous=*/false), GcOutcome::Major);
     EXPECT_EQ(rc->backupMarkPasses(), 2u);
     EXPECT_EQ(rc->majorCount(), 2u);
 
@@ -219,7 +219,8 @@ TEST_F(RcCollectorTest, EpochWithNothingToFreeReportsOutOfMemory)
 {
     Addr keep = node();
     root(0, keep);
-    EXPECT_EQ(rc->onAllocationFailure(), GcOutcome::OutOfMemory);
+    EXPECT_EQ(rc->onAllocationFailure(/*humongous=*/false),
+              GcOutcome::OutOfMemory);
     EXPECT_EQ(rc->backupMarkPasses(), 1u)
         << "the backup pass must run before giving up";
     EXPECT_EQ(heap->roots()[0], keep);
@@ -287,9 +288,10 @@ TEST_F(RcCollectorTest, EpochsPreserveTheLiveGraphAndMarkWords)
         if (epoch % 2 == 0)
             bulkGarbage();
 
-        const GraphFingerprint before = fingerprintHeap(*heap);
-        ASSERT_EQ(rc->onAllocationFailure(), GcOutcome::Major);
-        EXPECT_EQ(fingerprintHeap(*heap), before) << "epoch " << epoch;
+        const GraphFingerprint before = fingerprintGraph(*heap);
+        ASSERT_EQ(rc->onAllocationFailure(/*humongous=*/false),
+                  GcOutcome::Major);
+        EXPECT_EQ(fingerprintGraph(*heap), before) << "epoch " << epoch;
         checkHeapIntegrity(*heap);
         heap->forEachObject(Space::Old, [&](Addr obj) {
             EXPECT_FALSE(heap->isForwarded(obj))
@@ -312,7 +314,7 @@ TEST_F(RcCollectorTest, ExactFitReusesTheFreedBlock)
     Addr dead = node();
     heap->storeRef(dead, 1, keep); // dying refs must not pin targets
 
-    EXPECT_EQ(rc->onAllocationFailure(), GcOutcome::Major);
+    EXPECT_EQ(rc->onAllocationFailure(/*humongous=*/false), GcOutcome::Major);
     ASSERT_EQ(rc->freeQueueBlocks(), 1u);
 
     Addr fresh = node();
@@ -334,7 +336,7 @@ TEST_F(RcCollectorTest, RecycledBlockGetsTheFullHeaderOfItsNewKind)
     // size carries the blob's length word, as a bump allocation does.
     auto pool = klasses.define("Pool", heap::KlassKind::ConstantPool);
     Addr dead = node();
-    EXPECT_EQ(rc->onAllocationFailure(), GcOutcome::Major);
+    EXPECT_EQ(rc->onAllocationFailure(/*humongous=*/false), GcOutcome::Major);
     ASSERT_EQ(rc->freeQueueBlocks(), 1u);
 
     ASSERT_EQ(heap->sizeWordsFor(pool, 20), heap->sizeWordsFor(nodeId, 0));
@@ -347,7 +349,7 @@ TEST_F(RcCollectorTest, RecycledBlockGetsTheFullHeaderOfItsNewKind)
 TEST_F(RcCollectorTest, SameSizedBlocksRecycleLifo)
 {
     Addr d1 = node(), d2 = node();
-    EXPECT_EQ(rc->onAllocationFailure(), GcOutcome::Major);
+    EXPECT_EQ(rc->onAllocationFailure(/*humongous=*/false), GcOutcome::Major);
     ASSERT_EQ(rc->freeQueueBlocks(), 2u);
 
     // Whichever block the drain freed last comes back first.
@@ -366,7 +368,7 @@ TEST_F(RcCollectorTest, LargerBlockSplitsAndBinsTheRemainder)
     // back into the bins as a filler-covered remainder.
     Addr big = rc->allocate(klasses.byteArrayId(), 4096);
     ASSERT_NE(big, 0u);
-    EXPECT_EQ(rc->onAllocationFailure(), GcOutcome::Major);
+    EXPECT_EQ(rc->onAllocationFailure(/*humongous=*/false), GcOutcome::Major);
     ASSERT_EQ(rc->freeQueueBlocks(), 1u);
 
     const std::uint64_t big_words =

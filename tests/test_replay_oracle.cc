@@ -27,7 +27,6 @@
 #include "sim/instrumentation.hh"
 #include "sim/timeline.hh"
 #include "timing_eq.hh"
-#include "workload/g1_mutator.hh"
 #include "workload/mutator.hh"
 
 using namespace charon;
@@ -113,14 +112,17 @@ record(gc::CollectorModel model)
 {
     const auto &params = workload::findWorkload("CC");
     // RC serves every allocation from the old space, so it needs the
-    // full catalog heap; the generational families need far less.
-    std::uint64_t heap = model == gc::CollectorModel::Rc
-                             ? params.heapBytes * 2
-                             : params.minHeapBytes * 2;
+    // full catalog heap; G1 keeps the catalog heap; the generational
+    // families need far less.
+    std::uint64_t heap = params.minHeapBytes * 2;
+    if (model == gc::CollectorModel::Rc)
+        heap = params.heapBytes * 2;
+    else if (model == gc::CollectorModel::G1)
+        heap = params.heapBytes;
     workload::Mutator mut(params, heap, 1, 8, 4, model);
     auto r = mut.run();
     EXPECT_FALSE(r.oom) << "OOM under "
-                        << gc::collectorModelName(model);
+                        << gc::collectorToken(model);
     return Recorded{mut.recorder().run(), mut.cubeShift()};
 }
 
@@ -133,13 +135,9 @@ TEST(ReplayOracle, ParallelScavengeTraceAllPlatforms)
 
 TEST(ReplayOracle, G1TraceAllPlatforms)
 {
-    const auto &params = workload::findWorkload("CC");
-    workload::G1Mutator mut(params, params.heapBytes, 1, 8, 4);
-    auto r = mut.run();
-    ASSERT_FALSE(r.oom);
-    gc::RunTrace trace = mut.recorder().run();
-    ASSERT_FALSE(trace.gcs.empty());
-    oracleAllPlatforms(trace, mut.cubeShift());
+    auto rec = record(gc::CollectorModel::G1);
+    ASSERT_FALSE(rec.trace.gcs.empty());
+    oracleAllPlatforms(rec.trace, rec.cubeShift);
 }
 
 TEST(ReplayOracle, CmsTraceAllPlatforms)

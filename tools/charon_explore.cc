@@ -157,16 +157,12 @@ main(int argc, char **argv)
             (preset.empty() ? std::string("sweep") : preset)
             + ".dse.jsonl";
     if (mergeShards) {
-        auto shardFiles = dse::listShardJournals(journalPath);
-        dse::SweepJournal::MergeStats st;
-        std::string error;
-        if (!dse::SweepJournal::mergeJournals(journalPath, shardFiles,
-                                              &error, &st)) {
-            std::fprintf(stderr, "dse: %s\n", error.c_str());
+        auto absorbed = dse::absorbShardJournals(journalPath);
+        if (!absorbed.ok) {
+            std::fprintf(stderr, "dse: %s\n", absorbed.error.c_str());
             return 1;
         }
-        for (const auto &f : shardFiles)
-            std::remove(f.c_str());
+        const auto &st = absorbed.merge;
         std::fprintf(stderr,
                      "dse: merged %zu source(s) into %s: %zu "
                      "records, %zu duplicates, %zu torn line(s)\n",
