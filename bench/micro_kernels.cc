@@ -9,7 +9,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "accel/bitmap_count_alg.hh"
 #include "heap/bitmap.hh"
 #include "heap/heap.hh"
 #include "mem/cache_model.hh"
@@ -76,7 +75,7 @@ BM_BitmapCountOptimized(benchmark::State &state)
     const std::uint64_t range = static_cast<std::uint64_t>(state.range(0));
     std::uint64_t start = 0;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(accel::optimizedLiveWords(
+        benchmark::DoNotOptimize(heap::optimizedLiveWords(
             m.beg, m.end, start, start + range));
         start = (start + range) % (kBytes / 8 - range);
     }

@@ -16,12 +16,6 @@ MarkCompact::MarkCompact(heap::ManagedHeap &heap, TraceRecorder &recorder)
 {
 }
 
-bool
-MarkCompact::isMarked(Addr obj) const
-{
-    return heap_.begBitmap().test(obj);
-}
-
 void
 MarkCompact::markPhase()
 {
@@ -32,18 +26,21 @@ MarkCompact::markPhase()
     opt.dualBitmap = true;
     opt.rootPushGlue = true;
     opt.nullCheckFirst = true;
-    opt.liveOut = &live_;
     MarkStats stats = runMarkClosure(heap_, rec_, opt);
     result_.liveObjects = stats.liveObjects;
     result_.liveBytes = stats.liveBytes;
-
-    std::sort(live_.begin(), live_.end());
 }
 
-std::uint64_t
-MarkCompact::regionOf(Addr addr) const
+template <typename Fn>
+void
+MarkCompact::forEachLive(Fn &&fn) const
 {
-    return (addr - heap_.base()) / kRegionBytes;
+    const auto &beg = heap_.begBitmap();
+    const std::uint64_t limit = beg.numBits();
+    for (std::uint64_t bit = beg.findNextSet(0, limit); bit < limit;
+         bit = beg.findNextSet(bit + 1, limit)) {
+        fn(beg.bitAddr(bit));
+    }
 }
 
 void
@@ -53,69 +50,67 @@ MarkCompact::summaryPhase()
     const auto &costs = rec_.costs();
 
     // Per-region live-word totals (objects straddling region borders
-    // split their words by location, as HotSpot's add_obj does), then
-    // the destination prefix.
-    const std::uint64_t num_regions =
-        mem::divCeil(heap_.heapBytes(), kRegionBytes);
-    std::vector<std::uint64_t> region_words(num_regions, 0);
-    for (Addr obj : live_) {
-        Addr end = obj + heap_.sizeBytes(obj);
-        Addr p = obj;
-        while (p < end) {
-            std::uint64_t r = regionOf(p);
-            Addr region_end = heap_.base() + (r + 1) * kRegionBytes;
-            Addr take_end = std::min(end, region_end);
-            region_words[r] += (take_end - p) / 8;
-            p = take_end;
+    // split their words by location, as HotSpot's add_obj does; the
+    // words past the first region are the later regions' partial
+    // objects).  destWords holds each region's own total until the
+    // prefix pass below turns it into the destination.
+    const auto &beg = heap_.begBitmap();
+    regions_.assign(mem::divCeil(heap_.heapBytes(), kRegionBytes), {});
+    forEachLive([&](Addr obj) {
+        const std::uint64_t first = beg.bitIndex(obj);
+        const std::uint64_t stop = first + heap_.sizeWords(obj);
+        for (std::uint64_t bit = first; bit < stop;) {
+            const std::uint64_t r = bit / kRegionWords;
+            const std::uint64_t take =
+                std::min(stop, (r + 1) * kRegionWords);
+            regions_[r].destWords += take - bit;
+            if (bit != first)
+                regions_[r].partialWords = take - bit;
+            bit = take;
         }
-    }
-    regionDestWords_.assign(num_regions, 0);
+    });
     std::uint64_t prefix = 0;
-    for (std::uint64_t r = 0; r < num_regions; ++r) {
-        regionDestWords_[r] = prefix;
-        prefix += region_words[r];
+    for (RegionSummary &region : regions_) {
+        std::uint64_t words = region.destWords;
+        region.destWords = prefix;
+        prefix += words;
         rec_.recordGlue(costs.regionSummary, 1);
         rec_.nextThread();
     }
-
-    // Exact destinations for every live object via a running prefix.
-    dest_.resize(live_.size());
-    std::uint64_t words_before = 0;
-    for (std::size_t i = 0; i < live_.size(); ++i) {
-        dest_[i] = heap_.base() + words_before * 8;
-        words_before += heap_.sizeWords(live_[i]);
-    }
+    CHARON_ASSERT(prefix * 8 == result_.liveBytes,
+                  "region summary holds %llu live words, marking %llu",
+                  static_cast<unsigned long long>(prefix),
+                  static_cast<unsigned long long>(result_.liveBytes / 8));
     result_.outOfMemory =
-        words_before * 8 > heap_.region(Space::Old).capacity();
+        prefix * 8 > heap_.region(Space::Old).capacity();
     rec_.endPhase();
-}
-
-Addr
-MarkCompact::lookupNewAddr(Addr obj) const
-{
-    auto it = std::lower_bound(live_.begin(), live_.end(), obj);
-    CHARON_ASSERT(it != live_.end() && *it == obj,
-                  "new address of a non-live object 0x%llx",
-                  static_cast<unsigned long long>(obj));
-    return dest_[static_cast<std::size_t>(it - live_.begin())];
 }
 
 Addr
 MarkCompact::newAddrOf(Addr obj)
 {
-    // What HotSpot computes as
-    //   region_destination + live_words_in_range(region_start, obj):
-    // record the Bitmap Count over [region start bit, obj bit) and
-    // return the exact prefix-derived destination.
+    // HotSpot's calc_new_pointer:
+    //   region_destination + partial_obj_size
+    //     + live_words_in_range(region_start, obj),
+    // recording the Bitmap Count over [region start bit, obj bit).
     const auto &beg = heap_.begBitmap();
-    std::uint64_t obj_bit = beg.bitIndex(obj);
-    std::uint64_t region_start_bit =
-        regionOf(obj) * (kRegionBytes / 8);
-    rec_.recordBitmapCount(
-        beg.storageAddrOfBit(region_start_bit),
-        heap_.endBitmap().storageAddrOfBit(region_start_bit),
-        obj_bit - region_start_bit);
-    return lookupNewAddr(obj);
+    const auto &end = heap_.endBitmap();
+    const std::uint64_t obj_bit = beg.bitIndex(obj);
+    CHARON_ASSERT(beg.testBit(obj_bit),
+                  "new address of a non-live object 0x%llx",
+                  static_cast<unsigned long long>(obj));
+    const std::uint64_t r = obj_bit / kRegionWords;
+    const std::uint64_t region_start_bit = r * kRegionWords;
+    rec_.recordBitmapCount(beg.storageAddrOfBit(region_start_bit),
+                           end.storageAddrOfBit(region_start_bit),
+                           obj_bit - region_start_bit);
+    const RegionSummary &region = regions_[r];
+    return heap_.base()
+           + 8
+                 * (region.destWords + region.partialWords
+                    + heap::optimizedLiveWords(beg, end,
+                                               region_start_bit,
+                                               obj_bit));
 }
 
 void
@@ -126,8 +121,7 @@ MarkCompact::compactPhase()
 
     // Adjust: rewrite every reference (and root) to its target's
     // destination.  One Bitmap Count per pointer.
-    for (std::size_t i = 0; i < live_.size(); ++i) {
-        Addr obj = live_[i];
+    forEachLive([&](Addr obj) {
         rec_.recordGlue(costs.typeDispatch, 1);
         std::uint64_t n = heap_.refCount(obj);
         for (std::uint64_t s = 0; s < n; ++s) {
@@ -140,7 +134,7 @@ MarkCompact::compactPhase()
             ++result_.pointersAdjusted;
         }
         rec_.nextThread();
-    }
+    });
     for (Addr &root : heap_.roots()) {
         if (root != 0) {
             root = newAddrOf(root);
@@ -150,12 +144,14 @@ MarkCompact::compactPhase()
     }
 
     // Move: ascending order guarantees dest <= src, so in-place
-    // sliding is safe.  One Bitmap Count (own destination) per
-    // object, but Copy at HotSpot's granularity: contiguous live runs
-    // move as single bulk copies (region filling), split where the
-    // run crosses a cube boundary so the Copy/Search units stay
-    // data-local.  Objects already at their destination form the
-    // dense prefix and are not copied at all.
+    // sliding is safe: an object's header is intact when the walk
+    // reaches it, and the walk itself reads only the bitmap.  One
+    // Bitmap Count (own destination) per object, but Copy at
+    // HotSpot's granularity: contiguous live runs move as single bulk
+    // copies (region filling), split where the run crosses a cube
+    // boundary so the Copy/Search units stay data-local.  Objects
+    // already at their destination form the dense prefix and are not
+    // copied at all.
     Addr run_src = 0, run_dst = 0;
     std::uint64_t run_len = 0;
     auto flush_run = [&] {
@@ -165,16 +161,18 @@ MarkCompact::compactPhase()
         rec_.nextThread();
         run_len = 0;
     };
-    for (std::size_t i = 0; i < live_.size(); ++i) {
-        Addr obj = live_[i];
+    std::uint64_t words_before = 0; // running prefix of live words
+    forEachLive([&](Addr obj) {
         Addr dst = newAddrOf(obj);
-        CHARON_ASSERT(dst == dest_[i], "destination mismatch");
+        CHARON_ASSERT(dst == heap_.base() + words_before * 8,
+                      "destination mismatch");
         CHARON_ASSERT(dst <= obj, "compaction must move left");
         std::uint64_t bytes = heap_.sizeBytes(obj);
+        words_before += bytes / 8;
         rec_.recordGlue(costs.allocate, 1);
         if (dst == obj) {
             flush_run(); // dense prefix: stays in place
-            continue;
+            return;
         }
         heap_.copyObjectBytes(dst, obj, bytes);
         result_.bytesMoved += bytes;
@@ -188,7 +186,7 @@ MarkCompact::compactPhase()
             run_dst = dst;
         }
         run_len += bytes;
-    }
+    });
     flush_run();
     rec_.endPhase();
 }

@@ -6,17 +6,20 @@
  * begin/end bits of every live object in the mark bitmaps
  * (Scan&Push + mark_obj).
  *
- * Phase 2 (summary): per heap region, the live-word total and the
- * destination prefix (cheap; <0.03% of MajorGC per the paper).
+ * Phase 2 (summary): per heap region, the destination prefix and the
+ * words of an object begun in an earlier region, in one walk of the
+ * begin bitmap (cheap; <0.03% of MajorGC per the paper).
  *
  * Phase 3 (compact): viewing the heap as one linear space, every live
  * object's destination is
  *     dest = heap_base + 8 x (live words to its left)
- * computed in HotSpot as region_destination +
+ * computed as HotSpot does: region_destination + partial_obj_size +
  * live_words_in_range(region_start, obj) — the Bitmap Count
  * primitive, invoked once per moved object and once per adjusted
  * pointer — followed by the Copy that moves the object.
  *
+ * Every phase visits live objects in ascending address order, by
+ * walking the begin bitmap; no side list of live objects is kept.
  * All live objects (old and young) compact to the bottom of the Old
  * generation; the young spaces end up empty, like a HotSpot full GC.
  */
@@ -57,31 +60,37 @@ class MarkCompact
     Result collect();
 
   private:
+    /** Region granularity in bitmap bits (heap words). */
+    static constexpr std::uint64_t kRegionWords = kRegionBytes / 8;
+
+    /** What the summary keeps per region (HotSpot's RegionData). */
+    struct RegionSummary
+    {
+        /** Live words below the region start: its destination. */
+        std::uint64_t destWords = 0;
+        /**
+         * Words at the region start that belong to an object begun
+         * in an earlier region (HotSpot's partial_obj_size).
+         */
+        std::uint64_t partialWords = 0;
+    };
+
     void markPhase();
     void summaryPhase();
     void compactPhase();
 
-    bool isMarked(mem::Addr obj) const;
-
-    /** Region index of @p addr. */
-    std::uint64_t regionOf(mem::Addr addr) const;
+    /** Call @p fn on every marked object in ascending address order. */
+    template <typename Fn> void forEachLive(Fn &&fn) const;
 
     /** Destination of live object @p obj, recording the BitmapCount. */
     mem::Addr newAddrOf(mem::Addr obj);
-
-    /** Exact new address from the prefix structure (no recording). */
-    mem::Addr lookupNewAddr(mem::Addr obj) const;
 
     heap::ManagedHeap &heap_;
     TraceRecorder &rec_;
     Result result_;
 
-    /** Live objects in ascending address order (built by mark+sort). */
-    std::vector<mem::Addr> live_;
-    /** Parallel to live_: exact destination addresses. */
-    std::vector<mem::Addr> dest_;
-    /** Per-region destination prefix in words (summary output). */
-    std::vector<std::uint64_t> regionDestWords_;
+    /** Summary output, one entry per compaction region. */
+    std::vector<RegionSummary> regions_;
 };
 
 } // namespace charon::gc

@@ -54,8 +54,6 @@ struct MarkOptions
      * null referent still reaches the weak-processing pass.
      */
     bool nullCheckFirst = false;
-    /** Optional: live objects in discovery order. */
-    std::vector<mem::Addr> *liveOut = nullptr;
 };
 
 /** What the closure found. */
@@ -137,8 +135,6 @@ runMarkClosure(heap::ManagedHeap &heap, TraceRecorder &rec,
         rec.recordScanPush(obj, 16 + n * 8, n, pushed,
                            heap.klasses().get(heap.klassOf(obj))
                                .acceleratable());
-        if (opt.liveOut)
-            opt.liveOut->push_back(obj);
         ++stats.liveObjects;
         stats.liveBytes += heap.sizeBytes(obj);
         rec.nextThread();

@@ -104,7 +104,8 @@ TraceRecorder::work()
 void
 TraceRecorder::nextThread()
 {
-    cursor_ = (cursor_ + 1) % numThreads_;
+    if (++cursor_ == numThreads_)
+        cursor_ = 0;
 }
 
 void

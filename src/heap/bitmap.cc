@@ -121,4 +121,75 @@ liveWordsInRange(const MarkBitmap &beg, const MarkBitmap &end,
     return count;
 }
 
+std::uint64_t
+optimizedLiveWords(const MarkBitmap &beg, const MarkBitmap &end,
+                   std::uint64_t start_bit, std::uint64_t end_bit)
+{
+    if (end_bit <= start_bit)
+        return 0;
+    CHARON_ASSERT(end_bit <= beg.numBits(), "range beyond bitmap");
+
+    // Storage word i of either map, masked to the range: bits below
+    // start_bit in the first word and at/after end_bit in the last.
+    const std::uint64_t first_word = start_bit >> 6;
+    const std::uint64_t last_word = (end_bit - 1) >> 6;
+    const std::uint64_t lo_mask = ~0ull << (start_bit & 63);
+    const std::uint64_t hi_mask = ~0ull >> ((64 - (end_bit & 63)) & 63);
+    auto masked = [&](const MarkBitmap &map, std::uint64_t i) {
+        std::uint64_t w = map.word(i);
+        if (i == first_word)
+            w &= lo_mask;
+        if (i == last_word)
+            w &= hi_mask;
+        return w;
+    };
+
+    // Corner case 2: an object starts in range but ends beyond it —
+    // the highest set bit overall belongs to the begin map only.
+    // Drop it: the reference counts such objects as zero words.
+    std::uint64_t trailing_word = last_word + 1, trailing_bit = 0;
+    for (std::uint64_t i = last_word + 1; i-- > first_word;) {
+        std::uint64_t b = masked(beg, i), e = masked(end, i);
+        if ((b | e) == 0)
+            continue;
+        std::uint64_t top = 1ull << (63 - std::countl_zero(b | e));
+        if ((b & top) && !(e & top)) {
+            trailing_word = i;
+            trailing_bit = top;
+        }
+        break;
+    }
+
+    // count = popcount(E - B) + popcount(B), computed word-wise with
+    // borrow propagation from the least-significant word upward —
+    // one (word-pair) per cycle in hardware.
+    std::uint64_t count = 0;
+    std::uint64_t borrow = 0;
+    bool seen_bit = false;
+    for (std::uint64_t i = first_word; i <= last_word; ++i) {
+        std::uint64_t b = masked(beg, i), e = masked(end, i);
+        if (i == trailing_word)
+            b &= ~trailing_bit;
+        // Corner case 1: the range starts inside an object — the
+        // lowest set bit overall belongs to the end map only.  Drop
+        // it: the reference algorithm never pairs it.
+        if (!seen_bit && (b | e) != 0) {
+            seen_bit = true;
+            std::uint64_t low = (b | e) & (~(b | e) + 1);
+            if (!(b & low))
+                e &= ~low;
+        }
+        std::uint64_t d1 = e - b;
+        std::uint64_t borrow1 = e < b ? 1u : 0u;
+        std::uint64_t d = d1 - borrow;
+        std::uint64_t borrow2 = d1 < borrow ? 1u : 0u;
+        borrow = borrow1 | borrow2;
+        count += static_cast<std::uint64_t>(std::popcount(d));
+        count += static_cast<std::uint64_t>(std::popcount(b));
+    }
+    CHARON_ASSERT(borrow == 0,
+                  "unbalanced begin/end bits after corner handling");
+    return count;
+}
+
 } // namespace charon::heap

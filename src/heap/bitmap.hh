@@ -5,10 +5,11 @@
  * One bit represents one 64-bit heap word (Section 3.2: "a single bit
  * represent[s] the 64-bit heap space").  A set bit in the *begin* map
  * marks the first word of a live object; a set bit in the *end* map
- * marks its last word.  live_words_in_range() — the software Bitmap
- * Count primitive — is implemented here exactly as in Figure 8 of the
- * paper and serves as the reference against which the accelerator's
- * optimized algorithm is property-tested.
+ * marks its last word.  live_words_in_range() — the Bitmap Count
+ * primitive — is implemented here twice: exactly as in Figure 8 of the
+ * paper, and as Charon's word-wise algorithm of Section 4.3.  The full
+ * collector computes destinations with the word-wise count; the
+ * Figure 8 walk is the reference it is property-tested against.
  */
 
 #ifndef CHARON_HEAP_BITMAP_HH
@@ -106,7 +107,7 @@ class MarkBitmap
     /** Count set bits in [from, limit). */
     std::uint64_t countSet(std::uint64_t from, std::uint64_t limit) const;
 
-    /** Raw 64-bit storage word (for the accelerator's word-wise math). */
+    /** Raw 64-bit storage word (for the word-wise Bitmap Count). */
     std::uint64_t word(std::uint64_t index) const;
     std::uint64_t numWords() const { return words_.size(); }
 
@@ -146,6 +147,43 @@ std::uint64_t liveWordsInRange(
     const MarkBitmap &beg, const MarkBitmap &end, std::uint64_t start_bit,
     std::uint64_t end_bit,
     const std::function<void(mem::Addr)> &bitmap_reads = nullptr);
+
+/**
+ * Charon's word-wise Bitmap Count (Section 4.3) over bits
+ * [start_bit, end_bit): semantically identical to liveWordsInRange,
+ * but it treats the two maps as big binary numbers (least-significant
+ * bit = lowest heap word) and computes
+ *
+ *     live_words = CountSetBits(endMap - begMap) + CountSetBits(begMap)
+ *
+ * For paired begin/end bits b < e the difference 2^e - 2^b sets
+ * exactly the bits b..e-1, and pairs occupy disjoint bit ranges, so
+ * the popcount of the difference is the sum of (e_k - b_k); adding
+ * one per object (popcount of the begin map) yields the live-word
+ * total.  (The paper writes the subtraction as begMap - endMap under
+ * the opposite bit-significance convention; the arithmetic is the
+ * same.)  The hardware processes one 64-bit word per cycle
+ * (Figure 6(b)); the word-wise borrow propagation here is exactly
+ * that datapath.
+ *
+ * Corner cases — "where the number of 1's differ between begMap and
+ * endMap", i.e. ranges that cut through objects:
+ *  - a leading end bit with no begin bit in range (the range starts
+ *    inside an object) is dropped before the subtraction;
+ *  - a trailing begin bit with no end bit in range (an object starts
+ *    in range but ends beyond it) is dropped too.
+ * Both match the Figure 8 reference, which never counts such objects.
+ *
+ * Allocates nothing: the mark-compact collector calls it once per
+ * adjusted pointer and once per moved object.
+ *
+ * @return total 8-byte words occupied by live objects fully contained
+ *         in the range
+ */
+std::uint64_t optimizedLiveWords(const MarkBitmap &beg,
+                                 const MarkBitmap &end,
+                                 std::uint64_t start_bit,
+                                 std::uint64_t end_bit);
 
 } // namespace charon::heap
 

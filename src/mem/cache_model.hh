@@ -20,7 +20,9 @@ namespace charon::mem
 {
 
 /**
- * Tag-only set-associative cache with true-LRU replacement.
+ * Tag-only set-associative cache with true-LRU replacement.  The set
+ * count is a power of two, so the set and the tag of an address are
+ * a mask and a shift of its block number.
  */
 class CacheModel
 {
@@ -29,6 +31,7 @@ class CacheModel
      * @param size_bytes total capacity
      * @param assoc ways per set
      * @param block_bytes line size (power of two)
+     * Capacity / (assoc x block_bytes) must be a power of two.
      */
     CacheModel(std::uint64_t size_bytes, int assoc, int block_bytes);
 
@@ -73,22 +76,22 @@ class CacheModel
     std::uint64_t sets() const { return numSets_; }
 
   private:
-    struct Line
-    {
-        Addr tag = 0;
-        bool valid = false;
-        bool dirty = false;
-        std::uint64_t lru = 0; // higher == more recent
-    };
+    /** Tag of an invalid way; no block number shifts down to it. */
+    static constexpr Addr kInvalidTag = ~Addr{0};
 
-    Line *findLine(Addr tag, std::uint64_t set);
-    const Line *findLine(Addr tag, std::uint64_t set) const;
+    /** Way index (set x assoc + way) holding @p tag, or -1. */
+    std::int64_t findWay(Addr tag, std::uint64_t set) const;
 
     int assoc_;
     int blockBytes_;
     std::uint64_t numSets_;
+    int blockShift_ = 0;
+    int setShift_ = 0;
     std::uint64_t lruClock_ = 0;
-    std::vector<Line> lines_; // numSets x assoc
+    // numSets x assoc ways, each set's ways contiguous.
+    std::vector<Addr> tags_;          // kInvalidTag when not valid
+    std::vector<std::uint64_t> lru_;  // higher == more recent
+    std::vector<std::uint8_t> dirty_;
 
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;

@@ -3,19 +3,20 @@
  * Tests for Charon's optimized Bitmap Count algorithm (Section 4.3):
  * exact equivalence with the Figure 8 software reference, including
  * the corner cases where begin/end bit counts differ inside the
- * range, plus the cycle model.
+ * range, and the [region start, live object) ranges the mark-compact
+ * collector computes destinations over.
  */
 
 #include <gtest/gtest.h>
 
-#include "accel/bitmap_count_alg.hh"
+#include <vector>
+
 #include "heap/bitmap.hh"
 #include "sim/rng.hh"
 
 using namespace charon;
-using accel::optimizedLiveWords;
-using accel::optimizedWordCycles;
 using heap::liveWordsInRange;
+using heap::optimizedLiveWords;
 using heap::MarkBitmap;
 
 namespace
@@ -144,17 +145,24 @@ TEST(OptimizedBitmapCount, UnalignedRangeEdges)
 
 TEST(OptimizedBitmapCount, PropertyMatchesReferenceOnRandomHeaps)
 {
+    // Compaction regions are 256 words (2 KiB); the collector counts
+    // over [region start, begin bit of a live object).
+    constexpr std::uint64_t kRegionWords = 256;
     sim::Rng rng(777);
+    sim::Rng pick(778); // own stream: rng alone draws heaps and ranges
     for (int round = 0; round < 200; ++round) {
         Maps m;
+        std::vector<std::uint64_t> begins;
         std::uint64_t bit = rng.below(16);
         std::uint64_t limit = 2000 + rng.below(2000);
         while (bit + 70 < limit) {
             std::uint64_t words = rng.chance(0.2)
                                       ? rng.range(1, 64)
                                       : rng.range(1, 8);
-            if (rng.chance(0.8))
+            if (rng.chance(0.8)) {
                 m.paint(bit, words);
+                begins.push_back(bit);
+            }
             bit += words + rng.below(6);
         }
         // Arbitrary ranges, including ones that cut objects.
@@ -166,15 +174,14 @@ TEST(OptimizedBitmapCount, PropertyMatchesReferenceOnRandomHeaps)
                 << "round " << round << " range [" << a << "," << b
                 << ")";
         }
+        // Compaction ranges: a region boundary up to a begin bit.
+        for (int q = 0; q < 20 && !begins.empty(); ++q) {
+            std::uint64_t b = begins[pick.below(begins.size())];
+            std::uint64_t a = b / kRegionWords * kRegionWords;
+            EXPECT_EQ(optimizedLiveWords(m.beg, m.end, a, b),
+                      liveWordsInRange(m.beg, m.end, a, b))
+                << "round " << round << " range [" << a << "," << b
+                << ")";
+        }
     }
-}
-
-TEST(OptimizedBitmapCount, CycleModelCountsWordPairs)
-{
-    EXPECT_EQ(optimizedWordCycles(0, 0), 0u);
-    EXPECT_EQ(optimizedWordCycles(0, 1), 2u);   // 1 word x 2 maps
-    EXPECT_EQ(optimizedWordCycles(0, 64), 2u);
-    EXPECT_EQ(optimizedWordCycles(0, 65), 4u);
-    EXPECT_EQ(optimizedWordCycles(63, 65), 4u); // straddles boundary
-    EXPECT_EQ(optimizedWordCycles(0, 512), 16u);
 }

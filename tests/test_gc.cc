@@ -356,6 +356,79 @@ TEST_F(GcTest, MarkCompactOutOfMemoryLeavesHeapIntact)
     EXPECT_EQ(fingerprintGraph(*heap), before);
 }
 
+TEST_F(GcTest, MarkCompactAcrossManyRegions)
+{
+    // Old-generation objects at planned word offsets from the heap
+    // base (compaction regions are 256 words): arrays that span
+    // several regions, dead gaps between them, a dense prefix that
+    // stays in place.
+    const Addr base = heap->base();
+    const auto longs = klasses.longArrayId();
+    const auto refs = klasses.objArrayId();
+    auto place = [&](heap::KlassId k, std::uint64_t len,
+                     std::uint64_t at_word) {
+        Addr obj = heap->allocOldObject(k, len);
+        EXPECT_EQ(obj, base + at_word * 8);
+        return obj;
+    };
+    Addr n0 = place(nodeId, 0, 0); // dense prefix [0, 18)
+    Addr n1 = place(nodeId, 0, 6);
+    Addr n2 = place(nodeId, 0, 12);
+    place(longs, 297, 18);          // dead [18, 318)
+    Addr a = place(longs, 597, 318); // [318, 918): regions 1-3
+    Addr b = place(nodeId, 0, 918);  // begins in A's last region
+    place(longs, 353, 924);          // dead [924, 1280)
+    Addr c = place(refs, 697, 1280); // on region 5's first word
+    place(longs, 22, 1980);          // dead [1980, 2005)
+    Addr d = place(longs, 297, 2005); // last word is region 9's first
+    Addr e = place(nodeId, 0, 2305);  // after a one-word partial
+    place(longs, 997, 2311);          // dead [2311, 3311)
+    Addr f = place(nodeId, 0, 3311);
+    ASSERT_EQ(heap->sizeWords(n0), 6u);
+
+    for (std::uint64_t i = 0; i < 597; ++i) {
+        heap->store64(a + 24 + i * 8, i * 0x9e3779b97f4a7c15ull);
+        heap->store64(d + 24 + (i % 297) * 8, ~i);
+    }
+    heap->roots() = {n0, c};
+    heap->storeRef(n0, 0, n1);
+    heap->storeRef(n0, 1, n2);
+    heap->storeRef(n1, 0, a);
+    heap->storeRef(n1, 1, b);
+    heap->storeRef(n2, 0, d);
+    heap->storeRef(n2, 1, e);
+    heap->storeRef(b, 0, f);
+    heap->storeRef(c, 0, f);
+    heap->storeRef(c, 1, b);
+    heap->storeRef(c, 300, d);
+    heap->storeRef(c, 696, n0);
+    heap->storeRef(e, 0, c);
+
+    auto before = fingerprintGraph(*heap);
+    auto result = MarkCompact(*heap, *rec).collect();
+    ASSERT_FALSE(result.outOfMemory);
+    EXPECT_EQ(result.liveObjects, 9u);
+    EXPECT_EQ(result.liveBytes, 1636u * 8);
+    EXPECT_EQ(result.bytesMoved, (1636u - 18) * 8);
+    EXPECT_EQ(result.pointersAdjusted, 14u); // 12 references + 2 roots
+    EXPECT_EQ(heap->region(Space::Old).used(), result.liveBytes);
+    EXPECT_EQ(fingerprintGraph(*heap), before);
+    checkHeapIntegrity(*heap);
+
+    // Destinations: the live words to each object's left.
+    EXPECT_EQ(heap->roots()[0], base);
+    EXPECT_EQ(heap->refAt(base + 6 * 8, 0), base + 18 * 8);   // A
+    EXPECT_EQ(heap->refAt(base + 6 * 8, 1), base + 618 * 8);  // B
+    EXPECT_EQ(heap->roots()[1], base + 624 * 8);              // C
+    EXPECT_EQ(heap->refAt(base + 12 * 8, 0), base + 1324 * 8); // D
+    EXPECT_EQ(heap->refAt(base + 12 * 8, 1), base + 1624 * 8); // E
+    EXPECT_EQ(heap->refAt(base + 618 * 8, 0), base + 1630 * 8); // F
+
+    const auto &gc = rec->run().gcs.back();
+    EXPECT_EQ(gc.phases[2].totalInvocations(PrimKind::BitmapCount),
+              result.pointersAdjusted + result.liveObjects);
+}
+
 // ---------------------------------------------------------------------
 // Collector policy
 
