@@ -149,13 +149,12 @@ CxlDevice::execBucket(const gc::Bucket &b, double bitmap_hit_rate,
         joins_.acquire(parts, sim::JoinPool::wrap(std::move(wrapped)));
     auto arrive = [join](Tick t) { join->arrive(t); };
     if (snoop_bytes != 0)
-        hostPort_.link().startFlow(snoop_bytes, 0, arrive);
+        hostPort_.link().startFlow(snoop_bytes, 0, join);
 
     double unit_rate = unitIssueRate(cfg_.cxl.unitFreqHz, 64);
     switch (b.kind) {
       case PrimKind::Copy: {
-        unitPool_->startFlow(b.seqReadBytes + b.writeBytes, unit_rate,
-                             arrive);
+        unitPool_->startFlow(b.seqReadBytes + b.writeBytes, unit_rate, join);
         mem::StreamRequest req;
         req.bytes = b.seqReadBytes + b.writeBytes;
         req.pattern = mem::AccessPattern::Sequential;
@@ -168,7 +167,7 @@ CxlDevice::execBucket(const gc::Bucket &b, double bitmap_hit_rate,
         // 32 B/cycle compare datapath, like the Charon unit.
         unitPool_->startFlow(
             b.seqReadBytes,
-            unitIssueRate(cfg_.cxl.unitFreqHz, 32), arrive);
+            unitIssueRate(cfg_.cxl.unitFreqHz, 32), join);
         mem::StreamRequest req;
         req.bytes = b.seqReadBytes;
         req.pattern = mem::AccessPattern::Sequential;
@@ -180,8 +179,7 @@ CxlDevice::execBucket(const gc::Bucket &b, double bitmap_hit_rate,
       case PrimKind::ScanPush: {
         // Strided reference-block reads then the dependent probes,
         // both against raw expander DRAM.
-        unitPool_->startFlow(b.seqReadBytes + b.randomBytes, unit_rate,
-                             arrive);
+        unitPool_->startFlow(b.seqReadBytes + b.randomBytes, unit_rate, join);
         mem::StreamRequest seq;
         seq.bytes = b.seqReadBytes;
         seq.pattern = mem::AccessPattern::Strided;
@@ -200,7 +198,7 @@ CxlDevice::execBucket(const gc::Bucket &b, double bitmap_hit_rate,
       }
       case PrimKind::BitmapCount: {
         unitPool_->startFlow(std::max<std::uint64_t>(b.rangeBits / 8, 1),
-                             unit_rate, arrive);
+                             unit_rate, join);
         mem::StreamRequest req;
         req.bytes = b.seqReadBytes;
         req.pattern = mem::AccessPattern::Sequential;
@@ -210,8 +208,7 @@ CxlDevice::execBucket(const gc::Bucket &b, double bitmap_hit_rate,
         break;
       }
       case PrimKind::BitSweep: {
-        unitPool_->startFlow(b.seqReadBytes + b.writeBytes, unit_rate,
-                             arrive);
+        unitPool_->startFlow(b.seqReadBytes + b.writeBytes, unit_rate, join);
         mem::StreamRequest req;
         req.bytes = b.seqReadBytes + b.writeBytes;
         req.pattern = mem::AccessPattern::Sequential;
@@ -223,8 +220,7 @@ CxlDevice::execBucket(const gc::Bucket &b, double bitmap_hit_rate,
       case PrimKind::RefCount: {
         // 16 B RMWs near the DRAM: no line inflation, no writeback
         // over a link — the memory-side win for scattered updates.
-        unitPool_->startFlow(b.randomBytes + b.writeBytes, unit_rate,
-                             arrive);
+        unitPool_->startFlow(b.randomBytes + b.writeBytes, unit_rate, join);
         mem::StreamRequest rnd;
         rnd.bytes = b.randomBytes + b.writeBytes;
         rnd.pattern = mem::AccessPattern::Random;

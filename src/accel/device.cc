@@ -274,7 +274,7 @@ CharonDevice::execCopy(const gc::Bucket &b, mem::StreamCallback done)
     double unit_issue = issueRate(cfg_.charon.unitFreqHz, 256);
     pool(PrimKind::Copy, unit_cube)
         .startFlow(b.seqReadBytes + b.writeBytes,
-                   std::min(2 * mai_rate, unit_issue), arrive);
+                   std::min(2 * mai_rate, unit_issue), join);
 
     mem::StreamRequest read;
     read.bytes = b.seqReadBytes;
@@ -309,8 +309,7 @@ CharonDevice::execSearch(const gc::Bucket &b, mem::StreamCallback done)
     double compare_rate =
         sim::gbPerSecToBytesPerTick(cfg_.charon.unitFreqHz * 32 / 1e9);
     pool(PrimKind::Search, unit_cube)
-        .startFlow(b.seqReadBytes, std::min(mai_rate, compare_rate),
-                   arrive);
+        .startFlow(b.seqReadBytes, std::min(mai_rate, compare_rate), join);
     mem::StreamRequest read;
     read.bytes = b.seqReadBytes;
     read.pattern = mem::AccessPattern::Sequential;
@@ -394,7 +393,7 @@ CharonDevice::execScanPush(const gc::Bucket &b, double hit_rate,
 
     pool(PrimKind::ScanPush, unit_cube)
         .startFlow(b.seqReadBytes + b.randomBytes + b.writeBytes,
-                   issueRate(cfg_.charon.unitFreqHz, 16), arrive);
+                   issueRate(cfg_.charon.unitFreqHz, 16), join);
 
     // Sequential read of the object's reference block.
     mem::StreamRequest seq;
@@ -440,7 +439,7 @@ CharonDevice::execBitmapCount(const gc::Bucket &b, double hit_rate,
     // single unit.
     pool(PrimKind::BitmapCount, unit_cube)
         .startFlow(b.seqReadBytes,
-                   issueRate(cfg_.charon.unitFreqHz, 16), arrive);
+                   issueRate(cfg_.charon.unitFreqHz, 16), join);
 
     // Memory: only the bitmap-cache misses reach DRAM, at the 32 B
     // cache-block granularity (Section 4.5: ~90% hit rate measured on
@@ -486,7 +485,7 @@ CharonDevice::execBitSweep(const gc::Bucket &b, mem::StreamCallback done)
     // Count unit; free-list node writes trickle out behind the scan.
     pool(PrimKind::BitSweep, unit_cube)
         .startFlow(b.seqReadBytes,
-                   issueRate(cfg_.charon.unitFreqHz, 16), arrive);
+                   issueRate(cfg_.charon.unitFreqHz, 16), join);
 
     mem::StreamRequest read;
     read.bytes = b.seqReadBytes;
@@ -543,7 +542,7 @@ CharonDevice::execRefCount(const gc::Bucket &b, mem::StreamCallback done)
 
     pool(PrimKind::RefCount, unit_cube)
         .startFlow(b.randomBytes + b.writeBytes,
-                   issueRate(cfg_.charon.unitFreqHz, 16), arrive);
+                   issueRate(cfg_.charon.unitFreqHz, 16), join);
 
     // The count words spread over every cube; the updated values write
     // back to the same lines (write-through, 16 B granularity).

@@ -123,8 +123,7 @@ IgpuDevice::execBucket(const gc::Bucket &b, double /*bitmap_hit_rate*/,
         sim::Join *join = joins_.acquire(
             2, sim::JoinPool::wrap(std::move(wrapped)));
         auto arrive = [join](Tick t) { join->arrive(t); };
-        euPool_->startFlow(b.seqReadBytes + b.writeBytes, eu_rate,
-                           arrive);
+        euPool_->startFlow(b.seqReadBytes + b.writeBytes, eu_rate, join);
         mem::StreamRequest req;
         req.bytes = b.seqReadBytes + b.writeBytes;
         req.pattern = mem::AccessPattern::Sequential;
@@ -139,8 +138,7 @@ IgpuDevice::execBucket(const gc::Bucket &b, double /*bitmap_hit_rate*/,
         sim::Join *join = joins_.acquire(
             2, sim::JoinPool::wrap(std::move(wrapped)));
         auto arrive = [join](Tick t) { join->arrive(t); };
-        euPool_->startFlow(bit_loop_bytes(b.rangeBits), eu_rate,
-                           arrive);
+        euPool_->startFlow(bit_loop_bytes(b.rangeBits), eu_rate, join);
         mem::StreamRequest req;
         req.bytes = b.seqReadBytes + b.writeBytes;
         req.pattern = mem::AccessPattern::Sequential;
@@ -155,7 +153,7 @@ IgpuDevice::execBucket(const gc::Bucket &b, double /*bitmap_hit_rate*/,
         auto arrive = [join](Tick t) { join->arrive(t); };
         // SIMD compare lanes: 32 B of card bytes per cycle.
         euPool_->startFlow(b.seqReadBytes,
-                           euIssueRate(cfg_.igpu.euFreqHz, 32), arrive);
+                           euIssueRate(cfg_.igpu.euFreqHz, 32), join);
         mem::StreamRequest req;
         req.bytes = b.seqReadBytes;
         req.pattern = mem::AccessPattern::Sequential;
@@ -172,8 +170,7 @@ IgpuDevice::execBucket(const gc::Bucket &b, double /*bitmap_hit_rate*/,
         sim::Join *join = joins_.acquire(
             2, sim::JoinPool::wrap(std::move(wrapped)));
         auto arrive = [join](Tick t) { join->arrive(t); };
-        euPool_->startFlow(b.seqReadBytes + b.randomBytes, eu_rate,
-                           arrive);
+        euPool_->startFlow(b.seqReadBytes + b.randomBytes, eu_rate, join);
         mem::StreamRequest seq;
         seq.bytes = b.seqReadBytes;
         seq.pattern = mem::AccessPattern::Strided;
@@ -197,8 +194,7 @@ IgpuDevice::execBucket(const gc::Bucket &b, double /*bitmap_hit_rate*/,
         sim::Join *join = joins_.acquire(
             2, sim::JoinPool::wrap(std::move(wrapped)));
         auto arrive = [join](Tick t) { join->arrive(t); };
-        euPool_->startFlow(bit_loop_bytes(b.rangeBits), eu_rate,
-                           arrive);
+        euPool_->startFlow(bit_loop_bytes(b.rangeBits), eu_rate, join);
         mem::StreamRequest req;
         req.bytes = b.seqReadBytes;
         req.pattern = mem::AccessPattern::Sequential;
@@ -214,7 +210,7 @@ IgpuDevice::execBucket(const gc::Bucket &b, double /*bitmap_hit_rate*/,
             2, sim::JoinPool::wrap(std::move(wrapped)));
         auto arrive = [join](Tick t) { join->arrive(t); };
         std::uint64_t bytes = (b.randomBytes / 16) * 64 + b.writeBytes;
-        euPool_->startFlow(bytes, eu_rate, arrive);
+        euPool_->startFlow(bytes, eu_rate, join);
         mem::StreamRequest rnd;
         rnd.bytes = bytes;
         rnd.pattern = mem::AccessPattern::Random;

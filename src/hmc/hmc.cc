@@ -278,8 +278,7 @@ HmcMemory::streamSegment(const Origin &origin, int cube,
             double scale = is_dram ? (1.0 / eff) : hdr_factor;
             rate = req.maxRate * scale;
         }
-        route[i]->startFlow(flow_bytes, rate,
-                            [join](sim::Tick t) { join->arrive(t); });
+        route[i]->startFlow(flow_bytes, rate, join);
     }
 }
 
@@ -312,10 +311,8 @@ HmcMemory::linkStream(int cube_a, int cube_b, std::uint64_t bytes,
     }
     sim::Join *join = joins_.acquire(
         route.size(), sim::JoinPool::wrap(std::move(done)));
-    for (auto *link : route) {
-        link->startFlow(bytes, max_rate,
-                        [join](sim::Tick t) { join->arrive(t); });
-    }
+    for (auto *link : route)
+        link->startFlow(bytes, max_rate, join);
 }
 
 double

@@ -53,9 +53,8 @@ CxlHostPort::stream(const StreamRequest &req, StreamCallback done)
     };
     sim::Join *join =
         joins->acquire(2, sim::JoinPool::wrap(std::move(shifted)));
-    auto arrive = [join](Tick t) { join->arrive(t); };
-    link_.startFlow(link_bytes, req.maxRate, arrive);
-    dram_.stream(req, arrive);
+    link_.startFlow(link_bytes, req.maxRate, join);
+    dram_.stream(req, [join](Tick t) { join->arrive(t); });
 }
 
 } // namespace charon::mem

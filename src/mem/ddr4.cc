@@ -106,8 +106,7 @@ Ddr4Memory::stream(const StreamRequest &req, StreamCallback done)
             req.maxRate > 0
                 ? (req.maxRate / static_cast<double>(n)) / eff
                 : 0;
-        channels_[ch]->startFlow(
-            slice, rate, [join](sim::Tick t) { join->arrive(t); });
+        channels_[ch]->startFlow(slice, rate, join);
     }
 }
 

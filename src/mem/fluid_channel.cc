@@ -47,15 +47,15 @@ FluidChannel::FluidChannel(sim::EventQueue &eq, std::string name,
 
 void
 FluidChannel::startFlow(std::uint64_t bytes, double maxRate,
-                        StreamCallback done)
+                        sim::Join *join)
 {
     ++flowCount_;
     if (bytes == 0) {
         // Degenerate flow: complete immediately, still in event order.
         sim::Tick now = eq_.now();
-        eq_.schedule(now, [done = std::move(done), now] {
-            if (done)
-                done(now);
+        eq_.schedule(now, [join, now] {
+            if (join)
+                join->arrive(now);
         });
         return;
     }
@@ -64,7 +64,7 @@ FluidChannel::startFlow(std::uint64_t bytes, double maxRate,
     flowBytes_.push_back(static_cast<double>(bytes));
     flowMax_.push_back(maxRate);
     flowRate_.push_back(0);
-    flowDone_.push_back(std::move(done));
+    flowDone_.push_back(join);
     if (timeline_) {
         timeline_->counter(track_, eq_.now(),
                            static_cast<double>(flowBytes_.size()));
@@ -116,12 +116,8 @@ FluidChannel::reallocate()
                           ? flowMax_[0]
                           : capacity_;
         flowRate_[0] = rate;
-        if (timer_)
-            eq_.deschedule(timer_);
-        sim::Tick when =
-            eq_.now()
-            + static_cast<sim::Tick>(std::ceil(flowBytes_[0] / rate));
-        timer_ = eq_.schedule(when, [this] { onTimer(); });
+        armTimer(eq_.now()
+                 + static_cast<sim::Tick>(std::ceil(flowBytes_[0] / rate)));
         return;
     }
 
@@ -160,12 +156,8 @@ FluidChannel::reallocate()
                 if (earliest < 0 || eta < earliest)
                     earliest = eta;
             }
-            if (timer_)
-                eq_.deschedule(timer_);
-            sim::Tick when =
-                eq_.now()
-                + static_cast<sim::Tick>(std::ceil(earliest));
-            timer_ = eq_.schedule(when, [this] { onTimer(); });
+            armTimer(eq_.now()
+                     + static_cast<sim::Tick>(std::ceil(earliest)));
             return;
         } else {
             // Later rounds: give every flow whose cap is below the
@@ -197,14 +189,15 @@ FluidChannel::reallocate()
         }
     }
 
-    // Schedule (or reschedule) a completion timer for the earliest
-    // projected finish.
-    if (timer_) {
-        eq_.deschedule(timer_);
-        timer_ = 0;
-    }
-    if (n == 0)
+    // Re-key the completion timer to the earliest projected finish;
+    // it leaves the queue only with the last flow.
+    if (n == 0) {
+        if (timer_) {
+            eq_.deschedule(timer_);
+            timer_ = 0;
+        }
         return;
+    }
     double earliest = -1;
     for (std::size_t i = 0; i < n; ++i) {
         if (flowRate_[i] <= 0)
@@ -214,9 +207,14 @@ FluidChannel::reallocate()
             earliest = eta;
     }
     CHARON_ASSERT(earliest >= 0, "active flows but none making progress");
-    sim::Tick when =
-        eq_.now() + static_cast<sim::Tick>(std::ceil(earliest));
-    timer_ = eq_.schedule(when, [this] { onTimer(); });
+    armTimer(eq_.now() + static_cast<sim::Tick>(std::ceil(earliest)));
+}
+
+void
+FluidChannel::armTimer(sim::Tick when)
+{
+    if (timer_ == 0 || !eq_.reschedule(timer_, when))
+        timer_ = eq_.schedule(when, [this] { onTimer(); });
 }
 
 void
@@ -224,22 +222,23 @@ FluidChannel::onTimer()
 {
     timer_ = 0;
     advance();
-    // Collect finished flows first, then fire callbacks (callbacks may
-    // reentrantly start new flows on this channel).  Survivors are
-    // compacted stably to keep the insertion order.
+    // Collect finished flows first, then complete their joins (a
+    // join's callback may reentrantly start new flows on this
+    // channel).  Survivors are compacted stably to keep the insertion
+    // order.
     auto &done = doneScratch_;
     done.clear();
     std::size_t kept = 0;
     const std::size_t n = flowBytes_.size();
     for (std::size_t i = 0; i < n; ++i) {
         if (flowBytes_[i] <= kFinishEpsilon) {
-            done.push_back(std::move(flowDone_[i]));
+            done.push_back(flowDone_[i]);
         } else {
             if (kept != i) {
                 flowBytes_[kept] = flowBytes_[i];
                 flowMax_[kept] = flowMax_[i];
                 flowRate_[kept] = flowRate_[i];
-                flowDone_[kept] = std::move(flowDone_[i]);
+                flowDone_[kept] = flowDone_[i];
             }
             ++kept;
         }
@@ -253,9 +252,9 @@ FluidChannel::onTimer()
         timeline_->counter(track_, now,
                            static_cast<double>(flowBytes_.size()));
     }
-    for (auto &cb : done) {
-        if (cb)
-            cb(now);
+    for (sim::Join *join : done) {
+        if (join)
+            join->arrive(now);
     }
     // No advance() here: the clock has not moved since the one above,
     // and any reentrant startFlow already advanced to this tick.

@@ -7,8 +7,14 @@
  * capped at its own maximum issue rate; the residual capacity is split
  * equally among flows that can still absorb more.  Whenever the set of
  * active flows changes, remaining bytes are advanced at the old rates
- * and the allocation is recomputed; the earliest projected completion
- * is scheduled as an event.
+ * and the allocation is recomputed; the channel's one completion timer
+ * is re-keyed to the earliest projected finish, and it leaves the
+ * event queue only when the last flow does.
+ *
+ * Every flow completes into a sim::Join, the fan-in its caller built
+ * over the resources the transfer occupies (the HMC route, the DDR4
+ * channels, a unit pool and its memory), so finishing a flow is one
+ * arrive() with no per-flow callback.
  *
  * This is the standard fluid-flow network abstraction: it captures the
  * two effects the paper's evaluation hinges on — (1) an agent with
@@ -26,6 +32,7 @@
 #include "mem/request.hh"
 #include "sim/event_queue.hh"
 #include "sim/instrumentation.hh"
+#include "sim/join.hh"
 #include "sim/stats.hh"
 #include "sim/timeline.hh"
 #include "sim/types.hh"
@@ -57,11 +64,14 @@ class FluidChannel
 
     /**
      * Begin transferring @p bytes at up to @p maxRate bytes/tick
-     * (0 == unlimited).  @p done fires when the last byte completes.
+     * (0 == unlimited).  When the last byte completes the flow calls
+     * @p join->arrive() with the finish tick; a null @p join means
+     * no completion.  A zero-byte flow completes through one event
+     * at the current tick.
      *
      * The transfer begins at the current event-queue time.
      */
-    void startFlow(std::uint64_t bytes, double maxRate, StreamCallback done);
+    void startFlow(std::uint64_t bytes, double maxRate, sim::Join *join);
 
     /** Peak capacity in bytes/tick. */
     double capacity() const { return capacity_; }
@@ -93,8 +103,14 @@ class FluidChannel
     /** Advance all flows to now() at their current rates. */
     void advance();
 
-    /** Recompute max-min-fair rates; schedule next completion. */
+    /** Recompute max-min-fair rates; re-key the completion timer. */
     void reallocate();
+
+    /**
+     * Point the completion timer at @p when: re-key the pending
+     * timer, or schedule one if none is pending.
+     */
+    void armTimer(sim::Tick when);
 
     /** Completion-event body. */
     void onTimer();
@@ -112,14 +128,14 @@ class FluidChannel
      * container choice.  Erases compact all columns stably for the
      * same reason.
      */
-    std::vector<double> flowBytes_;        ///< bytes left
-    std::vector<double> flowMax_;          ///< cap (0 == unlimited)
-    std::vector<double> flowRate_;         ///< current allocation
-    std::vector<StreamCallback> flowDone_; ///< completion callbacks
+    std::vector<double> flowBytes_;     ///< bytes left
+    std::vector<double> flowMax_;       ///< cap (0 == unlimited)
+    std::vector<double> flowRate_;      ///< current allocation
+    std::vector<sim::Join *> flowDone_; ///< completion joins (or null)
     sim::Tick lastAdvance_ = 0;
-    sim::EventId timer_ = 0;
+    sim::EventId timer_ = 0; ///< pending completion timer, or 0
     std::vector<std::uint32_t> uncappedScratch_; ///< reallocate() reuse
-    std::vector<StreamCallback> doneScratch_;    ///< onTimer() reuse
+    std::vector<sim::Join *> doneScratch_;       ///< onTimer() reuse
 
     sim::StatGroup stats_;
     sim::Counter bytesTransferred_;

@@ -1,9 +1,5 @@
 #include "event_queue.hh"
 
-#include <algorithm>
-
-#include "sim/logging.hh"
-
 namespace charon::sim
 {
 
@@ -16,70 +12,44 @@ void
 EventQueue::growSlab()
 {
     chunks_.push_back(
-        std::make_unique<Slot[]>(std::size_t{1} << kChunkShift));
+        std::make_unique<Callback[]>(std::size_t{1} << kChunkShift));
 }
 
 void
-EventQueue::popTop()
+EventQueue::removeAt(std::size_t i)
 {
-    heap_.front() = heap_.back();
+    const Node last = heap_.back();
     heap_.pop_back();
-    if (!heap_.empty())
-        siftDown(0);
-}
-
-void
-EventQueue::compact()
-{
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < heap_.size(); ++i) {
-        std::uint32_t slot = heap_[i].slot;
-        if (state_[slotAt(slot).id - 1] == Pending)
-            heap_[keep++] = heap_[i];
-        else
-            releaseSlot(slot);
-    }
-    heap_.resize(keep);
-    // Heapify from scratch; pop order depends only on (when, seq),
-    // never on the internal arrangement, so this is order-neutral.
-    for (std::size_t i = keep / 2; i-- > 0;)
+    if (i == heap_.size())
+        return;
+    heap_[i] = last;
+    if (i > 0 && earlier(last, heap_[(i - 1) / 2]))
+        siftUp(i);
+    else
         siftDown(i);
 }
 
-bool
-EventQueue::findMin()
+void
+EventQueue::fireTop()
 {
-    if (pending_ == 0)
-        return false;
-    while (!heap_.empty()) {
-        std::uint32_t slot = heap_.front().slot;
-        if (state_[slotAt(slot).id - 1] == Pending)
-            return true;
-        releaseSlot(slot);
-        popTop();
-    }
-    CHARON_ASSERT(false, "pending count %llu but heap empty",
-                  static_cast<unsigned long long>(pending_));
-    return false;
+    const Node top = heap_.front();
+    now_ = top.when;
+    ++executed_;
+    removeAt(0);
+    meta_[top.slot].pos = kNone;
+    // Execute in place: the chunked slab never relocates a slot, so
+    // callbacks scheduled by fn() cannot move it mid-call, and the
+    // slot is out of the heap, so its own id is no longer pending.
+    fnAt(top.slot)();
+    releaseSlot(top.slot);
 }
 
 bool
 EventQueue::step()
 {
-    if (!findMin())
+    if (heap_.empty())
         return false;
-    const Node top = heap_.front();
-    Slot &s = slotAt(top.slot);
-    state_[s.id - 1] = Fired;
-    --pending_;
-    now_ = top.when;
-    ++executed_;
-    popTop();
-    // Execute in place: the chunked slab never relocates a slot, so
-    // callbacks scheduled by s.fn() cannot move it mid-call, and its
-    // Fired state keeps deschedule()/compact() hands off.
-    s.fn();
-    releaseSlot(top.slot);
+    fireTop();
     return true;
 }
 
@@ -87,20 +57,12 @@ std::uint64_t
 EventQueue::run(Tick until)
 {
     std::uint64_t executed = 0;
-    while (findMin()) {
-        const Node top = heap_.front();
-        if (top.when > until) {
+    while (!heap_.empty()) {
+        if (heap_.front().when > until) {
             now_ = until;
             return executed;
         }
-        Slot &s = slotAt(top.slot);
-        state_[s.id - 1] = Fired;
-        --pending_;
-        now_ = top.when;
-        ++executed_;
-        popTop();
-        s.fn();
-        releaseSlot(top.slot);
+        fireTop();
         ++executed;
     }
     return executed;

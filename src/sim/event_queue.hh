@@ -14,9 +14,13 @@
  * 100+-byte closures.  The replay population is small (tens of
  * pending events), which makes an O(log n) heap cheaper in practice
  * than a calendar queue whose min-location must scan bucket windows.
- * Cancellation is a lazy tombstone: descheduled nodes stay in the
- * heap and are peeled when they surface (with a rebuild if tombstones
- * ever dominate).
+ *
+ * The queue records every slot's heap position, so the heap holds
+ * exactly the pending events: deschedule() removes its node in
+ * O(log n) and reschedule() re-keys a pending event in place.  An
+ * EventId names a slot and that slot's generation, which is bumped
+ * whenever the slot's event fires or is cancelled, so a stale id
+ * matches nothing.
  */
 
 #ifndef CHARON_SIM_EVENT_QUEUE_HH
@@ -33,7 +37,11 @@
 namespace charon::sim
 {
 
-/** Opaque handle identifying a scheduled event (for cancellation). */
+/**
+ * Opaque nonzero handle identifying a scheduled event (for
+ * cancellation and re-keying): the slot's generation in the high 32
+ * bits, the slot index in the low 32.  0 never names an event.
+ */
 using EventId = std::uint64_t;
 
 /**
@@ -67,39 +75,31 @@ class EventQueue
     /**
      * Schedule @p fn at absolute time @p when.
      *
-     * Defined inline: schedule/deschedule are the simulator's hottest
-     * entry points (every flow reallocation reschedules a timer) and
-     * the callers live in other translation units.
+     * Defined inline: schedule/reschedule are the simulator's hottest
+     * entry points (every flow reallocation re-keys a timer) and the
+     * callers live in other translation units.
      *
      * @pre when >= now() (scheduling in the past is a simulator bug).
-     * @return handle usable with cancellation via deschedule().
+     * @return handle usable with deschedule() and reschedule().
      */
     EventId
     schedule(Tick when, Callback fn)
     {
-        CHARON_ASSERT(when >= now_,
-                      "scheduling at %llu before now %llu",
-                      static_cast<unsigned long long>(when),
-                      static_cast<unsigned long long>(now_));
-        EventId id = nextId_++;
-        state_.push_back(Pending);
-        ++pending_;
+        assertNotPast(when);
         std::uint32_t slot;
         if (!freeSlots_.empty()) {
             slot = freeSlots_.back();
             freeSlots_.pop_back();
         } else {
-            slot = static_cast<std::uint32_t>(slotCount_);
-            if ((slotCount_ & kChunkMask) == 0)
+            slot = static_cast<std::uint32_t>(meta_.size());
+            if ((slot & kChunkMask) == 0)
                 growSlab();
-            ++slotCount_;
+            meta_.push_back(SlotMeta{});
         }
-        Slot &s = slotAt(slot);
-        s.fn = std::move(fn);
-        s.id = id;
+        fnAt(slot) = std::move(fn);
         heap_.push_back(Node{when, nextSeq_++, slot});
         siftUp(heap_.size() - 1);
-        return id;
+        return (static_cast<EventId>(meta_[slot].gen) << 32) | slot;
     }
 
     /** Schedule @p fn @p delay ticks from now. */
@@ -110,32 +110,59 @@ class EventQueue
     }
 
     /**
-     * Cancel a previously scheduled event.
-     *
-     * An id is cancellable iff it is still pending; its node stays
-     * behind as a tombstone and is peeled when it reaches the root
-     * (or dropped wholesale by compact()).
+     * Cancel a pending event: its node leaves the heap and its
+     * callback is destroyed now.
      *
      * @retval true the event was pending and is now cancelled.
-     * @retval false the event already fired or was already cancelled.
+     * @retval false the id names no pending event: it already fired,
+     *         is running, was cancelled, or never existed.
      */
     bool
     deschedule(EventId id)
     {
-        if (id == 0 || id >= nextId_ || state_[id - 1] != Pending)
+        const std::uint32_t slot = pendingSlot(id);
+        if (slot == kNone)
             return false;
-        state_[id - 1] = Cancelled;
-        --pending_;
-        if (heap_.size() > 64 && heap_.size() > 4 * pending_)
-            compact();
+        removeAt(meta_[slot].pos);
+        releaseSlot(slot);
         return true;
     }
 
-    /** Number of pending (non-cancelled) events. */
-    std::size_t pendingEvents() const { return pending_; }
+    /**
+     * Move a pending event to @p when, keeping its callback and its
+     * id.  The event takes a fresh insertion sequence number, so it
+     * fires exactly where deschedule() followed by schedule() of the
+     * same callback would put it: behind every event already
+     * scheduled for @p when.
+     *
+     * @pre when >= now(), as for schedule().
+     * @retval true the event was pending and is re-keyed.
+     * @retval false the id names no pending event (see deschedule()).
+     */
+    bool
+    reschedule(EventId id, Tick when)
+    {
+        assertNotPast(when);
+        const std::uint32_t slot = pendingSlot(id);
+        if (slot == kNone)
+            return false;
+        const std::size_t i = meta_[slot].pos;
+        // A fresh seq makes the new key later than the old one at
+        // the same tick, so only an earlier tick can move it up.
+        const bool up = when < heap_[i].when;
+        heap_[i] = Node{when, nextSeq_++, slot};
+        if (up)
+            siftUp(i);
+        else
+            siftDown(i);
+        return true;
+    }
+
+    /** Number of pending events. */
+    std::size_t pendingEvents() const { return heap_.size(); }
 
     /** True when no events remain. */
-    bool empty() const { return pending_ == 0; }
+    bool empty() const { return heap_.empty(); }
 
     /** Events executed over the queue's lifetime (perf metric). */
     std::uint64_t executedEvents() const { return executed_; }
@@ -161,22 +188,18 @@ class EventQueue
     {
         Tick when;
         std::uint64_t seq;
-        std::uint32_t slot; ///< index into slots_
+        std::uint32_t slot; ///< index into the slab and meta_
     };
 
-    enum State : std::uint8_t
+    /** Per-slot bookkeeping, kept apart from the wide callbacks. */
+    struct SlotMeta
     {
-        Pending,
-        Fired,
-        Cancelled,
+        std::uint32_t gen = 1;     ///< bumped on release, never 0
+        std::uint32_t pos = kNone; ///< heap index while pending
     };
 
-    /** Slab entry owning the callback for one scheduled event. */
-    struct Slot
-    {
-        Callback fn;
-        EventId id = 0;
-    };
+    /** "No slot" from pendingSlot(), "not in the heap" in SlotMeta. */
+    static constexpr std::uint32_t kNone = ~std::uint32_t{0};
 
     /**
      * Slots live in fixed-size chunks so a schedule() issued from a
@@ -192,15 +215,40 @@ class EventQueue
         return a.when != b.when ? a.when < b.when : a.seq < b.seq;
     }
 
-    /**
-     * Peel tombstones off the root until a pending event surfaces.
-     * @retval false no pending events.
-     */
-    bool findMin();
-    /** Remove the root node and restore the heap property. */
-    void popTop();
-    /** Drop all tombstones and re-heapify (order-preserving). */
-    void compact();
+    void
+    assertNotPast(Tick when) const
+    {
+        CHARON_ASSERT(when >= now_,
+                      "scheduling at %llu before now %llu",
+                      static_cast<unsigned long long>(when),
+                      static_cast<unsigned long long>(now_));
+    }
+
+    /** The slot @p id names if its event is pending, else kNone. */
+    std::uint32_t
+    pendingSlot(EventId id) const
+    {
+        const auto slot = static_cast<std::uint32_t>(id);
+        if (slot >= meta_.size())
+            return kNone;
+        const SlotMeta &m = meta_[slot];
+        if (m.gen != static_cast<std::uint32_t>(id >> 32)
+            || m.pos == kNone)
+            return kNone;
+        return slot;
+    }
+
+    /** Remove the node at heap index @p i, keeping the heap valid. */
+    void removeAt(std::size_t i);
+    /** Pop the earliest event and run it; @pre !empty(). */
+    void fireTop();
+
+    void
+    place(std::size_t i, const Node &n)
+    {
+        heap_[i] = n;
+        meta_[n.slot].pos = static_cast<std::uint32_t>(i);
+    }
 
     void
     siftUp(std::size_t i)
@@ -210,10 +258,10 @@ class EventQueue
             std::size_t parent = (i - 1) / 2;
             if (!earlier(n, heap_[parent]))
                 break;
-            heap_[i] = heap_[parent];
+            place(i, heap_[parent]);
             i = parent;
         }
-        heap_[i] = n;
+        place(i, n);
     }
 
     void
@@ -229,40 +277,41 @@ class EventQueue
                 ++child;
             if (!earlier(heap_[child], v))
                 break;
-            heap_[i] = heap_[child];
+            place(i, heap_[child]);
             i = child;
         }
-        heap_[i] = v;
+        place(i, v);
     }
 
-    Slot &
-    slotAt(std::uint32_t slot)
+    /** The slab entry owning the callback of @p slot. */
+    Callback &
+    fnAt(std::uint32_t slot)
     {
         return chunks_[slot >> kChunkShift][slot & kChunkMask];
     }
 
     void growSlab();
 
+    /** Destroy the slot's callback and retire every id naming it. */
     void
     releaseSlot(std::uint32_t slot)
     {
-        Slot &s = slotAt(slot);
-        s.fn = Callback();
-        s.id = 0;
+        fnAt(slot) = Callback();
+        SlotMeta &m = meta_[slot];
+        m.pos = kNone;
+        if (++m.gen == 0)
+            m.gen = 1;
         freeSlots_.push_back(slot);
     }
 
     Tick now_ = 0;
     std::uint64_t executed_ = 0;
     std::uint64_t nextSeq_ = 0;
-    EventId nextId_ = 1;
-    std::size_t pending_ = 0;
 
     std::vector<Node> heap_;
-    std::vector<std::unique_ptr<Slot[]>> chunks_;
-    std::size_t slotCount_ = 0;
+    std::vector<std::unique_ptr<Callback[]>> chunks_;
+    std::vector<SlotMeta> meta_; ///< one per slot ever allocated
     std::vector<std::uint32_t> freeSlots_;
-    std::vector<std::uint8_t> state_; ///< per-id lifecycle, id-indexed
 };
 
 } // namespace charon::sim

@@ -16,6 +16,7 @@
 #include "gc/verify.hh"
 #include "mem/fluid_channel.hh"
 #include "sim/event_queue.hh"
+#include "sim/join.hh"
 #include "sim/rng.hh"
 #include "workload/mutator.hh"
 
@@ -38,6 +39,7 @@ TEST(FluidChannelProperty, BytesAreConservedUnderRandomTraffic)
         EventQueue eq;
         double capacity = 0.5 + rng.uniform() * 4.0;
         mem::FluidChannel ch(eq, "prop", capacity);
+        sim::JoinPool joins;
 
         std::uint64_t offered = 0;
         int finished = 0;
@@ -51,10 +53,10 @@ TEST(FluidChannelProperty, BytesAreConservedUnderRandomTraffic)
                              : capacity * (0.05 + rng.uniform());
             offered += bytes;
             eq.schedule(start, [&, bytes, cap] {
-                ch.startFlow(bytes, cap, [&](Tick t) {
+                ch.startFlow(bytes, cap, joins.acquire(1, [&](Tick t) {
                     ++finished;
                     last_finish = std::max(last_finish, t);
-                });
+                }));
             });
         }
         eq.run();
