@@ -1,6 +1,7 @@
 #include "backend.hh"
 
-#include "accel/area_energy.hh"
+#include <algorithm>
+
 #include "accel/cxl.hh"
 #include "accel/device.hh"
 #include "accel/igpu.hh"
@@ -8,6 +9,20 @@
 
 namespace charon::accel
 {
+
+double
+issueRate(double freq_hz, int bytes_per_cycle)
+{
+    return sim::gbPerSecToBytesPerTick(freq_hz * bytes_per_cycle / 1e9);
+}
+
+double
+unitPoolEnergyJ(double busy_seconds, int units, double gc_seconds,
+                double active_w, double idle_w)
+{
+    return busy_seconds * active_w
+           + std::max(0.0, units * gc_seconds - busy_seconds) * idle_w;
+}
 
 std::unique_ptr<OffloadBackend>
 makeBackend(sim::PlatformKind kind, sim::EventQueue &eq,
@@ -63,7 +78,7 @@ backendAreaMm2(sim::PlatformKind kind, const sim::SystemConfig &cfg)
       case sim::BackendKind::None:
         return 0.0;
       case sim::BackendKind::Charon:
-        return AreaModel(cfg.charon).totalMm2();
+        return charonAreaMm2(cfg);
       case sim::BackendKind::Igpu:
         return cfg.igpu.areaMm2;
       case sim::BackendKind::Cxl:

@@ -8,9 +8,12 @@
  * The contract (DESIGN.md "The OffloadBackend contract"):
  *
  *  - **Primitive dispatch.** execBucket() consumes one aggregated
- *    bucket and schedules the completion callback on the event queue;
- *    an empty bucket (zero invocations) completes at the current tick
- *    via a scheduled event, never synchronously.  A backend declares
+ *    bucket and arrives on the caller's join exactly once, always
+ *    from an event: the bucket's root join fans in its unit-pool and
+ *    memory flows and carries the per-invocation overhead as its
+ *    delay, so it completes one event after the flows finish; an
+ *    empty bucket (zero invocations) completes at the current tick
+ *    via one scheduled event, never synchronously.  A backend declares
  *    which of the six primitives it implements via capabilityMask();
  *    PlatformSim routes unsupported kinds to the host model.
  *  - **Translation/TLB model.** Each backend owns its own address
@@ -38,6 +41,7 @@
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
 #include "sim/instrumentation.hh"
+#include "sim/join.hh"
 
 namespace charon::mem
 {
@@ -77,12 +81,11 @@ class OffloadBackend
      * @param bucket the work (kind, cubes, bytes, invocation count)
      * @param bitmap_hit_rate measured bitmap/metadata cache hit rate
      *        of the enclosing phase
-     * @param done completion callback (the host thread unblocks);
-     *        always invoked from a scheduled event, never inline
+     * @param done join the bucket arrives on once (the host thread
+     *        unblocks); always from a scheduled event, never inline
      */
     virtual void execBucket(const gc::Bucket &bucket,
-                            double bitmap_hit_rate,
-                            mem::StreamCallback done) = 0;
+                            double bitmap_hit_rate, sim::Join *done) = 0;
 
     /**
      * Host-side cost paid once at GC start before the first offload
@@ -115,6 +118,16 @@ class OffloadBackend
     /** Attach a fault engine (owned by the PlatformSim; may be null). */
     virtual void setFaultEngine(const fault::FaultEngine *engine) = 0;
 };
+
+/** Issue bandwidth of one unit in bytes/tick at @p bytes_per_cycle. */
+double issueRate(double freq_hz, int bytes_per_cycle);
+
+/**
+ * Energy of a pool of @p units over a GC lasting @p gc_seconds:
+ * busy unit-seconds at active power, the rest of unit-time idling.
+ */
+double unitPoolEnergyJ(double busy_seconds, int units, double gc_seconds,
+                       double active_w, double idle_w);
 
 /**
  * Build the backend for @p kind, or nullptr for pure-host platforms

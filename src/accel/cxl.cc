@@ -8,18 +8,6 @@ namespace charon::accel
 using gc::PrimKind;
 using sim::Tick;
 
-namespace
-{
-
-/** Issue bandwidth of one memory-side unit in bytes/tick. */
-double
-unitIssueRate(double freq_hz, int bytes_per_cycle)
-{
-    return sim::gbPerSecToBytesPerTick(freq_hz * bytes_per_cycle / 1e9);
-}
-
-} // namespace
-
 CxlDevice::CxlDevice(sim::EventQueue &eq, mem::Ddr4Memory &ddr4,
                      const sim::SystemConfig &cfg,
                      const sim::Instrumentation &instr)
@@ -29,7 +17,7 @@ CxlDevice::CxlDevice(sim::EventQueue &eq, mem::Ddr4Memory &ddr4,
     const auto &x = cfg_.cxl;
     unitPool_ = std::make_unique<mem::FluidChannel>(
         eq_, "cxl.units",
-        x.deviceUnits * unitIssueRate(x.unitFreqHz, 64), instr);
+        x.deviceUnits * issueRate(x.unitFreqHz, 64), instr);
 }
 
 double
@@ -65,14 +53,10 @@ CxlDevice::offloadOverhead(int /*cube*/) const
 
 void
 CxlDevice::execBucket(const gc::Bucket &b, double bitmap_hit_rate,
-                      mem::StreamCallback done)
+                      sim::Join *done)
 {
     if (b.invocations == 0) {
-        Tick now = eq_.now();
-        eq_.schedule(now, [done, now] {
-            if (done)
-                done(now);
-        });
+        sim::arriveAt(eq_, done, eq_.now());
         return;
     }
 
@@ -121,16 +105,8 @@ CxlDevice::execBucket(const gc::Bucket &b, double bitmap_hit_rate,
     floor += static_cast<Tick>(std::min(walk_rate, 1.0)
                                * static_cast<double>(host_walk));
 
-    const Tick overhead =
-        (offloadOverhead(0) + floor) * b.invocations;
+    const sim::Delay overhead((offloadOverhead(0) + floor) * b.invocations);
     packetBytes_ += static_cast<double>(b.invocations) * 128.0;
-
-    mem::StreamCallback wrapped = [this, overhead, done](Tick t) {
-        eq_.schedule(t + overhead, [done, t, overhead] {
-            if (done)
-                done(t + overhead);
-        });
-    };
 
     // Writes to host-cacheable GC metadata (mark-bitmap RMWs, count
     // words, free-list nodes) each cost a back-invalidation snoop on
@@ -144,92 +120,61 @@ CxlDevice::execBucket(const gc::Bucket &b, double bitmap_hit_rate,
     const std::uint64_t snoop_bytes =
         snoop_lines * static_cast<std::uint64_t>(cfg_.cxl.snoopBytes);
 
-    const int parts = 2 + (snoop_bytes != 0 ? 1 : 0);
+    // Every kind is a join of the units' issue, the expander DRAM
+    // traffic and any snoops.
     sim::Join *join =
-        joins_.acquire(parts, sim::JoinPool::wrap(std::move(wrapped)));
-    auto arrive = [join](Tick t) { join->arrive(t); };
+        joins_.acquire(snoop_bytes != 0 ? 3 : 2, done, overhead);
     if (snoop_bytes != 0)
         hostPort_.link().startFlow(snoop_bytes, 0, join);
 
-    double unit_rate = unitIssueRate(cfg_.cxl.unitFreqHz, 64);
+    std::uint64_t unit_bytes = 0;
+    double unit_rate = issueRate(cfg_.cxl.unitFreqHz, 64);
+    mem::StreamRequest req;
+    req.pattern = mem::AccessPattern::Sequential;
+    req.granularity = 64;
+    req.maxRate = devRate(mem::AccessPattern::Sequential);
+    sim::Join *req_done = join;
     switch (b.kind) {
-      case PrimKind::Copy: {
-        unitPool_->startFlow(b.seqReadBytes + b.writeBytes, unit_rate, join);
-        mem::StreamRequest req;
-        req.bytes = b.seqReadBytes + b.writeBytes;
-        req.pattern = mem::AccessPattern::Sequential;
-        req.granularity = 64;
-        req.maxRate = devRate(mem::AccessPattern::Sequential);
-        ddr4_.stream(req, arrive);
+      case PrimKind::Copy:
+      case PrimKind::BitSweep:
+        unit_bytes = req.bytes = b.seqReadBytes + b.writeBytes;
         break;
-      }
-      case PrimKind::Search: {
+      case PrimKind::Search:
         // 32 B/cycle compare datapath, like the Charon unit.
-        unitPool_->startFlow(
-            b.seqReadBytes,
-            unitIssueRate(cfg_.cxl.unitFreqHz, 32), join);
-        mem::StreamRequest req;
-        req.bytes = b.seqReadBytes;
-        req.pattern = mem::AccessPattern::Sequential;
-        req.granularity = 64;
-        req.maxRate = devRate(mem::AccessPattern::Sequential);
-        ddr4_.stream(req, arrive);
+        unit_bytes = req.bytes = b.seqReadBytes;
+        unit_rate = issueRate(cfg_.cxl.unitFreqHz, 32);
         break;
-      }
       case PrimKind::ScanPush: {
         // Strided reference-block reads then the dependent probes,
         // both against raw expander DRAM.
-        unitPool_->startFlow(b.seqReadBytes + b.randomBytes, unit_rate, join);
-        mem::StreamRequest seq;
-        seq.bytes = b.seqReadBytes;
-        seq.pattern = mem::AccessPattern::Strided;
-        seq.granularity = 64;
-        seq.maxRate = devRate(mem::AccessPattern::Strided);
+        unit_bytes = b.seqReadBytes + b.randomBytes;
+        req.bytes = b.seqReadBytes;
+        req.pattern = mem::AccessPattern::Strided;
+        req.maxRate = devRate(mem::AccessPattern::Strided);
         mem::StreamRequest rnd;
         rnd.bytes = b.randomBytes;
         rnd.pattern = mem::AccessPattern::Random;
         rnd.granularity = 16;
         rnd.maxRate = devRate(mem::AccessPattern::Random);
-        auto self = this;
-        ddr4_.stream(seq, [self, rnd, arrive](Tick) {
-            self->ddr4_.stream(rnd, arrive);
-        });
+        req_done = joins_.acquire(
+            1, [this, rnd, join](Tick) { ddr4_.stream(rnd, join); });
         break;
       }
-      case PrimKind::BitmapCount: {
-        unitPool_->startFlow(std::max<std::uint64_t>(b.rangeBits / 8, 1),
-                             unit_rate, join);
-        mem::StreamRequest req;
+      case PrimKind::BitmapCount:
+        unit_bytes = std::max<std::uint64_t>(b.rangeBits / 8, 1);
         req.bytes = b.seqReadBytes;
-        req.pattern = mem::AccessPattern::Sequential;
-        req.granularity = 64;
-        req.maxRate = devRate(mem::AccessPattern::Sequential);
-        ddr4_.stream(req, arrive);
         break;
-      }
-      case PrimKind::BitSweep: {
-        unitPool_->startFlow(b.seqReadBytes + b.writeBytes, unit_rate, join);
-        mem::StreamRequest req;
-        req.bytes = b.seqReadBytes + b.writeBytes;
-        req.pattern = mem::AccessPattern::Sequential;
-        req.granularity = 64;
-        req.maxRate = devRate(mem::AccessPattern::Sequential);
-        ddr4_.stream(req, arrive);
-        break;
-      }
-      case PrimKind::RefCount: {
+      case PrimKind::RefCount:
         // 16 B RMWs near the DRAM: no line inflation, no writeback
         // over a link — the memory-side win for scattered updates.
-        unitPool_->startFlow(b.randomBytes + b.writeBytes, unit_rate, join);
-        mem::StreamRequest rnd;
-        rnd.bytes = b.randomBytes + b.writeBytes;
-        rnd.pattern = mem::AccessPattern::Random;
-        rnd.granularity = 16;
-        rnd.maxRate = devRate(mem::AccessPattern::Random);
-        ddr4_.stream(rnd, arrive);
+        unit_bytes = req.bytes = b.randomBytes + b.writeBytes;
+        req.pattern = mem::AccessPattern::Random;
+        req.granularity = 16;
+        req.maxRate = devRate(mem::AccessPattern::Random);
         break;
-      }
     }
+    unitPool_->startFlow(unit_bytes, unit_rate, join);
+    ddr4_.stream(req, req_done);
 }
 
 double
@@ -244,10 +189,8 @@ double
 CxlDevice::unitEnergyJ(double gc_seconds) const
 {
     const auto &x = cfg_.cxl;
-    double busy = unitBusySeconds();
-    double unit_seconds = x.deviceUnits * gc_seconds;
-    return busy * x.unitActivePowerW
-           + std::max(0.0, unit_seconds - busy) * x.unitIdlePowerW;
+    return unitPoolEnergyJ(unitBusySeconds(), x.deviceUnits, gc_seconds,
+                           x.unitActivePowerW, x.unitIdlePowerW);
 }
 
 } // namespace charon::accel

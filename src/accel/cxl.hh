@@ -59,7 +59,7 @@ class CxlDevice : public OffloadBackend
     }
 
     void execBucket(const gc::Bucket &bucket, double bitmap_hit_rate,
-                    mem::StreamCallback done) override;
+                    sim::Join *done) override;
 
     /**
      * Host dirty-line writeback over the CXL link at GC start, so the
@@ -91,7 +91,7 @@ class CxlDevice : public OffloadBackend
     sim::EventQueue &eq_;
     mem::Ddr4Memory &ddr4_;
     sim::SystemConfig cfg_;
-    sim::JoinPool joins_;
+    sim::JoinPool joins_{eq_};
 
     /** Host attachment (owns the shared link channel). */
     mem::CxlHostPort hostPort_;

@@ -11,56 +11,57 @@ namespace charon::accel
 using gc::PrimKind;
 using sim::Tick;
 
-namespace
+CharonUnits
+charonUnits(const sim::SystemConfig &cfg)
 {
-
-/** Issue bandwidth of one unit in bytes/tick at @p bytes per cycle. */
-double
-issueRate(double freq_hz, int bytes_per_cycle)
-{
-    return sim::gbPerSecToBytesPerTick(freq_hz * bytes_per_cycle / 1e9);
+    const auto &ch = cfg.charon;
+    const int cubes = cfg.hmc.cubes;
+    auto spread = [cubes](int n) { return cubes * std::max(1, n / cubes); };
+    return {spread(ch.copySearchUnits), spread(ch.bitmapCountUnits),
+            ch.scanPushLocal ? spread(ch.scanPushUnits)
+                             : ch.scanPushUnits};
 }
 
-} // namespace
+double
+charonAreaMm2(const sim::SystemConfig &cfg)
+{
+    const CharonUnits units = charonUnits(cfg);
+    sim::CharonConfig laid_out = cfg.charon;
+    laid_out.copySearchUnits = units.copySearch;
+    laid_out.bitmapCountUnits = units.bitmapCount;
+    laid_out.scanPushUnits = units.scanPush;
+    return AreaModel(laid_out).totalMm2();
+}
 
 CharonDevice::CharonDevice(sim::EventQueue &eq, hmc::HmcMemory &hmc,
                            const sim::SystemConfig &cfg,
                            const sim::Instrumentation &instr)
-    : eq_(eq), hmc_(hmc), cfg_(cfg), timeline_(instr.timeline())
+    : eq_(eq), hmc_(hmc), cfg_(cfg), units_(charonUnits(cfg)),
+      timeline_(instr.timeline())
 {
-    const auto &ch = cfg_.charon;
-    const int cubes = cfg_.hmc.cubes;
-    const int cs_per_cube = std::max(1, ch.copySearchUnits / cubes);
-    const int bc_per_cube = std::max(1, ch.bitmapCountUnits / cubes);
-
-    // Pools are built kind-by-kind (not cube-by-cube) so the counter
-    // tracks appear grouped by kind in exported traces.
-    for (int c = 0; c < cubes; ++c) {
-        // A Copy/Search unit issues one 256 B request per cycle.
-        copySearchPools_.push_back(std::make_unique<mem::FluidChannel>(
-            eq_, sim::format("charon.cs%d", c),
-            cs_per_cube * issueRate(ch.unitFreqHz, 256), instr));
-    }
-    for (int c = 0; c < cubes; ++c) {
-        // A Bitmap Count unit consumes a 64-bit word pair (8 B from
-        // each map) per cycle.
-        bitmapCountPools_.push_back(std::make_unique<mem::FluidChannel>(
-            eq_, sim::format("charon.bc%d", c),
-            bc_per_cube * issueRate(ch.unitFreqHz, 16), instr));
-    }
-    if (ch.scanPushLocal) {
-        const int sp_per_cube = std::max(1, ch.scanPushUnits / cubes);
-        for (int c = 0; c < cubes; ++c) {
-            scanPushPools_.push_back(std::make_unique<mem::FluidChannel>(
-                eq_, sim::format("charon.sp%d", c),
-                sp_per_cube * issueRate(ch.unitFreqHz, 16), instr));
+    const double freq = cfg_.charon.unitFreqHz;
+    // One pool per cube the units are spread over, each as wide as
+    // its units' combined issue bandwidth.
+    auto build = [&](auto &pools, const char *prefix, int n_pools,
+                     int units, int bytes_per_cycle) {
+        for (int c = 0; c < n_pools; ++c) {
+            pools.push_back(std::make_unique<mem::FluidChannel>(
+                eq_, sim::format("charon.%s%d", prefix, c),
+                units / n_pools * issueRate(freq, bytes_per_cycle),
+                instr));
         }
-    } else {
-        // All Scan&Push units on the central cube (Section 4.4).
-        scanPushPools_.push_back(std::make_unique<mem::FluidChannel>(
-            eq_, "charon.sp0",
-            ch.scanPushUnits * issueRate(ch.unitFreqHz, 16), instr));
-    }
+    };
+    // Pools are built kind-by-kind (not cube-by-cube) so the counter
+    // tracks appear grouped by kind in exported traces.  A Copy/Search
+    // unit issues one 256 B request per cycle; a Bitmap Count unit
+    // consumes a 64-bit word pair (8 B from each map) per cycle; a
+    // Scan&Push unit issues one 16 B request per cycle, all of them
+    // on the central cube unless placed locally (Section 4.4).
+    const int cubes = cfg_.hmc.cubes;
+    build(copySearchPools_, "cs", cubes, units_.copySearch, 256);
+    build(bitmapCountPools_, "bc", cubes, units_.bitmapCount, 16);
+    build(scanPushPools_, "sp", cfg_.charon.scanPushLocal ? cubes : 1,
+          units_.scanPush, 16);
     tlbTrack_ = instr.track("charon.tlb.remote");
 }
 
@@ -130,16 +131,36 @@ CharonDevice::gcPrologueTicks() const
     return sim::secondsToTicks(seconds);
 }
 
+int
+CharonDevice::unitCube(const gc::Bucket &b) const
+{
+    if (cfg_.charon.cpuSide)
+        return 0;
+    const bool scan_push_units =
+        b.kind == PrimKind::ScanPush || b.kind == PrimKind::RefCount;
+    return scan_push_units && !cfg_.charon.scanPushLocal ? 0 : b.srcCube;
+}
+
+bool
+CharonDevice::remoteStructures(int unit_cube) const
+{
+    return !cfg_.charon.distributedStructures && !cfg_.charon.cpuSide
+           && unit_cube != 0;
+}
+
+Tick
+CharonDevice::firstAccessLatency(mem::AccessPattern p) const
+{
+    return cfg_.charon.cpuSide ? hmc_.hostPort().latency(p)
+                               : hmc_.localLatency(p);
+}
+
 void
 CharonDevice::execBucket(const gc::Bucket &bucket, double bitmap_hit_rate,
-                         mem::StreamCallback done)
+                         sim::Join *done)
 {
     if (bucket.invocations == 0) {
-        Tick now = eq_.now();
-        eq_.schedule(now, [done, now] {
-            if (done)
-                done(now);
-        });
+        sim::arriveAt(eq_, done, eq_.now());
         return;
     }
     // The blocked host thread pays, per invocation, the offload round
@@ -148,23 +169,12 @@ CharonDevice::execBucket(const gc::Bucket &bucket, double bitmap_hit_rate,
     // invocation cannot be overlapped with anything (this is what
     // keeps Search at ~3x and small-object Copy near parity in the
     // paper, despite the enormous streaming bandwidth).
-    const int unit_cube =
-        ((bucket.kind == PrimKind::ScanPush
-          || bucket.kind == PrimKind::RefCount)
-         && scanPushPools_.size() == 1 && !cfg_.charon.cpuSide)
-            ? 0
-            : bucket.srcCube;
-    // A CPU-side unit (Figure 16) sees the full off-chip round trip
-    // on every first access; a logic-layer unit sees the local vault.
-    auto first_access_lat = [this](mem::AccessPattern p) {
-        return cfg_.charon.cpuSide ? hmc_.hostPort().latency(p)
-                                   : hmc_.localLatency(p);
-    };
+    const int unit_cube = unitCube(bucket);
     Tick floor = 0;
     switch (bucket.kind) {
       case PrimKind::Copy:
       case PrimKind::Search:
-        floor = first_access_lat(mem::AccessPattern::Sequential);
+        floor = firstAccessLatency(mem::AccessPattern::Sequential);
         break;
       case PrimKind::BitmapCount: {
         // Bitmap-cache hits avoid the DRAM round trip (2 unit cycles
@@ -172,10 +182,9 @@ CharonDevice::execBucket(const gc::Bucket &bucket, double bitmap_hit_rate,
         // central cube, a satellite unit's lookup additionally
         // crosses its spoke link both ways.
         double miss_lat = static_cast<double>(
-            first_access_lat(mem::AccessPattern::Random));
+            firstAccessLatency(mem::AccessPattern::Random));
         double hit_lat = 3200.0;
-        if (!cfg_.charon.distributedStructures && !cfg_.charon.cpuSide
-            && unit_cube != 0) {
+        if (remoteStructures(unit_cube)) {
             hit_lat +=
                 static_cast<double>(2 * cfg_.hmc.linkLatency());
         }
@@ -186,141 +195,163 @@ CharonDevice::execBucket(const gc::Bucket &bucket, double bitmap_hit_rate,
       case PrimKind::ScanPush:
         // The object's reference block must arrive before the probes
         // can issue; command decode overlaps roughly half of it.
-        floor = first_access_lat(mem::AccessPattern::Strided) / 2;
+        floor = firstAccessLatency(mem::AccessPattern::Strided) / 2;
         break;
       case PrimKind::BitSweep:
         // The sweep streams the bitmaps front to back; only the first
         // word pair is exposed.
-        floor = first_access_lat(mem::AccessPattern::Sequential);
+        floor = firstAccessLatency(mem::AccessPattern::Sequential);
         break;
       case PrimKind::RefCount:
         // Count updates return no value (the response packet carries
         // no payload), so successive offloads pipeline through the
         // MAI instead of serializing on the RMW round trip; only the
         // 1/maiEntries share of each fetch is exposed.
-        floor = first_access_lat(mem::AccessPattern::Random)
+        floor = firstAccessLatency(mem::AccessPattern::Random)
                 / static_cast<Tick>(cfg_.charon.maiEntries);
         break;
     }
-    const Tick overhead =
-        (offloadOverhead(unit_cube) + floor) * bucket.invocations;
-    auto wrapped = [this, overhead, done](Tick t) {
-        eq_.schedule(t + overhead, [done, t, overhead] {
-            if (done)
-                done(t + overhead);
-        });
-    };
+    // The bucket's root join fans in its flows and delays completion
+    // by the serialized per-invocation overhead.
+    const sim::Delay overhead(
+        (offloadOverhead(unit_cube) + floor) * bucket.invocations);
 
+    // Copy, Scan&Push and Ref Count responses carry no value; Search
+    // and Bitmap Count return one, and Bit Sweep the discovered
+    // free-run extents.
+    const bool no_value = bucket.kind == PrimKind::Copy
+                          || bucket.kind == PrimKind::ScanPush
+                          || bucket.kind == PrimKind::RefCount;
+    packetBytes_ += static_cast<double>(bucket.invocations)
+                    * (cfg_.charon.requestPacketBytes
+                       + (no_value ? cfg_.charon.responsePacketNoValBytes
+                                   : cfg_.charon.responsePacketBytes));
+
+    const auto cubes = static_cast<std::size_t>(cfg_.hmc.cubes);
     switch (bucket.kind) {
       case PrimKind::Copy:
-        packetBytes_ += static_cast<double>(bucket.invocations)
-                        * (cfg_.charon.requestPacketBytes
-                           + cfg_.charon.responsePacketNoValBytes);
-        execCopy(bucket, wrapped);
+      case PrimKind::BitSweep:
+        execStream(bucket, unit_cube, joins_.acquire(3, done, overhead));
         break;
       case PrimKind::Search:
-        packetBytes_ += static_cast<double>(bucket.invocations)
-                        * (cfg_.charon.requestPacketBytes
-                           + cfg_.charon.responsePacketBytes);
-        execSearch(bucket, wrapped);
+        execStream(bucket, unit_cube, joins_.acquire(2, done, overhead));
         break;
       case PrimKind::ScanPush:
-        packetBytes_ += static_cast<double>(bucket.invocations)
-                        * (cfg_.charon.requestPacketBytes
-                           + cfg_.charon.responsePacketNoValBytes);
-        execScanPush(bucket, bitmap_hit_rate, wrapped);
+        // 3 + cubes flows fan out, but the bucket completes on the
+        // (2 + cubes)-th: the trailing metadata write is posted, so
+        // the host unblocks without waiting for the slowest flow.
+        execScanPush(bucket, bitmap_hit_rate, unit_cube,
+                     joins_.acquire(3 + cubes, done, overhead,
+                                    sim::FireAfter(2 + cubes)));
         break;
       case PrimKind::BitmapCount:
-        packetBytes_ += static_cast<double>(bucket.invocations)
-                        * (cfg_.charon.requestPacketBytes
-                           + cfg_.charon.responsePacketBytes);
-        execBitmapCount(bucket, bitmap_hit_rate, wrapped);
-        break;
-      case PrimKind::BitSweep:
-        // The response carries the discovered free-run extents.
-        packetBytes_ += static_cast<double>(bucket.invocations)
-                        * (cfg_.charon.requestPacketBytes
-                           + cfg_.charon.responsePacketBytes);
-        execBitSweep(bucket, wrapped);
+        execBitmapCount(
+            bucket, bitmap_hit_rate, unit_cube,
+            joins_.acquire(remoteStructures(unit_cube) ? 3 : 2, done,
+                           overhead));
         break;
       case PrimKind::RefCount:
-        packetBytes_ += static_cast<double>(bucket.invocations)
-                        * (cfg_.charon.requestPacketBytes
-                           + cfg_.charon.responsePacketNoValBytes);
-        execRefCount(bucket, wrapped);
+        execRefCount(bucket, unit_cube,
+                     joins_.acquire(2 + cubes, done, overhead));
         break;
     }
 }
 
 void
-CharonDevice::execCopy(const gc::Bucket &b, mem::StreamCallback done)
+CharonDevice::execStream(const gc::Bucket &b, int unit_cube,
+                         sim::Join *join)
 {
-    const int unit_cube = cfg_.charon.cpuSide ? 0 : b.srcCube;
-    const auto origin = unitOrigin(b.srcCube);
     // MAI-limited MLP: 32 in-flight 256 B requests against the access
     // latency seen from this unit.
-    Tick lat = cfg_.charon.cpuSide
-                   ? hmc_.hostPort().latency(mem::AccessPattern::Sequential)
-                   : hmc_.localLatency(mem::AccessPattern::Sequential);
-    double mai_rate = cfg_.charon.maiEntries * 256.0
-                      / static_cast<double>(lat);
+    const double mai_rate =
+        cfg_.charon.maiEntries * 256.0
+        / static_cast<double>(
+            firstAccessLatency(mem::AccessPattern::Sequential));
+    const double freq = cfg_.charon.unitFreqHz;
+    std::uint64_t unit_bytes = b.seqReadBytes;
+    double unit_rate = 0;
+    switch (b.kind) {
+      case PrimKind::Copy:
+        // One primitive executes on one unit: its combined load+store
+        // traffic cannot exceed a single unit's 256 B/cycle issue slot.
+        unit_bytes += b.writeBytes;
+        unit_rate = std::min(2 * mai_rate, issueRate(freq, 256));
+        break;
+      case PrimKind::Search:
+        // The search datapath compares 32 B of card bytes per cycle
+        // (narrower than the 256 B fetch the unit can issue).
+        unit_rate = std::min(mai_rate, issueRate(freq, 32));
+        break;
+      default:
+        // The sweep consumes a 64-bit word pair per cycle on a Bitmap
+        // Count unit; free-list node writes trickle out behind the
+        // scan.
+        unit_rate = issueRate(freq, 16);
+        break;
+    }
+    pool(b.kind, unit_cube).startFlow(unit_bytes, unit_rate, join);
 
-    sim::Join *join = joins_.acquire(
-        3, sim::JoinPool::wrap(std::move(done)));
-    auto arrive = [join](Tick t) { join->arrive(t); };
-
-    // One primitive executes on one unit: its combined load+store
-    // traffic cannot exceed a single unit's 256 B/cycle issue slot.
-    double unit_issue = issueRate(cfg_.charon.unitFreqHz, 256);
-    pool(PrimKind::Copy, unit_cube)
-        .startFlow(b.seqReadBytes + b.writeBytes,
-                   std::min(2 * mai_rate, unit_issue), join);
-
+    const auto origin = unitOrigin(unit_cube);
     mem::StreamRequest read;
     read.bytes = b.seqReadBytes;
     read.pattern = mem::AccessPattern::Sequential;
     read.granularity = 256;
     read.maxRate = mai_rate;
-    hmc_.streamToCube(origin, b.srcCube, read, arrive);
-
+    hmc_.streamToCube(origin, b.srcCube, read, join);
+    if (b.kind == PrimKind::Search)
+        return;
     mem::StreamRequest write = read;
     write.bytes = b.writeBytes;
     write.write = true;
-    hmc_.streamToCube(origin, b.dstCube, write, arrive);
+    hmc_.streamToCube(origin, b.dstCube, write, join);
+}
+
+double
+CharonDevice::meanProbeLatency(int unit_cube) const
+{
+    // Random targets spread over all cubes: average latency from the
+    // unit (includes the TLB-slice penalty when the unified TLB lives
+    // on the central cube and the unit does not).
+    const int cubes = cfg_.hmc.cubes;
+    double avg_lat = 0;
+    for (int c = 0; c < cubes; ++c) {
+        Tick l = cfg_.charon.cpuSide
+                     ? hmc_.hostPort().latency(mem::AccessPattern::Random)
+                     : hmc_.latency(hmc::Origin::onCube(unit_cube),
+                                    static_cast<mem::Addr>(c)
+                                        << hmc_.cubeShift(),
+                                    mem::AccessPattern::Random);
+        if (remoteStructures(unit_cube))
+            l += 2 * cfg_.hmc.linkLatency(); // remote TLB lookup
+        avg_lat += static_cast<double>(l);
+    }
+    return avg_lat / cubes;
 }
 
 void
-CharonDevice::execSearch(const gc::Bucket &b, mem::StreamCallback done)
+CharonDevice::scatterProbes(int unit_cube, std::uint64_t probe_bytes,
+                            std::uint64_t write_bytes, int home_cube,
+                            double rate, sim::Join *join)
 {
-    const int unit_cube = cfg_.charon.cpuSide ? 0 : b.srcCube;
-    const auto origin = unitOrigin(b.srcCube);
-    Tick lat = cfg_.charon.cpuSide
-                   ? hmc_.hostPort().latency(mem::AccessPattern::Sequential)
-                   : hmc_.localLatency(mem::AccessPattern::Sequential);
-    double mai_rate = cfg_.charon.maiEntries * 256.0
-                      / static_cast<double>(lat);
-
-    sim::Join *join = joins_.acquire(
-        2, sim::JoinPool::wrap(std::move(done)));
-    auto arrive = [join](Tick t) { join->arrive(t); };
-
-    // The search datapath compares 32 B of card bytes per cycle
-    // (narrower than the 256 B fetch the unit can issue).
-    double compare_rate =
-        sim::gbPerSecToBytesPerTick(cfg_.charon.unitFreqHz * 32 / 1e9);
-    pool(PrimKind::Search, unit_cube)
-        .startFlow(b.seqReadBytes, std::min(mai_rate, compare_rate), join);
-    mem::StreamRequest read;
-    read.bytes = b.seqReadBytes;
-    read.pattern = mem::AccessPattern::Sequential;
-    read.granularity = 256;
-    read.maxRate = mai_rate;
-    hmc_.streamToCube(origin, b.srcCube, read, arrive);
+    const auto origin = unitOrigin(unit_cube);
+    const int cubes = cfg_.hmc.cubes;
+    mem::StreamRequest rnd;
+    rnd.bytes = probe_bytes / static_cast<std::uint64_t>(cubes);
+    rnd.pattern = mem::AccessPattern::Random;
+    rnd.granularity = 16;
+    rnd.maxRate = rate / cubes;
+    for (int c = 0; c < cubes; ++c)
+        hmc_.streamToCube(origin, c, rnd, join);
+    mem::StreamRequest wr = rnd;
+    wr.bytes = write_bytes;
+    wr.write = true;
+    wr.maxRate = rate;
+    hmc_.streamToCube(origin, home_cube, wr, join);
 }
 
 void
 CharonDevice::execScanPush(const gc::Bucket &b, double hit_rate,
-                           mem::StreamCallback done)
+                           int unit_cube, sim::Join *join)
 {
     // Mark-bitmap RMWs go through the bitmap cache (Section 4.5);
     // hits avoid the memory round trip entirely.
@@ -328,13 +359,7 @@ CharonDevice::execScanPush(const gc::Bucket &b, double hit_rate,
         static_cast<double>(b.bitmapRmwAccesses) * hit_rate);
     const std::uint64_t mem_accesses = b.randomAccesses - rmw_hits;
     const std::uint64_t mem_random_bytes = b.randomBytes - rmw_hits * 16;
-    const bool local = cfg_.charon.scanPushLocal;
-    const int unit_cube =
-        cfg_.charon.cpuSide ? 0 : (local ? b.srcCube : 0);
-    const auto origin = unitOrigin(unit_cube);
-    const int cubes = cfg_.hmc.cubes;
 
-    bool remote_tlb = false;
     // Per-invocation MLP is bounded by the references inside one
     // object: the host thread is blocked per offload, so requests
     // from different invocations never overlap (Section 5.2 explains
@@ -344,25 +369,7 @@ CharonDevice::execScanPush(const gc::Bucket &b, double hit_rate,
         / static_cast<double>(b.invocations);
     double mlp = std::clamp(refs_per_inv, 0.25,
                             static_cast<double>(cfg_.charon.maiEntries));
-    // Random targets spread over all cubes: average latency from the
-    // unit (includes TLB-slice penalty when the unified TLB lives on
-    // the central cube and the unit does not).
-    double avg_lat = 0;
-    for (int c = 0; c < cubes; ++c) {
-        Tick l = cfg_.charon.cpuSide
-                     ? hmc_.hostPort().latency(mem::AccessPattern::Random)
-                     : hmc_.latency(hmc::Origin::onCube(unit_cube),
-                                    static_cast<mem::Addr>(c)
-                                        << hmc_.cubeShift(),
-                                    mem::AccessPattern::Random);
-        if (!cfg_.charon.distributedStructures && !cfg_.charon.cpuSide
-            && unit_cube != 0) {
-            l += 2 * cfg_.hmc.linkLatency(); // remote TLB lookup
-            remote_tlb = true;
-        }
-        avg_lat += static_cast<double>(l);
-    }
-    avg_lat /= cubes;
+    double avg_lat = meanProbeLatency(unit_cube);
     if (fault_) {
         // Poisoned TLB entries force a host-mediated re-walk: a full
         // off-chip round trip (host link plus the unit's spoke when it
@@ -375,21 +382,12 @@ CharonDevice::execScanPush(const gc::Bucket &b, double hit_rate,
                        * static_cast<double>(cfg_.hmc.linkLatency());
         }
     }
-    if (timeline_ && remote_tlb) {
+    if (timeline_ && remoteStructures(unit_cube)) {
         remoteTlbLookups_ += b.invocations;
         timeline_->counter(tlbTrack_, eq_.now(),
                            static_cast<double>(remoteTlbLookups_));
     }
     double random_rate = std::max(mlp, 1.0) * 16.0 / avg_lat;
-
-    // 3 + cubes flows fan out below, but the bucket completes on the
-    // (2 + cubes)-th: the trailing metadata write is posted, so the
-    // host unblocks without waiting for the slowest flow.
-    sim::Join *join = joins_.acquire(
-        3 + static_cast<std::size_t>(cubes),
-        sim::JoinPool::wrap(std::move(done)),
-        /*fire_after=*/2 + static_cast<std::size_t>(cubes));
-    auto arrive = [join](Tick t) { join->arrive(t); };
 
     pool(PrimKind::ScanPush, unit_cube)
         .startFlow(b.seqReadBytes + b.randomBytes + b.writeBytes,
@@ -401,40 +399,18 @@ CharonDevice::execScanPush(const gc::Bucket &b, double hit_rate,
     seq.pattern = mem::AccessPattern::Strided;
     seq.granularity = 64;
     seq.maxRate = cfg_.charon.maiEntries * 64.0 / avg_lat;
-    hmc_.streamToCube(origin, b.srcCube, seq, arrive);
+    hmc_.streamToCube(unitOrigin(unit_cube), b.srcCube, seq, join);
 
     // Random probes of referenced objects, spread over cubes, plus
     // the stack/metadata writes (to the object's home cube).
-    for (int c = 0; c < cubes; ++c) {
-        mem::StreamRequest rnd;
-        rnd.bytes = mem_random_bytes / static_cast<std::uint64_t>(cubes);
-        rnd.pattern = mem::AccessPattern::Random;
-        rnd.granularity = 16;
-        rnd.maxRate = random_rate / cubes;
-        hmc_.streamToCube(origin, c, rnd, arrive);
-    }
-    mem::StreamRequest wr;
-    wr.bytes = b.writeBytes;
-    wr.write = true;
-    wr.pattern = mem::AccessPattern::Random;
-    wr.granularity = 16;
-    wr.maxRate = random_rate;
-    hmc_.streamToCube(origin, b.srcCube, wr, arrive);
+    scatterProbes(unit_cube, mem_random_bytes, b.writeBytes, b.srcCube,
+                  random_rate, join);
 }
 
 void
 CharonDevice::execBitmapCount(const gc::Bucket &b, double hit_rate,
-                              mem::StreamCallback done)
+                              int unit_cube, sim::Join *join)
 {
-    const int unit_cube = cfg_.charon.cpuSide ? 0 : b.srcCube;
-    const auto origin = unitOrigin(b.srcCube);
-
-    const bool remote_cache = !cfg_.charon.distributedStructures
-                              && !cfg_.charon.cpuSide && unit_cube != 0;
-    sim::Join *join = joins_.acquire(
-        remote_cache ? 3u : 2u, sim::JoinPool::wrap(std::move(done)));
-    auto arrive = [join](Tick t) { join->arrive(t); };
-
     // Compute: one 64-bit word pair per cycle over both maps, on a
     // single unit.
     pool(PrimKind::BitmapCount, unit_cube)
@@ -453,92 +429,35 @@ CharonDevice::execBitmapCount(const gc::Bucket &b, double hit_rate,
     miss.maxRate = cfg_.charon.maiEntries * 32.0
                    / static_cast<double>(
                        hmc_.localLatency(mem::AccessPattern::Random));
-    hmc_.streamToCube(origin, b.srcCube, miss, arrive);
+    hmc_.streamToCube(unitOrigin(unit_cube), b.srcCube, miss, join);
 
     // Unified bitmap cache on the central cube: every lookup from a
     // satellite unit crosses that cube's spoke link (the contention
     // Figure 15's distributed design removes).
-    if (remote_cache) {
+    if (remoteStructures(unit_cube)) {
         double lookup_rate =
             4 * 32.0 / static_cast<double>(2 * cfg_.hmc.linkLatency());
-        hmc_.linkStream(unit_cube, 0, b.seqReadBytes, lookup_rate,
-                        arrive);
+        hmc_.linkStream(unit_cube, 0, b.seqReadBytes, lookup_rate, join);
     }
 }
 
 void
-CharonDevice::execBitSweep(const gc::Bucket &b, mem::StreamCallback done)
-{
-    const int unit_cube = cfg_.charon.cpuSide ? 0 : b.srcCube;
-    const auto origin = unitOrigin(b.srcCube);
-    Tick lat = cfg_.charon.cpuSide
-                   ? hmc_.hostPort().latency(mem::AccessPattern::Sequential)
-                   : hmc_.localLatency(mem::AccessPattern::Sequential);
-    double mai_rate = cfg_.charon.maiEntries * 256.0
-                      / static_cast<double>(lat);
-
-    sim::Join *join = joins_.acquire(
-        3, sim::JoinPool::wrap(std::move(done)));
-    auto arrive = [join](Tick t) { join->arrive(t); };
-
-    // The sweep consumes a 64-bit word pair per cycle on a Bitmap
-    // Count unit; free-list node writes trickle out behind the scan.
-    pool(PrimKind::BitSweep, unit_cube)
-        .startFlow(b.seqReadBytes,
-                   issueRate(cfg_.charon.unitFreqHz, 16), join);
-
-    mem::StreamRequest read;
-    read.bytes = b.seqReadBytes;
-    read.pattern = mem::AccessPattern::Sequential;
-    read.granularity = 256;
-    read.maxRate = mai_rate;
-    hmc_.streamToCube(origin, b.srcCube, read, arrive);
-
-    mem::StreamRequest write = read;
-    write.bytes = b.writeBytes;
-    write.write = true;
-    hmc_.streamToCube(origin, b.dstCube, write, arrive);
-}
-
-void
-CharonDevice::execRefCount(const gc::Bucket &b, mem::StreamCallback done)
+CharonDevice::execRefCount(const gc::Bucket &b, int unit_cube,
+                           sim::Join *join)
 {
     // Count-word RMWs are scattered like Scan&Push probes and go
     // through the same units and translation path; a unit keeps many
     // independent decrements in flight because, unlike the host, it
     // holds the whole ZCT batch in its command queue.
-    const bool local = cfg_.charon.scanPushLocal;
-    const int unit_cube =
-        cfg_.charon.cpuSide ? 0 : (local ? b.srcCube : 0);
-    const auto origin = unitOrigin(unit_cube);
-    const int cubes = cfg_.hmc.cubes;
-
+    //
     // Unlike Scan&Push, successive count updates carry no pointer
     // dependency, so concurrency is bounded by the MAI depth (and by
     // the batch itself for tiny buckets), not by updates/invocation.
     double mlp =
         std::min(static_cast<double>(b.randomAccesses),
                  static_cast<double>(cfg_.charon.maiEntries));
-    double avg_lat = 0;
-    for (int c = 0; c < cubes; ++c) {
-        Tick l = cfg_.charon.cpuSide
-                     ? hmc_.hostPort().latency(mem::AccessPattern::Random)
-                     : hmc_.latency(hmc::Origin::onCube(unit_cube),
-                                    static_cast<mem::Addr>(c)
-                                        << hmc_.cubeShift(),
-                                    mem::AccessPattern::Random);
-        if (!cfg_.charon.distributedStructures && !cfg_.charon.cpuSide
-            && unit_cube != 0) {
-            l += 2 * cfg_.hmc.linkLatency(); // remote TLB lookup
-        }
-        avg_lat += static_cast<double>(l);
-    }
-    avg_lat /= cubes;
-    double random_rate = std::max(mlp, 1.0) * 16.0 / avg_lat;
-
-    sim::Join *join = joins_.acquire(
-        2 + static_cast<std::size_t>(cubes), sim::JoinPool::wrap(std::move(done)));
-    auto arrive = [join](Tick t) { join->arrive(t); };
+    double random_rate =
+        std::max(mlp, 1.0) * 16.0 / meanProbeLatency(unit_cube);
 
     pool(PrimKind::RefCount, unit_cube)
         .startFlow(b.randomBytes + b.writeBytes,
@@ -546,21 +465,8 @@ CharonDevice::execRefCount(const gc::Bucket &b, mem::StreamCallback done)
 
     // The count words spread over every cube; the updated values write
     // back to the same lines (write-through, 16 B granularity).
-    for (int c = 0; c < cubes; ++c) {
-        mem::StreamRequest rnd;
-        rnd.bytes = b.randomBytes / static_cast<std::uint64_t>(cubes);
-        rnd.pattern = mem::AccessPattern::Random;
-        rnd.granularity = 16;
-        rnd.maxRate = random_rate / cubes;
-        hmc_.streamToCube(origin, c, rnd, arrive);
-    }
-    mem::StreamRequest wr;
-    wr.bytes = b.writeBytes;
-    wr.write = true;
-    wr.pattern = mem::AccessPattern::Random;
-    wr.granularity = 16;
-    wr.maxRate = random_rate;
-    hmc_.streamToCube(origin, b.srcCube, wr, arrive);
+    scatterProbes(unit_cube, b.randomBytes, b.writeBytes, b.srcCube,
+                  random_rate, join);
 }
 
 double
@@ -568,27 +474,18 @@ CharonDevice::unitBusySeconds() const
 {
     // utilizedTicks integrates the pool's utilization; scaled by the
     // pool's unit count it yields unit-seconds of activity.
-    const auto &ch = cfg_.charon;
-    const int cubes = cfg_.hmc.cubes;
     double unit_seconds = 0;
-    for (const auto &p : copySearchPools_) {
-        unit_seconds += sim::ticksToSeconds(static_cast<Tick>(
-                            p->utilizedTicks()))
-                        * std::max(1, ch.copySearchUnits / cubes);
-    }
-    for (const auto &p : bitmapCountPools_) {
-        unit_seconds += sim::ticksToSeconds(static_cast<Tick>(
-                            p->utilizedTicks()))
-                        * std::max(1, ch.bitmapCountUnits / cubes);
-    }
-    int sp_units = scanPushPools_.size() == 1
-                       ? ch.scanPushUnits
-                       : std::max(1, ch.scanPushUnits / cubes);
-    for (const auto &p : scanPushPools_) {
-        unit_seconds += sim::ticksToSeconds(static_cast<Tick>(
-                            p->utilizedTicks()))
-                        * sp_units;
-    }
+    auto add = [&unit_seconds](const auto &pools, int units) {
+        const int per_pool = units / static_cast<int>(pools.size());
+        for (const auto &p : pools) {
+            unit_seconds += sim::ticksToSeconds(static_cast<Tick>(
+                                p->utilizedTicks()))
+                            * per_pool;
+        }
+    };
+    add(copySearchPools_, units_.copySearch);
+    add(bitmapCountPools_, units_.bitmapCount);
+    add(scanPushPools_, units_.scanPush);
     return unit_seconds;
 }
 
@@ -596,18 +493,14 @@ double
 CharonDevice::unitEnergyJ(double gc_seconds) const
 {
     const auto &ch = cfg_.charon;
-    int total_units = ch.copySearchUnits + ch.bitmapCountUnits
-                      + ch.scanPushUnits;
-    double busy = unitBusySeconds();
-    double unit_seconds = total_units * gc_seconds;
-    return busy * ch.unitActivePowerW
-           + std::max(0.0, unit_seconds - busy) * ch.unitIdlePowerW;
+    return unitPoolEnergyJ(unitBusySeconds(), units_.total(), gc_seconds,
+                           ch.unitActivePowerW, ch.unitIdlePowerW);
 }
 
 double
 CharonDevice::areaMm2() const
 {
-    return AreaModel(cfg_.charon).totalMm2();
+    return charonAreaMm2(cfg_);
 }
 
 } // namespace charon::accel

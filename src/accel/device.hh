@@ -39,6 +39,28 @@ namespace charon::accel
 {
 
 /**
+ * Units of each kind the device's pools hold.  Copy/Search and
+ * Bitmap Count units, and Scan&Push units when placed locally, are
+ * spread evenly over the cubes with at least one per cube, so their
+ * count is a multiple of the cube count rather than the configured
+ * n; central Scan&Push keeps all n on cube 0.
+ */
+struct CharonUnits
+{
+    int copySearch = 0;
+    int bitmapCount = 0;
+    int scanPush = 0;
+
+    int total() const { return copySearch + bitmapCount + scanPush; }
+};
+
+/** The unit layout of a Charon device built on @p cfg. */
+CharonUnits charonUnits(const sim::SystemConfig &cfg);
+
+/** Table 4 area with each unit row at the count charonUnits() lays out. */
+double charonAreaMm2(const sim::SystemConfig &cfg);
+
+/**
  * The near-memory accelerator backend: executes trace buckets on
  * behalf of blocked host threads.
  */
@@ -73,10 +95,11 @@ class CharonDevice : public OffloadBackend
      * @param bucket the work (kind, cubes, bytes, invocation count)
      * @param bitmap_hit_rate measured bitmap-cache hit rate of the
      *        enclosing phase (Bitmap Count / Scan&Push mark RMWs)
-     * @param done completion callback (the host thread unblocks)
+     * @param done join the bucket arrives on (the host thread
+     *        unblocks)
      */
     void execBucket(const gc::Bucket &bucket, double bitmap_hit_rate,
-                    mem::StreamCallback done) override;
+                    sim::Join *done) override;
 
     /**
      * Host-side cost of the bulk cache flush at GC start
@@ -114,17 +137,50 @@ class CharonDevice : public OffloadBackend
     }
 
   private:
-    void execCopy(const gc::Bucket &b, mem::StreamCallback done);
-    void execSearch(const gc::Bucket &b, mem::StreamCallback done);
+    /**
+     * Copy, Search and Bit Sweep: a flow on the kind's unit pool, a
+     * MAI-limited sequential read of the source and, except for
+     * Search, the write to the destination cube.
+     */
+    void execStream(const gc::Bucket &b, int unit_cube, sim::Join *join);
     void execScanPush(const gc::Bucket &b, double hit_rate,
-                      mem::StreamCallback done);
+                      int unit_cube, sim::Join *join);
     void execBitmapCount(const gc::Bucket &b, double hit_rate,
-                         mem::StreamCallback done);
-    void execBitSweep(const gc::Bucket &b, mem::StreamCallback done);
-    void execRefCount(const gc::Bucket &b, mem::StreamCallback done);
+                         int unit_cube, sim::Join *join);
+    void execRefCount(const gc::Bucket &b, int unit_cube,
+                      sim::Join *join);
+
+    /**
+     * Random 16 B probes of @p probe_bytes spread over every cube,
+     * plus the @p write_bytes write-back to @p home_cube.
+     */
+    void scatterProbes(int unit_cube, std::uint64_t probe_bytes,
+                       std::uint64_t write_bytes, int home_cube,
+                       double rate, sim::Join *join);
+
+    /** Cube whose unit pool runs bucket @p b. */
+    int unitCube(const gc::Bucket &b) const;
 
     /** Origin the unit's memory traffic departs from. */
     hmc::Origin unitOrigin(int cube) const;
+
+    /**
+     * True when a unit on @p unit_cube reaches the unified bitmap
+     * cache / TLB on the central cube over its spoke link.
+     */
+    bool remoteStructures(int unit_cube) const;
+
+    /**
+     * Latency of a unit's first access: the local vault, or the full
+     * off-chip round trip for a CPU-side unit (Figure 16).
+     */
+    sim::Tick firstAccessLatency(mem::AccessPattern p) const;
+
+    /**
+     * Mean latency of a random probe from @p unit_cube to a target
+     * spread over all cubes, remote TLB lookup included.
+     */
+    double meanProbeLatency(int unit_cube) const;
 
     /** Pool channel for a kind on a cube. */
     mem::FluidChannel &pool(gc::PrimKind kind, int cube);
@@ -132,8 +188,9 @@ class CharonDevice : public OffloadBackend
     sim::EventQueue &eq_;
     hmc::HmcMemory &hmc_;
     sim::SystemConfig cfg_;
-    /** Fan-in joins for multi-resource buckets. */
-    sim::JoinPool joins_;
+    CharonUnits units_;
+    /** Root joins of the buckets. */
+    sim::JoinPool joins_{eq_};
 
     // Per-cube pools (index = cube); Scan&Push has one pool at the
     // central cube unless placed locally.

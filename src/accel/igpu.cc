@@ -8,18 +8,6 @@ namespace charon::accel
 using gc::PrimKind;
 using sim::Tick;
 
-namespace
-{
-
-/** Issue bandwidth of one EU cluster in bytes/tick. */
-double
-euIssueRate(double freq_hz, int bytes_per_cycle)
-{
-    return sim::gbPerSecToBytesPerTick(freq_hz * bytes_per_cycle / 1e9);
-}
-
-} // namespace
-
 IgpuDevice::IgpuDevice(sim::EventQueue &eq, mem::Ddr4Memory &ddr4,
                        const sim::SystemConfig &cfg,
                        const sim::Instrumentation &instr)
@@ -30,7 +18,7 @@ IgpuDevice::IgpuDevice(sim::EventQueue &eq, mem::Ddr4Memory &ddr4,
     // cluster's issue slot (64 B/cycle) while it runs.
     euPool_ = std::make_unique<mem::FluidChannel>(
         eq_, "igpu.eu",
-        g.computeUnits * euIssueRate(g.euFreqHz, 64), instr);
+        g.computeUnits * issueRate(g.euFreqHz, 64), instr);
 }
 
 double
@@ -71,14 +59,10 @@ IgpuDevice::offloadOverhead(int /*cube*/) const
 
 void
 IgpuDevice::execBucket(const gc::Bucket &b, double /*bitmap_hit_rate*/,
-                       mem::StreamCallback done)
+                       sim::Join *done)
 {
     if (b.invocations == 0) {
-        Tick now = eq_.now();
-        eq_.schedule(now, [done, now] {
-            if (done)
-                done(now);
-        });
+        sim::arriveAt(eq_, done, eq_.now());
         return;
     }
 
@@ -93,24 +77,17 @@ IgpuDevice::execBucket(const gc::Bucket &b, double /*bitmap_hit_rate*/,
             poison * static_cast<double>(
                          ddr4_.latency(mem::AccessPattern::Random)));
     }
-    const Tick overhead = sim::nsToTicks(cfg_.igpu.launchLatencyNs)
-                          + per_inv * b.invocations;
+    const sim::Delay overhead(sim::nsToTicks(cfg_.igpu.launchLatencyNs)
+                              + per_inv * b.invocations);
     // Command submission + completion fence through the ring buffer.
     packetBytes_ += static_cast<double>(b.invocations) * 64.0;
-
-    mem::StreamCallback wrapped = [this, overhead, done](Tick t) {
-        eq_.schedule(t + overhead, [done, t, overhead] {
-            if (done)
-                done(t + overhead);
-        });
-    };
 
     // Every kind is a join of the kernel's EU occupancy and its DRAM
     // traffic through the shared host memory system.  The bit-scan
     // kinds charge the EU pool per *bit* walked, not per byte moved:
     // the run-length state makes those loops loop-carried, so they
     // run on one scalar EU lane per bucket (see bitLoopCyclesPerBit).
-    double eu_rate = euIssueRate(cfg_.igpu.euFreqHz, 64);
+    sim::Join *join = joins_.acquire(2, done, overhead);
     auto bit_loop_bytes = [this](std::uint64_t range_bits) {
         // Scaled so draining at eu_rate (64 B/cycle) takes exactly
         // bitLoopCyclesPerBit EU cycles per bit.
@@ -118,108 +95,62 @@ IgpuDevice::execBucket(const gc::Bucket &b, double /*bitmap_hit_rate*/,
                        * cfg_.igpu.bitLoopCyclesPerBit * 64.0;
         return static_cast<std::uint64_t>(bytes) + 1;
     };
+    std::uint64_t eu_bytes = 0;
+    double eu_rate = issueRate(cfg_.igpu.euFreqHz, 64);
+    mem::StreamRequest req;
+    req.pattern = mem::AccessPattern::Sequential;
+    req.granularity = 64;
+    req.maxRate = seqRate();
+    sim::Join *req_done = join;
     switch (b.kind) {
-      case PrimKind::Copy: {
-        sim::Join *join = joins_.acquire(
-            2, sim::JoinPool::wrap(std::move(wrapped)));
-        auto arrive = [join](Tick t) { join->arrive(t); };
-        euPool_->startFlow(b.seqReadBytes + b.writeBytes, eu_rate, join);
-        mem::StreamRequest req;
-        req.bytes = b.seqReadBytes + b.writeBytes;
-        req.pattern = mem::AccessPattern::Sequential;
-        req.granularity = 64;
-        req.maxRate = seqRate();
-        ddr4_.stream(req, arrive);
+      case PrimKind::Copy:
+        eu_bytes = req.bytes = b.seqReadBytes + b.writeBytes;
         break;
-      }
-      case PrimKind::BitSweep: {
+      case PrimKind::BitSweep:
         // The free-run walk over both bitmaps is the serial bit loop;
         // the free-list writes overlap with it like on the host.
-        sim::Join *join = joins_.acquire(
-            2, sim::JoinPool::wrap(std::move(wrapped)));
-        auto arrive = [join](Tick t) { join->arrive(t); };
-        euPool_->startFlow(bit_loop_bytes(b.rangeBits), eu_rate, join);
-        mem::StreamRequest req;
+        eu_bytes = bit_loop_bytes(b.rangeBits);
         req.bytes = b.seqReadBytes + b.writeBytes;
-        req.pattern = mem::AccessPattern::Sequential;
-        req.granularity = 64;
-        req.maxRate = seqRate();
-        ddr4_.stream(req, arrive);
         break;
-      }
-      case PrimKind::Search: {
-        sim::Join *join = joins_.acquire(
-            2, sim::JoinPool::wrap(std::move(wrapped)));
-        auto arrive = [join](Tick t) { join->arrive(t); };
+      case PrimKind::Search:
         // SIMD compare lanes: 32 B of card bytes per cycle.
-        euPool_->startFlow(b.seqReadBytes,
-                           euIssueRate(cfg_.igpu.euFreqHz, 32), join);
-        mem::StreamRequest req;
-        req.bytes = b.seqReadBytes;
-        req.pattern = mem::AccessPattern::Sequential;
-        req.granularity = 64;
-        req.maxRate = seqRate();
-        ddr4_.stream(req, arrive);
+        eu_bytes = req.bytes = b.seqReadBytes;
+        eu_rate = issueRate(cfg_.igpu.euFreqHz, 32);
         break;
-      }
       case PrimKind::ScanPush: {
         // Strided reference-block reads, then the dependent random
         // probes — serialized exactly like the host path, because the
         // GPU sits behind the same controller and the probes are
         // pointer-dependent regardless of who issues them.
-        sim::Join *join = joins_.acquire(
-            2, sim::JoinPool::wrap(std::move(wrapped)));
-        auto arrive = [join](Tick t) { join->arrive(t); };
-        euPool_->startFlow(b.seqReadBytes + b.randomBytes, eu_rate, join);
-        mem::StreamRequest seq;
-        seq.bytes = b.seqReadBytes;
-        seq.pattern = mem::AccessPattern::Strided;
-        seq.granularity = 64;
-        seq.maxRate = seqRate();
+        eu_bytes = b.seqReadBytes + b.randomBytes;
+        req.bytes = b.seqReadBytes;
+        req.pattern = mem::AccessPattern::Strided;
         mem::StreamRequest rnd;
         rnd.bytes = (b.randomBytes / 16) * 64;
         rnd.pattern = mem::AccessPattern::Random;
         rnd.granularity = 64;
         rnd.maxRate = randomRate();
-        auto self = this;
-        ddr4_.stream(seq, [self, rnd, arrive](Tick) {
-            self->ddr4_.stream(rnd, arrive);
-        });
+        req_done = joins_.acquire(
+            1, [this, rnd, join](Tick) { ddr4_.stream(rnd, join); });
         break;
       }
-      case PrimKind::BitmapCount: {
+      case PrimKind::BitmapCount:
         // No near-memory bitmap cache: the walked range streams from
         // DRAM every time (the hit rate the Charon units enjoy does
         // not transfer), overlapped with the serial first-fit scan.
-        sim::Join *join = joins_.acquire(
-            2, sim::JoinPool::wrap(std::move(wrapped)));
-        auto arrive = [join](Tick t) { join->arrive(t); };
-        euPool_->startFlow(bit_loop_bytes(b.rangeBits), eu_rate, join);
-        mem::StreamRequest req;
+        eu_bytes = bit_loop_bytes(b.rangeBits);
         req.bytes = b.seqReadBytes;
-        req.pattern = mem::AccessPattern::Sequential;
-        req.granularity = 64;
-        req.maxRate = seqRate();
-        ddr4_.stream(req, arrive);
         break;
-      }
-      case PrimKind::RefCount: {
+      case PrimKind::RefCount:
         // Scattered count-word RMWs: whole lines per 16 B of payload
         // plus the dirty writebacks, at the random-access rate.
-        sim::Join *join = joins_.acquire(
-            2, sim::JoinPool::wrap(std::move(wrapped)));
-        auto arrive = [join](Tick t) { join->arrive(t); };
-        std::uint64_t bytes = (b.randomBytes / 16) * 64 + b.writeBytes;
-        euPool_->startFlow(bytes, eu_rate, join);
-        mem::StreamRequest rnd;
-        rnd.bytes = bytes;
-        rnd.pattern = mem::AccessPattern::Random;
-        rnd.granularity = 64;
-        rnd.maxRate = randomRate();
-        ddr4_.stream(rnd, arrive);
+        eu_bytes = req.bytes = (b.randomBytes / 16) * 64 + b.writeBytes;
+        req.pattern = mem::AccessPattern::Random;
+        req.maxRate = randomRate();
         break;
-      }
     }
+    euPool_->startFlow(eu_bytes, eu_rate, join);
+    ddr4_.stream(req, req_done);
 }
 
 double
@@ -234,10 +165,8 @@ double
 IgpuDevice::unitEnergyJ(double gc_seconds) const
 {
     const auto &g = cfg_.igpu;
-    double busy = unitBusySeconds();
-    double unit_seconds = g.computeUnits * gc_seconds;
-    return busy * g.activePowerW
-           + std::max(0.0, unit_seconds - busy) * g.idlePowerW;
+    return unitPoolEnergyJ(unitBusySeconds(), g.computeUnits, gc_seconds,
+                           g.activePowerW, g.idlePowerW);
 }
 
 } // namespace charon::accel

@@ -50,7 +50,7 @@ class IgpuDevice : public OffloadBackend
     }
 
     void execBucket(const gc::Bucket &bucket, double bitmap_hit_rate,
-                    mem::StreamCallback done) override;
+                    sim::Join *done) override;
 
     /** One-time kernel-image warmup at GC start: one launch. */
     sim::Tick gcPrologueTicks() const override;
@@ -76,7 +76,7 @@ class IgpuDevice : public OffloadBackend
     sim::EventQueue &eq_;
     mem::Ddr4Memory &ddr4_;
     sim::SystemConfig cfg_;
-    sim::JoinPool joins_;
+    sim::JoinPool joins_{eq_};
 
     /** EU issue bandwidth shared by all in-flight kernels. */
     std::unique_ptr<mem::FluidChannel> euPool_;

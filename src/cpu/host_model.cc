@@ -1,7 +1,6 @@
 #include "host_model.hh"
 
 #include <algorithm>
-#include <memory>
 
 #include "sim/logging.hh"
 
@@ -67,56 +66,69 @@ HostModel::invocationOverhead(PrimKind kind) const
 
 void
 HostModel::execBucket(const gc::Bucket &bucket, mem::Addr synth_addr,
-                      mem::StreamCallback done)
+                      sim::Join *done)
 {
     if (bucket.invocations == 0) {
-        Tick now = eq_.now();
-        eq_.schedule(now, [done, now] {
-            if (done)
-                done(now);
-        });
+        sim::arriveAt(eq_, done, eq_.now());
         return;
     }
     if (timeline_) {
         timeline_->counter(stallTrack_, eq_.now(),
                            static_cast<double>(++stalledThreads_));
     }
-    const Tick overhead =
-        invocationOverhead(bucket.kind) * bucket.invocations;
-    auto wrapped = [this, overhead, done](Tick t) {
-        eq_.schedule(t + overhead, [done, t, overhead, this] {
+    // The bucket's root join delays completion by the per-invocation
+    // overhead, then lifts the thread's memory stall.
+    sim::Join *root = joins_.acquire(
+        1,
+        [this, done](Tick t) {
             if (timeline_) {
-                timeline_->counter(stallTrack_, eq_.now(),
-                                   static_cast<double>(
-                                       --stalledThreads_));
+                timeline_->counter(stallTrack_, t,
+                                   static_cast<double>(--stalledThreads_));
             }
             if (done)
-                done(t + overhead);
-        });
-    };
+                done->arrive(t);
+        },
+        sim::Delay(invocationOverhead(bucket.kind) * bucket.invocations));
     switch (bucket.kind) {
       case PrimKind::Copy:
       case PrimKind::Search:
-        execCopySearch(bucket, synth_addr, wrapped);
+        execCopySearch(bucket, synth_addr, root);
         break;
       case PrimKind::ScanPush:
-        execScanPush(bucket, synth_addr, wrapped);
+        execScanPush(bucket, synth_addr, root);
         break;
-      case PrimKind::BitmapCount:
-        execBitmapCount(bucket, wrapped);
+      case PrimKind::BitmapCount: {
+        // The Figure 8 loop is compute-bound on the host: the touched
+        // bitmap range lives comfortably in the L2 (8 KB of bitmap
+        // covers 4 MB of heap), so time is cycles-per-bit over the
+        // walked range.
+        double cycles = static_cast<double>(bucket.rangeBits)
+                        * costs_.cpuCyclesPerBitmapBit;
+        sim::arriveAt(eq_, root,
+                      eq_.now() + clock_.cyclesToTicks(cycles));
         break;
+      }
       case PrimKind::BitSweep:
-        execBitSweep(bucket, synth_addr, wrapped);
+        execBitSweep(bucket, synth_addr, root);
         break;
       case PrimKind::RefCount:
-        execRefCount(bucket, synth_addr, wrapped);
+        execRefCount(bucket, synth_addr, root);
         break;
     }
 }
 
 void
+HostModel::overlapLoop(const mem::StreamRequest &req, Tick loop_done,
+                       sim::Join *done)
+{
+    port_.stream(req, joins_.acquire(1, [this, loop_done, done](Tick t) {
+        sim::arriveAt(eq_, done, std::max(t, loop_done));
+    }));
+}
+
+void
 HostModel::execCopySearch(const gc::Bucket &b, mem::Addr addr,
-                          mem::StreamCallback done)
+                          sim::Join *done)
 {
     // One sequential stream covering the reads and (for Copy) the
     // write-allocate + writeback traffic.
@@ -133,22 +145,15 @@ HostModel::execCopySearch(const gc::Bucket &b, mem::Addr addr,
         // later of the compute loop and the memory stream.
         double cycles = static_cast<double>(b.seqReadBytes)
                         * costs_.cpuCyclesPerCardByte;
-        Tick compute_done = eq_.now() + clock_.cyclesToTicks(cycles);
-        port_.stream(req, [this, compute_done, done](Tick t) {
-            Tick fin = std::max(t, compute_done);
-            eq_.schedule(fin, [done, fin] {
-                if (done)
-                    done(fin);
-            });
-        });
+        overlapLoop(req, eq_.now() + clock_.cyclesToTicks(cycles), done);
         return;
     }
-    port_.stream(req, std::move(done));
+    port_.stream(req, done);
 }
 
 void
 HostModel::execScanPush(const gc::Bucket &b, mem::Addr addr,
-                        mem::StreamCallback done)
+                        sim::Join *done)
 {
     // Two serial parts: the (strided) reads of the objects' reference
     // blocks, then the dependent random probes.  Stack pushes and
@@ -174,21 +179,19 @@ HostModel::execScanPush(const gc::Bucket &b, mem::Addr addr,
     rnd.granularity = 64;
     rnd.maxRate = randomRate();
 
-    auto self = this;
-    port_.stream(seq, [self, rnd, done, push_ticks](Tick) {
-        self->port_.stream(rnd, [self, done, push_ticks](Tick t) {
-            Tick fin = t + push_ticks;
-            self->eq_.schedule(fin, [done, fin] {
-                if (done)
-                    done(fin);
-            });
-        });
+    // The probes issue when the reference blocks arrive; the push
+    // instructions retire after the last probe.
+    sim::Join *probes = joins_.acquire(1, [this, done, push_ticks](Tick t) {
+        sim::arriveAt(eq_, done, t + push_ticks);
     });
+    port_.stream(seq, joins_.acquire(1, [this, rnd, probes](Tick) {
+        port_.stream(rnd, probes);
+    }));
 }
 
 void
 HostModel::execBitSweep(const gc::Bucket &b, mem::Addr addr,
-                        mem::StreamCallback done)
+                        sim::Join *done)
 {
     // The sweep walks both bitmaps sequentially and emits a free-list
     // node per discovered run.  Like Search, the core's bit loop and
@@ -202,19 +205,12 @@ HostModel::execBitSweep(const gc::Bucket &b, mem::Addr addr,
 
     double cycles =
         static_cast<double>(b.rangeBits) * costs_.cpuCyclesPerBitmapBit;
-    Tick compute_done = eq_.now() + clock_.cyclesToTicks(cycles);
-    port_.stream(req, [this, compute_done, done](Tick t) {
-        Tick fin = std::max(t, compute_done);
-        eq_.schedule(fin, [done, fin] {
-            if (done)
-                done(fin);
-        });
-    });
+    overlapLoop(req, eq_.now() + clock_.cyclesToTicks(cycles), done);
 }
 
 void
 HostModel::execRefCount(const gc::Bucket &b, mem::Addr addr,
-                        mem::StreamCallback done)
+                        sim::Join *done)
 {
     // Count words are scattered across the heap: every RMW is a
     // dependent random miss (64 B line per 16 B of useful data) plus
@@ -226,22 +222,7 @@ HostModel::execRefCount(const gc::Bucket &b, mem::Addr addr,
     rnd.pattern = mem::AccessPattern::Random;
     rnd.granularity = 64;
     rnd.maxRate = randomRate();
-    port_.stream(rnd, std::move(done));
-}
-
-void
-HostModel::execBitmapCount(const gc::Bucket &b, mem::StreamCallback done)
-{
-    // The Figure 8 loop is compute-bound on the host: the touched
-    // bitmap range lives comfortably in the L2 (8 KB of bitmap covers
-    // 4 MB of heap), so time is cycles-per-bit over the walked range.
-    double cycles =
-        static_cast<double>(b.rangeBits) * costs_.cpuCyclesPerBitmapBit;
-    Tick t = eq_.now() + clock_.cyclesToTicks(cycles);
-    eq_.schedule(t, [done, t] {
-        if (done)
-            done(t);
-    });
+    port_.stream(rnd, done);
 }
 
 } // namespace charon::cpu

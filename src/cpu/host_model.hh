@@ -31,6 +31,7 @@
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
 #include "sim/instrumentation.hh"
+#include "sim/join.hh"
 #include "sim/timeline.hh"
 
 namespace charon::cpu
@@ -57,13 +58,14 @@ class HostModel
     sim::Tick glueTicks(std::uint64_t instructions) const;
 
     /**
-     * Execute one bucket on the CPU; @p done fires at completion.
+     * Execute one bucket on the CPU; arrives on @p done once, at
+     * completion, always from a scheduled event.
      * @param bucket aggregated primitive work
      * @param synth_addr synthetic base address used to attribute the
      *        traffic to the right cube on an HMC-backed port
      */
     void execBucket(const gc::Bucket &bucket, mem::Addr synth_addr,
-                    mem::StreamCallback done);
+                    sim::Join *done);
 
     /** MSHR-limited sequential stream rate (bytes/tick). */
     double seqRate() const;
@@ -75,14 +77,20 @@ class HostModel
 
   private:
     void execCopySearch(const gc::Bucket &b, mem::Addr addr,
-                        mem::StreamCallback done);
+                        sim::Join *done);
     void execScanPush(const gc::Bucket &b, mem::Addr addr,
-                      mem::StreamCallback done);
-    void execBitmapCount(const gc::Bucket &b, mem::StreamCallback done);
+                      sim::Join *done);
     void execBitSweep(const gc::Bucket &b, mem::Addr addr,
-                      mem::StreamCallback done);
+                      sim::Join *done);
     void execRefCount(const gc::Bucket &b, mem::Addr addr,
-                      mem::StreamCallback done);
+                      sim::Join *done);
+
+    /**
+     * Stream @p req while the core runs a loop ending at
+     * @p loop_done; arrive on @p done at the later of the two.
+     */
+    void overlapLoop(const mem::StreamRequest &req, sim::Tick loop_done,
+                     sim::Join *done);
 
     /** Per-invocation fixed overhead (call setup, checks), ticks. */
     sim::Tick invocationOverhead(gc::PrimKind kind) const;
@@ -92,6 +100,7 @@ class HostModel
     mem::MemPort &port_;
     gc::GlueCosts costs_;
     sim::ClockDomain clock_;
+    sim::JoinPool joins_{eq_};
 
     sim::Timeline *timeline_ = nullptr;
     sim::Timeline::TrackId stallTrack_ = 0;

@@ -133,7 +133,7 @@ HmcMemory::worstLatency() const
 
 void
 HmcMemory::stream(const Origin &origin, const mem::StreamRequest &req,
-                  mem::StreamCallback done)
+                  sim::Join *done)
 {
     // Split [addr, addr+bytes) into per-cube segments.  With the
     // region interleaving, a segment boundary falls every
@@ -144,11 +144,7 @@ HmcMemory::stream(const Origin &origin, const mem::StreamRequest &req,
     mem::Addr addr = req.addr;
     std::uint64_t left = req.bytes;
     if (left == 0) {
-        sim::Tick now = eq_.now();
-        eq_.schedule(now, [done, now] {
-            if (done)
-                done(now);
-        });
+        sim::arriveAt(eq_, done, eq_.now());
         return;
     }
     while (left > 0) {
@@ -164,8 +160,7 @@ HmcMemory::stream(const Origin &origin, const mem::StreamRequest &req,
         left -= take;
     }
 
-    sim::Join *join = joins_.acquire(
-        segments.size(), sim::JoinPool::wrap(std::move(done)));
+    sim::Join *join = joins_.acquire(segments.size(), done);
     // A multi-segment stream divides the requester's issue rate.
     double per_seg_rate =
         req.maxRate > 0
@@ -174,32 +169,26 @@ HmcMemory::stream(const Origin &origin, const mem::StreamRequest &req,
     for (const auto &seg : segments) {
         mem::StreamRequest sub = req;
         sub.maxRate = per_seg_rate;
-        streamSegment(origin, seg.cube, sub, seg.bytes,
-                      [join](sim::Tick t) { join->arrive(t); });
+        streamSegment(origin, seg.cube, sub, seg.bytes, join);
     }
 }
 
 void
 HmcMemory::streamToCube(const Origin &origin, int cube,
-                        const mem::StreamRequest &req,
-                        mem::StreamCallback done)
+                        const mem::StreamRequest &req, sim::Join *done)
 {
     CHARON_ASSERT(cube >= 0 && cube < cfg_.cubes, "bad cube %d", cube);
     if (req.bytes == 0) {
-        sim::Tick now = eq_.now();
-        eq_.schedule(now, [done, now] {
-            if (done)
-                done(now);
-        });
+        sim::arriveAt(eq_, done, eq_.now());
         return;
     }
-    streamSegment(origin, cube, req, req.bytes, std::move(done));
+    streamSegment(origin, cube, req, req.bytes, done);
 }
 
 void
 HmcMemory::streamSegment(const Origin &origin, int cube,
                          const mem::StreamRequest &req,
-                         std::uint64_t bytes, mem::StreamCallback done)
+                         std::uint64_t bytes, sim::Join *done)
 {
     usefulBytes_ += static_cast<double>(bytes);
     const int h = hops(origin, cube);
@@ -252,21 +241,11 @@ HmcMemory::streamSegment(const Origin &origin, int cube,
     const std::uint64_t link_bytes = static_cast<std::uint64_t>(
         static_cast<double>(bytes) * hdr_factor);
 
-    const sim::Tick extra = static_cast<sim::Tick>(2 * h)
-                            * cfg_.linkLatency();
+    // The join's delay is the tail latency of the final response
+    // hop(s); a hop-free segment completes inline.
     sim::Join *join = joins_.acquire(
-        route.size(), [done, extra, this](sim::Tick t) {
-            // Tail latency of the final response hop(s).
-            if (extra == 0) {
-                if (done)
-                    done(t);
-                return;
-            }
-            eq_.schedule(t + extra, [done, t, extra] {
-                if (done)
-                    done(t + extra);
-            });
-        });
+        route.size(), done,
+        sim::Delay(static_cast<sim::Tick>(2 * h) * cfg_.linkLatency()));
 
     for (std::size_t i = 0; i < route.size(); ++i) {
         bool is_dram = (i == 0);
@@ -284,7 +263,7 @@ HmcMemory::streamSegment(const Origin &origin, int cube,
 
 void
 HmcMemory::linkStream(int cube_a, int cube_b, std::uint64_t bytes,
-                      double max_rate, mem::StreamCallback done)
+                      double max_rate, sim::Join *done)
 {
     CHARON_ASSERT(cube_a >= 0 && cube_a < cfg_.cubes
                       && cube_b >= 0 && cube_b < cfg_.cubes,
@@ -302,15 +281,10 @@ HmcMemory::linkStream(int cube_a, int cube_b, std::uint64_t bytes,
             route.push_back(links_[static_cast<std::size_t>(cube_b)].get());
     }
     if (route.empty()) {
-        sim::Tick now = eq_.now();
-        eq_.schedule(now, [done, now] {
-            if (done)
-                done(now);
-        });
+        sim::arriveAt(eq_, done, eq_.now());
         return;
     }
-    sim::Join *join = joins_.acquire(
-        route.size(), sim::JoinPool::wrap(std::move(done)));
+    sim::Join *join = joins_.acquire(route.size(), done);
     for (auto *link : route)
         link->startFlow(bytes, max_rate, join);
 }
@@ -369,9 +343,9 @@ HmcMemory::resetStats()
 
 void
 HmcMemory::HostPort::stream(const mem::StreamRequest &req,
-                            mem::StreamCallback done)
+                            sim::Join *done)
 {
-    hmc_.stream(Origin::host(), req, std::move(done));
+    hmc_.stream(Origin::host(), req, done);
 }
 
 sim::Tick

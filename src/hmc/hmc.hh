@@ -69,11 +69,11 @@ class HmcMemory
     int cubeOf(mem::Addr addr) const;
 
     /**
-     * Begin a stream from @p origin; @p done fires when every
+     * Begin a stream from @p origin; arrives on @p done once every
      * per-cube segment has drained.
      */
     void stream(const Origin &origin, const mem::StreamRequest &req,
-                mem::StreamCallback done);
+                sim::Join *done);
 
     /**
      * Begin a stream whose data lives entirely on @p cube, bypassing
@@ -81,8 +81,7 @@ class HmcMemory
      * ids rather than addresses).
      */
     void streamToCube(const Origin &origin, int cube,
-                      const mem::StreamRequest &req,
-                      mem::StreamCallback done);
+                      const mem::StreamRequest &req, sim::Join *done);
 
     /**
      * Occupy only the serial links between two cubes (metadata
@@ -90,7 +89,7 @@ class HmcMemory
      * No DRAM traffic is charged.
      */
     void linkStream(int cube_a, int cube_b, std::uint64_t bytes,
-                    double max_rate, mem::StreamCallback done);
+                    double max_rate, sim::Join *done);
 
     /** Round-trip latency of one access from @p origin to @p addr. */
     sim::Tick latency(const Origin &origin, mem::Addr addr,
@@ -157,7 +156,7 @@ class HmcMemory
       public:
         explicit HostPort(HmcMemory &hmc) : hmc_(hmc) {}
         void stream(const mem::StreamRequest &req,
-                    mem::StreamCallback done) override;
+                    sim::Join *done) override;
         sim::Tick latency(mem::AccessPattern pattern) const override;
         double peakRate() const override;
         int maxGranularity() const override;
@@ -173,7 +172,7 @@ class HmcMemory
     /** Per-cube-segment submission. */
     void streamSegment(const Origin &origin, int cube,
                        const mem::StreamRequest &req, std::uint64_t bytes,
-                       mem::StreamCallback done);
+                       sim::Join *done);
 
     /** Number of link hops between @p origin and @p cube. */
     int hops(const Origin &origin, int cube) const;
@@ -190,7 +189,7 @@ class HmcMemory
     double usefulBytes_ = 0;
     double localBytes_ = 0;
 
-    sim::JoinPool joins_;
+    sim::JoinPool joins_{eq_};
     /** Hot-path scratch (stream/streamSegment never reenter). */
     std::vector<mem::FluidChannel *> routeScratch_;
     struct Segment

@@ -10,9 +10,10 @@ using sim::Tick;
 CxlHostPort::CxlHostPort(sim::EventQueue &eq, Ddr4Memory &dram,
                          const sim::CxlConfig &cfg,
                          const sim::Instrumentation &instr)
-    : eq_(eq), dram_(dram), cfg_(cfg),
+    : dram_(dram), cfg_(cfg),
       link_(eq, "cxl.link", sim::gbPerSecToBytesPerTick(cfg.linkGBs),
-            instr)
+            instr),
+      joins_(eq)
 {
 }
 
@@ -35,26 +36,17 @@ CxlHostPort::peakRate() const
 }
 
 void
-CxlHostPort::stream(const StreamRequest &req, StreamCallback done)
+CxlHostPort::stream(const StreamRequest &req, sim::Join *done)
 {
     // The transfer occupies the link (flit headers inflate the
     // payload: 8 B per 64 B) and the expander DRAM concurrently; the
     // slower drains last, then one round trip is exposed delivering
     // the tail response.
-    const Tick rt = 2 * linkLatency();
     std::uint64_t link_bytes = req.bytes + (req.bytes / 64) * 8;
-    sim::JoinPool *joins = &joins_;
-    sim::EventQueue *eq = &eq_;
-    StreamCallback shifted = [eq, done = std::move(done), rt](Tick t) {
-        eq->schedule(t + rt, [done, t, rt] {
-            if (done)
-                done(t + rt);
-        });
-    };
     sim::Join *join =
-        joins->acquire(2, sim::JoinPool::wrap(std::move(shifted)));
+        joins_.acquire(2, done, sim::Delay(2 * linkLatency()));
     link_.startFlow(link_bytes, req.maxRate, join);
-    dram_.stream(req, [join](Tick t) { join->arrive(t); });
+    dram_.stream(req, join);
 }
 
 } // namespace charon::mem

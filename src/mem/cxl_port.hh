@@ -34,7 +34,7 @@ class CxlHostPort : public MemPort
                 const sim::Instrumentation &instr = {});
 
     // MemPort
-    void stream(const StreamRequest &req, StreamCallback done) override;
+    void stream(const StreamRequest &req, sim::Join *done) override;
     sim::Tick latency(AccessPattern pattern) const override;
     double peakRate() const override;
     int maxGranularity() const override { return dram_.maxGranularity(); }
@@ -50,7 +50,6 @@ class CxlHostPort : public MemPort
     sim::Tick linkLatency() const;
 
   private:
-    sim::EventQueue &eq_;
     Ddr4Memory &dram_;
     sim::CxlConfig cfg_;
     FluidChannel link_;

@@ -78,12 +78,12 @@ Ddr4Memory::latency(AccessPattern pattern) const
 }
 
 void
-Ddr4Memory::stream(const StreamRequest &req, StreamCallback done)
+Ddr4Memory::stream(const StreamRequest &req, sim::Join *done)
 {
     CHARON_ASSERT(!channels_.empty(), "ddr4 has no channels");
     // Cache-line interleaving spreads any stream larger than a few
-    // lines evenly over all channels; split it accordingly and invoke
-    // the callback when the last slice drains.
+    // lines evenly over all channels; split it accordingly and arrive
+    // on @p done when the last slice drains.
     //
     // DRAM inefficiency (row misses, turnarounds) occupies the shared
     // bus just like useful data does, so a stream of B useful bytes is
@@ -92,8 +92,7 @@ Ddr4Memory::stream(const StreamRequest &req, StreamCallback done)
     const auto n = channels_.size();
     const double eff = efficiency(req.pattern);
     usefulBytes_ += static_cast<double>(req.bytes);
-    sim::Join *join =
-        joins_.acquire(n, sim::JoinPool::wrap(std::move(done)));
+    sim::Join *join = joins_.acquire(n, done);
     std::uint64_t inflated =
         static_cast<std::uint64_t>(static_cast<double>(req.bytes) / eff);
     std::uint64_t base = inflated / n;
@@ -139,14 +138,6 @@ Ddr4Memory::dumpStats(std::ostream &os) const
 {
     for (const auto &ch : channels_)
         ch->stats().dump(os);
-}
-
-void
-Ddr4Memory::resetStats()
-{
-    usefulBytes_ = 0;
-    for (auto &ch : channels_)
-        ch->resetStats();
 }
 
 } // namespace charon::mem

@@ -37,7 +37,7 @@ class Ddr4Memory : public MemPort
                const sim::Instrumentation &instr = {});
 
     // MemPort
-    void stream(const StreamRequest &req, StreamCallback done) override;
+    void stream(const StreamRequest &req, sim::Join *done) override;
     sim::Tick latency(AccessPattern pattern) const override;
     double peakRate() const override;
     int maxGranularity() const override { return cfg_.burstBytes; }
@@ -52,9 +52,6 @@ class Ddr4Memory : public MemPort
     /** Mean utilization of the busiest window [0, now]. */
     double utilization(sim::Tick elapsed) const;
 
-    /** Zero the byte/energy accounting. */
-    void resetStats();
-
     /** Print per-channel statistics. */
     void dumpStats(std::ostream &os) const;
 
@@ -65,7 +62,7 @@ class Ddr4Memory : public MemPort
     sim::Ddr4Config cfg_;
     std::vector<std::unique_ptr<FluidChannel>> channels_;
     double usefulBytes_ = 0; ///< excludes occupancy-overhead inflation
-    sim::JoinPool joins_;
+    sim::JoinPool joins_{eq_};
 };
 
 } // namespace charon::mem

@@ -52,11 +52,7 @@ FluidChannel::startFlow(std::uint64_t bytes, double maxRate,
     ++flowCount_;
     if (bytes == 0) {
         // Degenerate flow: complete immediately, still in event order.
-        sim::Tick now = eq_.now();
-        eq_.schedule(now, [join, now] {
-            if (join)
-                join->arrive(now);
-        });
+        sim::arriveAt(eq_, join, eq_.now());
         return;
     }
     advance();

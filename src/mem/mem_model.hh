@@ -9,6 +9,7 @@
 #define CHARON_MEM_MEM_MODEL_HH
 
 #include "mem/request.hh"
+#include "sim/join.hh"
 #include "sim/types.hh"
 
 namespace charon::mem
@@ -17,19 +18,22 @@ namespace charon::mem
 /**
  * A point of attachment to some memory system.
  *
- * stream() begins a transfer at the current event time and invokes the
- * callback at completion; latency() reports the average round-trip
- * latency a single access of the given pattern would see, which
- * requesters use to derive their MLP-limited issue rate
- * (rate = inflight x granularity / latency).
+ * stream() begins a transfer at the current event time and arrives
+ * on the caller's join once, at completion; latency() reports the
+ * average round-trip latency a single access of the given pattern
+ * would see, which requesters use to derive their MLP-limited issue
+ * rate (rate = inflight x granularity / latency).
  */
 class MemPort
 {
   public:
     virtual ~MemPort() = default;
 
-    /** Begin a stream transfer; @p done fires at the completion tick. */
-    virtual void stream(const StreamRequest &req, StreamCallback done) = 0;
+    /**
+     * Begin a stream transfer; arrives on @p done once, at the
+     * completion tick (null: no completion).
+     */
+    virtual void stream(const StreamRequest &req, sim::Join *done) = 0;
 
     /** Average access round-trip latency in ticks for @p pattern. */
     virtual sim::Tick latency(AccessPattern pattern) const = 0;

@@ -15,7 +15,6 @@
 #include <cstdint>
 
 #include "mem/addr.hh"
-#include "sim/callback.hh"
 #include "sim/types.hh"
 
 namespace charon::mem
@@ -48,13 +47,6 @@ struct StreamRequest
     /** Access granularity the agent uses, bytes (64 host, <=256 HMC). */
     int granularity = 64;
 };
-
-/**
- * Completion callback: invoked with the finish tick.  The inline
- * budget holds the typical wrapper (a shared join handle, an owner
- * pointer, and a couple of scalars) without heap allocation.
- */
-using StreamCallback = sim::Function<void(sim::Tick), 48>;
 
 } // namespace charon::mem
 

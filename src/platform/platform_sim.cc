@@ -160,11 +160,12 @@ struct PlatformSim::ThreadAgent
         const mem::Addr synth_addr =
             static_cast<mem::Addr>(cur.srcCube) << ps.cubeShift_;
         const std::uint64_t my_epoch = epoch;
-        ps.host_->execBucket(cur, synth_addr, [this, my_epoch](Tick t) {
-            if (epoch != my_epoch)
-                return;
-            finish(t);
-        });
+        ps.host_->execBucket(
+            cur, synth_addr, ps.joins_.acquire(1, [this, my_epoch](Tick t) {
+                if (epoch != my_epoch)
+                    return;
+                finish(t);
+            }));
     }
 
     /** Issue the current bucket to the device, fault-aware. */
@@ -201,16 +202,16 @@ struct PlatformSim::ThreadAgent
             }
         }
         const std::uint64_t my_epoch = epoch;
-        ps.backend_->execBucket(cur, hitRate,
-                                [this, my_epoch](Tick t) {
-                                   if (epoch != my_epoch)
-                                       return;
-                                   if (watchdog) {
-                                       sim->eq_.deschedule(watchdog);
-                                       watchdog = 0;
-                                   }
-                                   finish(t);
-                               });
+        ps.backend_->execBucket(
+            cur, hitRate, ps.joins_.acquire(1, [this, my_epoch](Tick t) {
+                if (epoch != my_epoch)
+                    return;
+                if (watchdog) {
+                    sim->eq_.deschedule(watchdog);
+                    watchdog = 0;
+                }
+                finish(t);
+            }));
     }
 
     void

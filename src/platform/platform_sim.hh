@@ -30,6 +30,7 @@
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
 #include "sim/instrumentation.hh"
+#include "sim/join.hh"
 #include "sim/timeline.hh"
 
 namespace charon::platform
@@ -134,6 +135,8 @@ class PlatformSim
     gc::GlueCosts costs_;
 
     sim::EventQueue eq_;
+    /** The joins buckets complete into; each resumes its agent. */
+    sim::JoinPool joins_{eq_};
     std::unique_ptr<fault::FaultEngine> fault_;
     std::unique_ptr<mem::Ddr4Memory> ddr4_;
     std::unique_ptr<hmc::HmcMemory> hmc_;

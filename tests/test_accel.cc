@@ -7,13 +7,16 @@
 
 #include "accel/area_energy.hh"
 #include "accel/device.hh"
+#include "finish_into.hh"
 #include "sim/event_queue.hh"
 
 using namespace charon;
 using accel::AreaModel;
 using accel::CharonDevice;
 using charon::sim::EventQueue;
+using charon::sim::JoinPool;
 using charon::sim::Tick;
+using charon::test::finishInto;
 
 namespace
 {
@@ -41,6 +44,7 @@ class DeviceTest : public ::testing::Test
     sim::SystemConfig cfg;
     hmc::HmcMemory hmc{eq, cfg.hmc};
     CharonDevice dev{eq, hmc, cfg};
+    JoinPool joins{eq};
 
     DeviceTest() { hmc.setCubeShift(28); }
 
@@ -48,7 +52,7 @@ class DeviceTest : public ::testing::Test
     exec(const gc::Bucket &b, double hit = 0.9)
     {
         Tick done = 0;
-        dev.execBucket(b, hit, [&](Tick t) { done = t; });
+        dev.execBucket(b, hit, finishInto(joins, done));
         eq.run();
         return done;
     }
@@ -80,9 +84,10 @@ TEST_F(DeviceTest, PerInvocationOverheadScalesWithCount)
     EventQueue eq2;
     hmc::HmcMemory hmc2(eq2, cfg.hmc);
     CharonDevice dev2(eq2, hmc2, cfg);
+    JoinPool joins2(eq2);
     Tick done = 0;
     dev2.execBucket(copyBucket(64 * 1000, 1000), 0.9,
-                    [&](Tick t) { done = t; });
+                    finishInto(joins2, done));
     eq2.run();
     // 1000 invocations cost ~1000x the per-invocation part.
     EXPECT_GT(done, 500 * one);
@@ -119,8 +124,9 @@ TEST_F(DeviceTest, BitmapCountHitRateMatters)
     EventQueue eq2;
     hmc::HmcMemory hmc2(eq2, cfg.hmc);
     CharonDevice dev2(eq2, hmc2, cfg);
+    JoinPool joins2(eq2);
     Tick cold = 0;
-    dev2.execBucket(b, 0.0, [&](Tick t) { cold = t; });
+    dev2.execBucket(b, 0.0, finishInto(joins2, cold));
     eq2.run();
     // Cold lookups pay the DRAM round trip per invocation; hot ones
     // only the cache (plus the unified-cache link hop on a satellite
@@ -146,8 +152,9 @@ TEST_F(DeviceTest, ScanPushWithFewRefsIsLatencyBound)
     EventQueue eq2;
     hmc::HmcMemory hmc2(eq2, cfg.hmc);
     CharonDevice dev2(eq2, hmc2, cfg);
+    JoinPool joins2(eq2);
     Tick t_dense = 0;
-    dev2.execBucket(dense, 0.9, [&](Tick t) { t_dense = t; });
+    dev2.execBucket(dense, 0.9, finishInto(joins2, t_dense));
     eq2.run();
     // Ten refs per invocation exploit MLP; one ref per invocation
     // serializes on latency (Section 5.2's Scan&Push analysis).
@@ -170,6 +177,52 @@ TEST_F(DeviceTest, PacketBytesAccumulate)
     exec(copyBucket(1024, 4));
     // 4 x (48 B request + 16 B no-value response).
     EXPECT_DOUBLE_EQ(dev.packetBytes(), 4.0 * (48 + 16));
+}
+
+TEST(DeviceUnits, IdleEnergyAndAreaCountTheUnitsThePoolsHold)
+{
+    // n units of each kind on 4 cubes: the Copy/Search and Bitmap
+    // Count pools (and local Scan&Push pools) hold max(1, n / 4) units
+    // per cube; central Scan&Push holds all n.
+    struct Case
+    {
+        int n;
+        bool scanPushLocal;
+        int copySearch, bitmapCount, scanPush;
+    };
+    for (const Case &c : {Case{2, false, 4, 4, 2}, Case{6, false, 4, 4, 6},
+                          Case{8, false, 8, 8, 8}, Case{2, true, 4, 4, 4}}) {
+        SCOPED_TRACE(testing::Message() << "n=" << c.n << " local="
+                                        << c.scanPushLocal);
+        sim::SystemConfig cfg;
+        ASSERT_EQ(cfg.hmc.cubes, 4);
+        cfg.charon.copySearchUnits = c.n;
+        cfg.charon.bitmapCountUnits = c.n;
+        cfg.charon.scanPushUnits = c.n;
+        cfg.charon.scanPushLocal = c.scanPushLocal;
+        EventQueue eq;
+        hmc::HmcMemory hmc(eq, cfg.hmc);
+        CharonDevice dev(eq, hmc, cfg);
+
+        // A fresh device has done nothing: every unit idles.
+        const int held = c.copySearch + c.bitmapCount + c.scanPush;
+        EXPECT_DOUBLE_EQ(dev.unitEnergyJ(1.0),
+                         held * cfg.charon.unitIdlePowerW);
+
+        // Table 4 per-unit areas over the units held, plus the
+        // general components (the area with no units at all).
+        sim::CharonConfig none = cfg.charon;
+        none.copySearchUnits = 0;
+        none.bitmapCountUnits = 0;
+        none.scanPushUnits = 0;
+        const double expect = AreaModel(none).totalMm2()
+                              + c.copySearch * 0.0223
+                              + c.bitmapCount * 0.0427
+                              + c.scanPush * 0.0720;
+        EXPECT_NEAR(dev.areaMm2(), expect, 1e-12);
+        EXPECT_EQ(accel::backendAreaMm2(sim::PlatformKind::CharonNmp, cfg),
+                  dev.areaMm2());
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -59,6 +59,7 @@ struct BackendRig
     hmc::HmcMemory hmc{eq, cfg.hmc};
     mem::Ddr4Memory ddr4{eq, cfg.ddr4};
     std::unique_ptr<OffloadBackend> backend;
+    sim::JoinPool joins{eq};
 
     explicit BackendRig(PlatformKind kind)
     {
@@ -71,13 +72,13 @@ struct BackendRig
     {
         Tick done = 0;
         bool fired = false;
-        backend->execBucket(b, hit, [&](Tick t) {
+        backend->execBucket(b, hit, joins.acquire(1, [&](Tick t) {
             done = t;
             fired = true;
-        });
+        }));
         EXPECT_FALSE(fired)
             << "execBucket completed synchronously (contract: the "
-               "callback must come off the event queue)";
+               "completion must come off the event queue)";
         eq.run();
         EXPECT_TRUE(fired);
         return done;
@@ -168,7 +169,7 @@ TEST(BackendConformance, EmptyBucketCompletesAtNowViaEvent)
     for (PlatformKind kind : kBackendKinds) {
         SCOPED_TRACE(sim::platformName(kind));
         BackendRig rig(kind);
-        // exec() itself asserts the callback is never synchronous.
+        // exec() itself asserts the completion is never synchronous.
         Tick done = rig.exec(copyBucket(0, /*inv=*/0));
         EXPECT_EQ(done, 0u) << "empty bucket must complete at the "
                                "current tick";
@@ -192,10 +193,11 @@ TEST(BackendConformance, CompletionOrderingAndDeterminism)
         // join delivers each exactly once.
         BackendRig rig(kind);
         int fired = 0;
+        auto count = [&](Tick) { ++fired; };
         rig.backend->execBucket(copyBucket(64), 0.9,
-                                [&](Tick) { ++fired; });
+                                rig.joins.acquire(1, count));
         rig.backend->execBucket(copyBucket(4096), 0.9,
-                                [&](Tick) { ++fired; });
+                                rig.joins.acquire(1, count));
         rig.eq.run();
         EXPECT_EQ(fired, 2);
     }

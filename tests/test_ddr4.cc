@@ -5,12 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include "finish_into.hh"
 #include "mem/ddr4.hh"
 #include "sim/event_queue.hh"
 
 using namespace charon;
 using charon::sim::EventQueue;
+using charon::sim::JoinPool;
 using charon::sim::Tick;
+using charon::test::finishInto;
 
 namespace
 {
@@ -42,8 +45,9 @@ TEST(Ddr4, UnlimitedSequentialStreamRunsNearPeak)
 {
     EventQueue eq;
     mem::Ddr4Memory ddr(eq, sim::Ddr4Config{});
+    JoinPool joins(eq);
     Tick done = 0;
-    ddr.stream(seqRead(34'000'000), [&](Tick t) { done = t; }); // 34 MB
+    ddr.stream(seqRead(34'000'000), finishInto(joins, done)); // 34 MB
     eq.run();
     // At 0.90 x 34 GB/s, 34 MB takes ~1.11 ms.
     double ms = sim::ticksToMs(done);
@@ -55,16 +59,18 @@ TEST(Ddr4, RandomPatternIsSlowerThanSequential)
 {
     EventQueue eq;
     mem::Ddr4Memory ddr(eq, sim::Ddr4Config{});
+    JoinPool joins(eq);
     Tick seq_done = 0;
-    ddr.stream(seqRead(1'000'000), [&](Tick t) { seq_done = t; });
+    ddr.stream(seqRead(1'000'000), finishInto(joins, seq_done));
     eq.run();
 
     EventQueue eq2;
     mem::Ddr4Memory ddr2(eq2, sim::Ddr4Config{});
+    JoinPool joins2(eq2);
     auto req = seqRead(1'000'000);
     req.pattern = mem::AccessPattern::Random;
     Tick rnd_done = 0;
-    ddr2.stream(req, [&](Tick t) { rnd_done = t; });
+    ddr2.stream(req, finishInto(joins2, rnd_done));
     eq2.run();
 
     EXPECT_GT(rnd_done, seq_done);
@@ -74,10 +80,11 @@ TEST(Ddr4, RequesterRateCapBinds)
 {
     EventQueue eq;
     mem::Ddr4Memory ddr(eq, sim::Ddr4Config{});
+    JoinPool joins(eq);
     // Cap at 1 GB/s: 1 MB should take ~1 ms even though DRAM is idle.
     Tick done = 0;
     ddr.stream(seqRead(1'000'000, sim::gbPerSecToBytesPerTick(1.0)),
-               [&](Tick t) { done = t; });
+               finishInto(joins, done));
     eq.run();
     EXPECT_NEAR(sim::ticksToMs(done), 1.0, 0.05);
 }
@@ -111,15 +118,17 @@ TEST(Ddr4, TwoStreamsContend)
 {
     EventQueue eq;
     mem::Ddr4Memory ddr(eq, sim::Ddr4Config{});
+    JoinPool joins(eq);
     Tick alone = 0;
-    ddr.stream(seqRead(10'000'000), [&](Tick t) { alone = t; });
+    ddr.stream(seqRead(10'000'000), finishInto(joins, alone));
     eq.run();
 
     EventQueue eq2;
     mem::Ddr4Memory ddr2(eq2, sim::Ddr4Config{});
+    JoinPool joins2(eq2);
     Tick a = 0, b = 0;
-    ddr2.stream(seqRead(10'000'000), [&](Tick t) { a = t; });
-    ddr2.stream(seqRead(10'000'000), [&](Tick t) { b = t; });
+    ddr2.stream(seqRead(10'000'000), finishInto(joins2, a));
+    ddr2.stream(seqRead(10'000'000), finishInto(joins2, b));
     eq2.run();
     // Two equal streams should each take ~2x the solo time.
     EXPECT_NEAR(static_cast<double>(a) / static_cast<double>(alone), 2.0,
@@ -132,8 +141,9 @@ TEST(Ddr4, UtilizationReflectsLoad)
 {
     EventQueue eq;
     mem::Ddr4Memory ddr(eq, sim::Ddr4Config{});
+    JoinPool joins(eq);
     Tick done = 0;
-    ddr.stream(seqRead(1'000'000), [&](Tick t) { done = t; });
+    ddr.stream(seqRead(1'000'000), finishInto(joins, done));
     eq.run();
     // The bus is fully occupied (useful data + row-miss overhead).
     EXPECT_NEAR(ddr.utilization(done), 1.0, 0.02);

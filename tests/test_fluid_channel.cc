@@ -11,33 +11,22 @@
 #include <cstdint>
 #include <vector>
 
+#include "finish_into.hh"
 #include "mem/fluid_channel.hh"
 #include "sim/event_queue.hh"
 #include "sim/join.hh"
 
 using charon::mem::FluidChannel;
 using charon::sim::EventQueue;
-using charon::sim::Join;
 using charon::sim::JoinPool;
 using charon::sim::Tick;
-
-namespace
-{
-
-/** A one-part join from @p pool that stores its finish tick in @p out. */
-Join *
-finishInto(JoinPool &pool, Tick &out)
-{
-    return pool.acquire(1, [&out](Tick t) { out = t; });
-}
-
-} // namespace
+using charon::test::finishInto;
 
 TEST(FluidChannel, SingleFlowAtCapacity)
 {
     EventQueue eq;
     FluidChannel ch(eq, "ch", 1.0); // 1 byte/tick
-    JoinPool joins;
+    JoinPool joins(eq);
     Tick done = 0;
     ch.startFlow(1000, 0, finishInto(joins, done));
     eq.run();
@@ -48,7 +37,7 @@ TEST(FluidChannel, FlowRespectsOwnCap)
 {
     EventQueue eq;
     FluidChannel ch(eq, "ch", 1.0);
-    JoinPool joins;
+    JoinPool joins(eq);
     Tick done = 0;
     ch.startFlow(1000, 0.5, finishInto(joins, done));
     eq.run();
@@ -59,7 +48,7 @@ TEST(FluidChannel, TwoEqualFlowsShareFairly)
 {
     EventQueue eq;
     FluidChannel ch(eq, "ch", 1.0);
-    JoinPool joins;
+    JoinPool joins(eq);
     Tick a = 0, b = 0;
     ch.startFlow(500, 0, finishInto(joins, a));
     ch.startFlow(500, 0, finishInto(joins, b));
@@ -73,7 +62,7 @@ TEST(FluidChannel, ShortFlowFreesBandwidthForLongFlow)
 {
     EventQueue eq;
     FluidChannel ch(eq, "ch", 1.0);
-    JoinPool joins;
+    JoinPool joins(eq);
     Tick small = 0, big = 0;
     ch.startFlow(100, 0, finishInto(joins, small));
     ch.startFlow(900, 0, finishInto(joins, big));
@@ -88,7 +77,7 @@ TEST(FluidChannel, CappedFlowLeavesResidualToOthers)
 {
     EventQueue eq;
     FluidChannel ch(eq, "ch", 1.0);
-    JoinPool joins;
+    JoinPool joins(eq);
     Tick slow = 0, fast = 0;
     // The capped flow can only take 0.2; the other gets 0.8.
     ch.startFlow(200, 0.2, finishInto(joins, slow));
@@ -102,7 +91,7 @@ TEST(FluidChannel, LateArrivalSlowsExistingFlow)
 {
     EventQueue eq;
     FluidChannel ch(eq, "ch", 1.0);
-    JoinPool joins;
+    JoinPool joins(eq);
     Tick first = 0, second = 0;
     ch.startFlow(1000, 0, finishInto(joins, first));
     eq.schedule(500, [&] {
@@ -140,7 +129,7 @@ TEST(FluidChannel, StaggeredArrivalsReKeyOneTimer)
     // after any arrival is 2.875 ticks away (flow 6 at t=6).
     EventQueue eq;
     FluidChannel ch(eq, "ch", 840.0);
-    JoinPool joins;
+    JoinPool joins(eq);
     const std::uint64_t size[8] = {4461, 2781, 1941, 1381,
                                    961,  625,  345,  105};
     Tick finish[8] = {};
@@ -163,7 +152,7 @@ TEST(FluidChannel, ZeroByteFlowCompletesImmediately)
 {
     EventQueue eq;
     FluidChannel ch(eq, "ch", 1.0);
-    JoinPool joins;
+    JoinPool joins(eq);
     Tick done = 12345;
     ch.startFlow(0, 0, finishInto(joins, done));
     eq.run();
@@ -175,7 +164,7 @@ TEST(FluidChannel, CallbackMayStartNextFlow)
 {
     EventQueue eq;
     FluidChannel ch(eq, "ch", 2.0);
-    JoinPool joins;
+    JoinPool joins(eq);
     Tick done2 = 0;
     ch.startFlow(100, 0, joins.acquire(1, [&](Tick) {
         ch.startFlow(100, 0, finishInto(joins, done2));
@@ -207,7 +196,7 @@ TEST(FluidChannel, ManyConcurrentFlowsAllFinish)
 {
     EventQueue eq;
     FluidChannel ch(eq, "ch", 10.0);
-    JoinPool joins;
+    JoinPool joins(eq);
     int finished = 0;
     for (int i = 0; i < 64; ++i)
         ch.startFlow(100 + i, 0, joins.acquire(1, [&](Tick) {
@@ -222,7 +211,7 @@ TEST(FluidChannel, StaggeredArrivalsAllFinish)
 {
     EventQueue eq;
     FluidChannel ch(eq, "ch", 3.0);
-    JoinPool joins;
+    JoinPool joins(eq);
     std::vector<Tick> completions;
     for (Tick t = 0; t < 50; ++t) {
         eq.schedule(t * 10, [&] {

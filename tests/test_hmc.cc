@@ -6,12 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include "finish_into.hh"
 #include "hmc/hmc.hh"
 #include "sim/event_queue.hh"
 
 using namespace charon;
 using charon::sim::EventQueue;
+using charon::sim::JoinPool;
 using charon::sim::Tick;
+using charon::test::finishInto;
 using hmc::HmcMemory;
 using hmc::Origin;
 
@@ -40,6 +43,7 @@ class HmcTest : public ::testing::Test
     EventQueue eq;
     sim::HmcConfig cfg;
     HmcMemory hmc{eq, cfg};
+    JoinPool joins{eq};
 
     void
     SetUp() override
@@ -52,7 +56,7 @@ class HmcTest : public ::testing::Test
     runStream(const Origin &o, const mem::StreamRequest &r)
     {
         Tick done = 0;
-        hmc.stream(o, r, [&](Tick t) { done = t; });
+        hmc.stream(o, r, finishInto(joins, done));
         eq.run();
         return done;
     }
@@ -155,10 +159,12 @@ TEST_F(HmcTest, EnergyIncludesDramAndLinks)
 
 TEST_F(HmcTest, ZeroByteStreamCompletes)
 {
-    bool fired = false;
-    hmc.stream(Origin::host(), req(0, 0), [&](Tick) { fired = true; });
+    Tick done = 1;
+    hmc.stream(Origin::host(), req(0, 0), finishInto(joins, done));
+    EXPECT_EQ(done, 1u) << "completed inline";
     eq.run();
-    EXPECT_TRUE(fired);
+    EXPECT_EQ(done, 0u);
+    EXPECT_EQ(eq.executedEvents(), 1u) << "one same-tick event";
 }
 
 TEST_F(HmcTest, SmallGranularityPaysMoreHeaderOverhead)
@@ -200,6 +206,7 @@ class HmcChainTest : public ::testing::Test
     EventQueue eq;
     sim::HmcConfig cfg;
     std::unique_ptr<HmcMemory> hmc;
+    JoinPool joins{eq};
 
     void
     SetUp() override
@@ -237,7 +244,7 @@ TEST_F(HmcChainTest, SatelliteToSatelliteSkipsTheHostLink)
     r.addr = 3ull << 28;
     r.bytes = 1 << 20;
     r.granularity = 256;
-    hmc->stream(Origin::onCube(1), r, [&](Tick t) { done = t; });
+    hmc->stream(Origin::onCube(1), r, finishInto(joins, done));
     eq.run();
     EXPECT_GT(done, 0u);
     EXPECT_GT(hmc->linkBytes(), 2.0 * (1 << 20)); // two segments

@@ -7,12 +7,15 @@
 #include <gtest/gtest.h>
 
 #include "cpu/host_model.hh"
+#include "finish_into.hh"
 #include "mem/ddr4.hh"
 #include "sim/event_queue.hh"
 
 using namespace charon;
 using charon::sim::EventQueue;
+using charon::sim::JoinPool;
 using charon::sim::Tick;
+using charon::test::finishInto;
 using cpu::HostModel;
 
 class HostModelTest : public ::testing::Test
@@ -23,13 +26,22 @@ class HostModelTest : public ::testing::Test
     gc::GlueCosts costs;
     mem::Ddr4Memory ddr4{eq, sim::Ddr4Config{}};
     HostModel model{eq, host, ddr4, costs};
+    JoinPool joins{eq};
 
     Tick
     exec(const gc::Bucket &b)
     {
         Tick done = 0;
-        model.execBucket(b, 0, [&](Tick t) { done = t; });
+        bool fired = false;
+        model.execBucket(b, 0, joins.acquire(1, [&](Tick t) {
+            done = t;
+            fired = true;
+        }));
+        EXPECT_FALSE(fired)
+            << "execBucket completed synchronously (contract: the "
+               "completion must come off the event queue)";
         eq.run();
+        EXPECT_TRUE(fired);
         return done;
     }
 };
@@ -90,7 +102,7 @@ TEST_F(HostModelTest, ScanPushDependentProbesAreSlow)
     c.seqReadBytes = 1000 * 32 + 4000 * 16; // same useful bytes
     Tick copy_start = eq.now();
     Tick t_copy = 0;
-    model.execBucket(c, 0, [&](Tick t) { t_copy = t; });
+    model.execBucket(c, 0, finishInto(joins, t_copy));
     eq.run();
     // Pointer chasing is far slower than streaming the same volume.
     EXPECT_GT(t_scan, 3 * (t_copy - copy_start));
@@ -142,11 +154,12 @@ TEST_F(HostModelTest, InvocationOverheadAccumulates)
     EventQueue eq2;
     mem::Ddr4Memory ddr2(eq2, sim::Ddr4Config{});
     HostModel m2(eq2, host, ddr2, costs);
+    JoinPool joins2(eq2);
     gc::Bucket many = one;
     many.invocations = 10000;
     many.seqReadBytes = 64 * 10000;
     Tick tn = 0;
-    m2.execBucket(many, 0, [&](Tick t) { tn = t; });
+    m2.execBucket(many, 0, finishInto(joins2, tn));
     eq2.run();
     EXPECT_GT(tn, 2000 * t1);
 }

@@ -2,7 +2,8 @@
  * @file
  * Unit tests for the pooled countdown join: fan-in with the latest
  * arrival tick, early fire on a posted part, recycle-before-invoke
- * reentrancy, and null-preserving callback wrapping.
+ * reentrancy, the delay a join carries, completion into a parent
+ * join, and arriveAt().
  */
 
 #include <gtest/gtest.h>
@@ -11,14 +12,18 @@
 
 #include "sim/join.hh"
 
-using charon::sim::Function;
+using charon::sim::arriveAt;
+using charon::sim::Delay;
+using charon::sim::EventQueue;
+using charon::sim::FireAfter;
 using charon::sim::Join;
 using charon::sim::JoinPool;
 using charon::sim::Tick;
 
 TEST(Join, FanInFiresOnceWithLatestArrival)
 {
-    JoinPool pool;
+    EventQueue eq;
+    JoinPool pool(eq);
     std::vector<Tick> fires;
     Join *j = pool.acquire(3, [&](Tick t) { fires.push_back(t); });
     j->arrive(5);
@@ -28,12 +33,25 @@ TEST(Join, FanInFiresOnceWithLatestArrival)
     EXPECT_EQ(fires, (std::vector<Tick>{20}));
 }
 
+TEST(Join, ZeroDelayCompletesInline)
+{
+    EventQueue eq;
+    JoinPool pool(eq);
+    Tick fired = 0;
+    Join *j = pool.acquire(2, [&](Tick t) { fired = t; }, Delay(0));
+    j->arrive(4);
+    j->arrive(9);
+    EXPECT_EQ(fired, 9u);
+    EXPECT_EQ(eq.pendingEvents(), 0u);
+}
+
 TEST(Join, EarlyFireFiresOnceAndStaysOutOfThePool)
 {
-    JoinPool pool;
+    EventQueue eq;
+    JoinPool pool(eq);
     std::vector<Tick> fires;
     Join *j = pool.acquire(
-        3, [&](Tick t) { fires.push_back(t); }, /*fire_after=*/2);
+        3, [&](Tick t) { fires.push_back(t); }, Delay(), FireAfter(2));
     j->arrive(7);
     j->arrive(4);
     EXPECT_EQ(fires, (std::vector<Tick>{7}));
@@ -53,7 +71,8 @@ TEST(Join, EarlyFireFiresOnceAndStaysOutOfThePool)
 
 TEST(Join, RecycledBeforeItsCallbackRuns)
 {
-    JoinPool pool;
+    EventQueue eq;
+    JoinPool pool(eq);
     Join *second = nullptr;
     Tick second_fired = 0;
     Join *first = pool.acquire(2, [&](Tick) {
@@ -70,22 +89,116 @@ TEST(Join, RecycledBeforeItsCallbackRuns)
     EXPECT_EQ(second_fired, 8u);
 }
 
-TEST(Join, WrapKeepsANullCallbackNull)
+TEST(Join, DelayedJoinCompletesOnceBehindEarlierSameTickEvents)
 {
-    Function<void(Tick), 48> none;
-    EXPECT_FALSE(JoinPool::wrap(std::move(none)));
-
-    Tick seen = 0;
-    Function<void(Tick), 48> some = [&](Tick t) { seen = t; };
-    Join::Callback wrapped = JoinPool::wrap(std::move(some));
-    ASSERT_TRUE(wrapped);
-    wrapped(12);
-    EXPECT_EQ(seen, 12u);
-
-    // A join over a wrapped null completes without calling anything.
-    JoinPool pool;
-    Function<void(Tick), 48> null_again;
-    Join *j = pool.acquire(1, JoinPool::wrap(std::move(null_again)));
-    j->arrive(1);
+    EventQueue eq;
+    JoinPool pool(eq);
+    std::vector<int> order;
+    std::vector<Tick> fires;
+    Join *j = pool.acquire(2,
+                           [&](Tick t) {
+                               fires.push_back(t);
+                               order.push_back(2);
+                           },
+                           Delay(10));
+    // Scheduled before the join fires, at the tick it completes at.
+    eq.schedule(25, [&] { order.push_back(1); });
+    j->arrive(15);
+    j->arrive(5);
+    EXPECT_TRUE(fires.empty()) << "a delayed join completed inline";
+    EXPECT_EQ(eq.pendingEvents(), 2u) << "one completion event";
+    eq.run();
+    EXPECT_EQ(fires, (std::vector<Tick>{25}));
+    EXPECT_EQ(order, (std::vector<int>{1, 2}));
+    EXPECT_EQ(eq.executedEvents(), 2u);
+    // The completion event released the join.
     EXPECT_EQ(pool.acquire(1, nullptr), j);
+}
+
+TEST(Join, ExtraArrivalWhileTheDelayedCompletionIsPendingPanics)
+{
+    EventQueue eq;
+    JoinPool pool(eq);
+    Join *j = pool.acquire(1, nullptr, Delay(5));
+    j->arrive(1);
+    // Every part has arrived; the pending event holds the join, but
+    // it takes no further arrivals.
+    EXPECT_DEATH(j->arrive(2), "recycled join");
+}
+
+TEST(Join, DelayedEarlyFireRecyclesAfterItsEventAndItsLastPart)
+{
+    EventQueue eq;
+    JoinPool pool(eq);
+    std::vector<Tick> fires;
+    auto record = [&](Tick t) { fires.push_back(t); };
+
+    // The completion event runs before the posted part arrives.
+    Join *j = pool.acquire(2, record, Delay(6), FireAfter(1));
+    j->arrive(4);
+    eq.run();
+    EXPECT_EQ(fires, (std::vector<Tick>{10}));
+    Join *other = pool.acquire(1, nullptr);
+    EXPECT_NE(other, j) << "recycled before its posted part arrived";
+    other->arrive(0);
+    j->arrive(12);
+    EXPECT_EQ(fires, (std::vector<Tick>{10})) << "fired twice";
+    EXPECT_EQ(pool.acquire(1, nullptr), j);
+    j->arrive(12);
+    fires.clear();
+
+    // The posted part arrives before the completion event runs.
+    j = pool.acquire(2, record, Delay(6), FireAfter(1));
+    j->arrive(20);
+    j->arrive(21);
+    other = pool.acquire(1, nullptr);
+    EXPECT_NE(other, j) << "recycled before its completion event ran";
+    other->arrive(21);
+    eq.run();
+    EXPECT_EQ(fires, (std::vector<Tick>{26}));
+    EXPECT_EQ(pool.acquire(1, nullptr), j);
+}
+
+TEST(Join, CompletesIntoAParentJoin)
+{
+    EventQueue eq;
+    JoinPool pool(eq);
+    Tick fired = 0;
+    Join *parent = pool.acquire(2, [&](Tick t) { fired = t; });
+    Join *child = pool.acquire(1, parent, Delay(3));
+    child->arrive(4);
+    parent->arrive(2);
+    EXPECT_EQ(fired, 0u);
+    eq.run();
+    // The child arrives on the parent at 4 + 3, the latest arrival.
+    EXPECT_EQ(fired, 7u);
+
+    // A child completing into a null parent completes into nothing.
+    Join *orphan = pool.acquire(1, nullptr, Delay(2));
+    orphan->arrive(8);
+    eq.run();
+    EXPECT_EQ(fired, 7u);
+    EXPECT_EQ(pool.acquire(1, nullptr), orphan);
+}
+
+TEST(Join, ArriveAtAddsExactlyOneEventAndAcceptsANullJoin)
+{
+    EventQueue eq;
+    JoinPool pool(eq);
+    eq.schedule(5, [] {});
+    eq.run();
+    Tick fired = 0;
+    Join *j = pool.acquire(1, [&](Tick t) { fired = t; });
+    arriveAt(eq, j, eq.now());
+    EXPECT_EQ(fired, 0u) << "arriveAt at now() arrived inline";
+    EXPECT_EQ(eq.pendingEvents(), 1u);
+    eq.run();
+    EXPECT_EQ(fired, 5u);
+    EXPECT_EQ(eq.executedEvents(), 2u);
+
+    arriveAt(eq, nullptr, 12);
+    EXPECT_EQ(eq.pendingEvents(), 1u);
+    eq.run();
+    EXPECT_EQ(eq.executedEvents(), 3u);
+    EXPECT_EQ(eq.now(), 12u);
 }

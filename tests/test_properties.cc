@@ -39,7 +39,7 @@ TEST(FluidChannelProperty, BytesAreConservedUnderRandomTraffic)
         EventQueue eq;
         double capacity = 0.5 + rng.uniform() * 4.0;
         mem::FluidChannel ch(eq, "prop", capacity);
-        sim::JoinPool joins;
+        sim::JoinPool joins(eq);
 
         std::uint64_t offered = 0;
         int finished = 0;
