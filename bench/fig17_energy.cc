@@ -92,7 +92,9 @@ main(int argc, char **argv)
          << " W on " << max_power_wl
          << " (paper: 4.51 W on ALS); power density "
          << report::num(
-                accel::PowerModel::powerDensityMwPerMm2(max_power), 1)
+                accel::PowerModel::powerDensityMwPerMm2(
+                    max_power, sim::SystemConfig::table2().hmc.cubes),
+                1)
          << " mW/mm^2, passive-heatsink limit "
          << report::num(accel::PowerModel::kPassiveHeatsinkMwPerMm2, 0)
          << " mW/mm^2";

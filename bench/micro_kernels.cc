@@ -66,7 +66,7 @@ BM_BitmapCountReference(benchmark::State &state)
     state.SetItemsProcessed(state.iterations()
                             * static_cast<std::int64_t>(range));
 }
-BENCHMARK(BM_BitmapCountReference)->Arg(128)->Arg(512)->Arg(4096);
+BENCHMARK(BM_BitmapCountReference)->Arg(64)->Arg(128)->Arg(512)->Arg(4096);
 
 static void
 BM_BitmapCountOptimized(benchmark::State &state)
@@ -82,7 +82,7 @@ BM_BitmapCountOptimized(benchmark::State &state)
     state.SetItemsProcessed(state.iterations()
                             * static_cast<std::int64_t>(range));
 }
-BENCHMARK(BM_BitmapCountOptimized)->Arg(128)->Arg(512)->Arg(4096);
+BENCHMARK(BM_BitmapCountOptimized)->Arg(64)->Arg(128)->Arg(512)->Arg(4096);
 
 static void
 BM_BitmapCacheAccess(benchmark::State &state)

@@ -24,7 +24,7 @@ main(int argc, char **argv)
     auto opt = harness::standardOptions(argc, argv);
     Report report(opt);
 
-    accel::AreaModel area{sim::CharonConfig{}};
+    accel::AreaModel area{sim::SystemConfig::table2()};
     auto &table = report.table("table4", "Table 4: Charon area usage",
                                {"component", "per-unit mm^2", "units",
                                 "total mm^2", "class"});

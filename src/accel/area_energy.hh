@@ -40,7 +40,11 @@ struct AreaComponent
 class AreaModel
 {
   public:
-    explicit AreaModel(const sim::CharonConfig &cfg);
+    /**
+     * Unit rows from @p cfg.charon; the per-cube rows (queues,
+     * metadata array, TLB) count one per cube of @p cfg.hmc.
+     */
+    explicit AreaModel(const sim::SystemConfig &cfg);
 
     const std::vector<AreaComponent> &components() const
     {
@@ -50,7 +54,7 @@ class AreaModel
     /** Sum of all components (paper: 1.9470 mm^2). */
     double totalMm2() const;
 
-    /** Average area per cube (paper: 0.4868 mm^2). */
+    /** Average area per cube (paper, 4 cubes: 0.4868 mm^2). */
     double perCubeMm2() const;
 
     /** Fraction of the HMC logic-layer area (paper: ~0.49%). */
@@ -60,7 +64,7 @@ class AreaModel
     static constexpr double kLogicDieMm2 = 100.0;
 
   private:
-    sim::CharonConfig cfg_;
+    int cubes_;
     std::vector<AreaComponent> components_;
 };
 
@@ -79,11 +83,11 @@ struct PowerModel
     /** Max allowable power density for a low-end passive heat sink. */
     static constexpr double kPassiveHeatsinkMwPerMm2 = 96.0;
 
-    /** Power density of Charon at max power over 4 cubes' logic. */
+    /** Power density of Charon at @p power_w over @p cubes' logic. */
     static double
-    powerDensityMwPerMm2(double power_w)
+    powerDensityMwPerMm2(double power_w, int cubes)
     {
-        return power_w * 1000.0 / (4 * AreaModel::kLogicDieMm2);
+        return power_w * 1000.0 / (cubes * AreaModel::kLogicDieMm2);
     }
 };
 

@@ -26,10 +26,10 @@ double
 charonAreaMm2(const sim::SystemConfig &cfg)
 {
     const CharonUnits units = charonUnits(cfg);
-    sim::CharonConfig laid_out = cfg.charon;
-    laid_out.copySearchUnits = units.copySearch;
-    laid_out.bitmapCountUnits = units.bitmapCount;
-    laid_out.scanPushUnits = units.scanPush;
+    sim::SystemConfig laid_out = cfg;
+    laid_out.charon.copySearchUnits = units.copySearch;
+    laid_out.charon.bitmapCountUnits = units.bitmapCount;
+    laid_out.charon.scanPushUnits = units.scanPush;
     return AreaModel(laid_out).totalMm2();
 }
 

@@ -52,27 +52,39 @@ MarkCompact::summaryPhase()
     // Per-region live-word totals (objects straddling region borders
     // split their words by location, as HotSpot's add_obj does; the
     // words past the first region are the later regions' partial
-    // objects).  destWords holds each region's own total until the
-    // prefix pass below turns it into the destination.
+    // objects).  regionDest_ holds each region's running total until
+    // the prefix pass below turns it into the destination.  A running
+    // total starts at the region's partial-object words, so the block
+    // offset taken from it at the first object of each block is
+    // seeded from them, as HotSpot's fill_blocks seeds its count with
+    // partial_obj_size.
     const auto &beg = heap_.begBitmap();
-    regions_.assign(mem::divCeil(heap_.heapBytes(), kRegionBytes), {});
+    regionDest_.assign(mem::divCeil(heap_.heapBytes(), kRegionBytes), 0);
+    blockOffset_.assign(mem::divCeil(beg.numBits(), kBlockWords), 0);
+    std::uint64_t last_block = ~0ull;
     forEachLive([&](Addr obj) {
         const std::uint64_t first = beg.bitIndex(obj);
         const std::uint64_t stop = first + heap_.sizeWords(obj);
+        if (first / kBlockWords != last_block) {
+            last_block = first / kBlockWords;
+            const std::uint64_t before = regionDest_[first / kRegionWords];
+            CHARON_ASSERT(before < kRegionWords,
+                          "block offset %llu exceeds a region",
+                          static_cast<unsigned long long>(before));
+            blockOffset_[last_block] = static_cast<std::uint16_t>(before);
+        }
         for (std::uint64_t bit = first; bit < stop;) {
             const std::uint64_t r = bit / kRegionWords;
             const std::uint64_t take =
                 std::min(stop, (r + 1) * kRegionWords);
-            regions_[r].destWords += take - bit;
-            if (bit != first)
-                regions_[r].partialWords = take - bit;
+            regionDest_[r] += take - bit;
             bit = take;
         }
     });
     std::uint64_t prefix = 0;
-    for (RegionSummary &region : regions_) {
-        std::uint64_t words = region.destWords;
-        region.destWords = prefix;
+    for (std::uint64_t &dest : regionDest_) {
+        std::uint64_t words = dest;
+        dest = prefix;
         prefix += words;
         rec_.recordGlue(costs.regionSummary, 1);
         rec_.nextThread();
@@ -90,26 +102,28 @@ Addr
 MarkCompact::newAddrOf(Addr obj)
 {
     // HotSpot's calc_new_pointer:
-    //   region_destination + partial_obj_size
-    //     + live_words_in_range(region_start, obj),
-    // recording the Bitmap Count over [region start bit, obj bit).
+    //   region_destination + block_offset
+    //     + live_words_in_range(block_start, obj),
+    // a count within one bitmap word.  The BitmapCount record keeps
+    // the accelerator's range, [region start bit, obj bit).
     const auto &beg = heap_.begBitmap();
     const auto &end = heap_.endBitmap();
     const std::uint64_t obj_bit = beg.bitIndex(obj);
     CHARON_ASSERT(beg.testBit(obj_bit),
                   "new address of a non-live object 0x%llx",
                   static_cast<unsigned long long>(obj));
-    const std::uint64_t r = obj_bit / kRegionWords;
-    const std::uint64_t region_start_bit = r * kRegionWords;
+    const std::uint64_t region_start_bit =
+        obj_bit / kRegionWords * kRegionWords;
     rec_.recordBitmapCount(beg.storageAddrOfBit(region_start_bit),
                            end.storageAddrOfBit(region_start_bit),
                            obj_bit - region_start_bit);
-    const RegionSummary &region = regions_[r];
+    const std::uint64_t block = obj_bit / kBlockWords;
     return heap_.base()
            + 8
-                 * (region.destWords + region.partialWords
+                 * (regionDest_[obj_bit / kRegionWords]
+                    + blockOffset_[block]
                     + heap::optimizedLiveWords(beg, end,
-                                               region_start_bit,
+                                               block * kBlockWords,
                                                obj_bit));
 }
 

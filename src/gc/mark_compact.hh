@@ -6,17 +6,20 @@
  * begin/end bits of every live object in the mark bitmaps
  * (Scan&Push + mark_obj).
  *
- * Phase 2 (summary): per heap region, the destination prefix and the
- * words of an object begun in an earlier region, in one walk of the
- * begin bitmap (cheap; <0.03% of MajorGC per the paper).
+ * Phase 2 (summary): per heap region, the destination prefix, and per
+ * 64-word block, the live words in its region before the first object
+ * that starts in the block (HotSpot's block table), in one walk of
+ * the begin bitmap (cheap; <0.03% of MajorGC per the paper).
  *
  * Phase 3 (compact): viewing the heap as one linear space, every live
  * object's destination is
  *     dest = heap_base + 8 x (live words to its left)
- * computed as HotSpot does: region_destination + partial_obj_size +
- * live_words_in_range(region_start, obj) — the Bitmap Count
- * primitive, invoked once per moved object and once per adjusted
- * pointer — followed by the Copy that moves the object.
+ * computed as HotSpot's calc_new_pointer does: region_destination +
+ * block_offset + live_words_in_range(block_start, obj), a count over
+ * one bitmap word.  The Bitmap Count primitive is recorded once per
+ * moved object and once per adjusted pointer over [region_start,
+ * obj), the range the accelerator counts, and is followed by the Copy
+ * that moves the object.
  *
  * Every phase visits live objects in ascending address order, by
  * walking the begin bitmap; no side list of live objects is kept.
@@ -62,18 +65,11 @@ class MarkCompact
   private:
     /** Region granularity in bitmap bits (heap words). */
     static constexpr std::uint64_t kRegionWords = kRegionBytes / 8;
-
-    /** What the summary keeps per region (HotSpot's RegionData). */
-    struct RegionSummary
-    {
-        /** Live words below the region start: its destination. */
-        std::uint64_t destWords = 0;
-        /**
-         * Words at the region start that belong to an object begun
-         * in an earlier region (HotSpot's partial_obj_size).
-         */
-        std::uint64_t partialWords = 0;
-    };
+    /** Block granularity in heap words: one bitmap word. */
+    static constexpr std::uint64_t kBlockWords = 64;
+    static_assert(kRegionWords % kBlockWords == 0
+                      && kRegionWords <= UINT16_MAX,
+                  "a block offset is a uint16_t within one region");
 
     void markPhase();
     void summaryPhase();
@@ -89,8 +85,18 @@ class MarkCompact
     TraceRecorder &rec_;
     Result result_;
 
-    /** Summary output, one entry per compaction region. */
-    std::vector<RegionSummary> regions_;
+    /**
+     * Summary output, one entry per compaction region: the live words
+     * below the region start, its destination (HotSpot's RegionData).
+     */
+    std::vector<std::uint64_t> regionDest_;
+    /**
+     * One entry per block in which an object starts: the live words
+     * in the block's region before that first object, which include
+     * the region's partial-object words (HotSpot's BlockData).
+     * Entries of blocks where no object starts are never read.
+     */
+    std::vector<std::uint16_t> blockOffset_;
 };
 
 } // namespace charon::gc

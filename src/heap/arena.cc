@@ -77,50 +77,6 @@ ObjectArena::copyBytes(mem::Addr dst, mem::Addr src, std::uint64_t bytes)
     std::memmove(raw(dst, bytes), raw(src, bytes), bytes);
 }
 
-std::uint64_t
-ObjectArena::sizeWordsFor(KlassId klass, std::uint64_t array_len) const
-{
-    const Klass &k = klasses_.get(klass);
-    if (k.kind == KlassKind::ObjArray)
-        return 3 + array_len;
-    if (isTypeArrayKind(k.kind)) {
-        return 3
-               + mem::divCeil(array_len
-                                  * static_cast<std::uint64_t>(
-                                      typeArrayElemBytes(k.kind)),
-                              8);
-    }
-    if (k.kind == KlassKind::ConstantPool
-        || k.kind == KlassKind::MethodData) {
-        return 3 + mem::divCeil(array_len, 8);
-    }
-    return k.instanceWords();
-}
-
-void
-ObjectArena::writeHeader(mem::Addr obj, KlassId klass,
-                         std::uint64_t size_words,
-                         std::uint64_t array_len)
-{
-    CHARON_ASSERT(size_words >= 2, "undersized object");
-    CHARON_ASSERT(size_words < (1ull << 32), "oversized object");
-    store64(obj, static_cast<std::uint64_t>(klass) | (size_words << 32));
-    store64(obj + 8, 0);
-    const Klass &k = klasses_.get(klass);
-    if (k.kind == KlassKind::ObjArray || isTypeArrayKind(k.kind)
-        || k.kind == KlassKind::ConstantPool
-        || k.kind == KlassKind::MethodData) {
-        store64(obj + 16, array_len);
-        if (k.kind == KlassKind::ObjArray) {
-            for (std::uint64_t i = 0; i < array_len; ++i)
-                store64(obj + 24 + i * 8, 0);
-        }
-    } else {
-        for (std::uint64_t i = 0; i < k.refFields; ++i)
-            store64(obj + 16 + i * 8, 0);
-    }
-}
-
 void
 ObjectArena::setRef(mem::Addr obj, std::uint64_t i, mem::Addr target)
 {

@@ -72,6 +72,18 @@ class ObjectArena
     /** memmove inside the arena (leftward overlaps are safe). */
     void copyBytes(mem::Addr dst, mem::Addr src, std::uint64_t bytes);
 
+    /**
+     * Hint the host cache line holding @p addr into the cache, as a
+     * tracing loop does for an object header it will read soon;
+     * nothing for an address outside the arena (null included).
+     */
+    void
+    prefetch(mem::Addr addr) const
+    {
+        if (contains(addr))
+            __builtin_prefetch(data_ + (addr - base_));
+    }
+
     // ------------------------------------------------------------------
     // Object layout
 
@@ -171,6 +183,50 @@ inline void
 ObjectArena::store64(mem::Addr addr, std::uint64_t value)
 {
     std::memcpy(raw(addr, 8), &value, 8);
+}
+
+inline std::uint64_t
+ObjectArena::sizeWordsFor(KlassId klass, std::uint64_t array_len) const
+{
+    const Klass &k = klasses_.get(klass);
+    if (k.kind == KlassKind::ObjArray)
+        return 3 + array_len;
+    if (isTypeArrayKind(k.kind)) {
+        return 3
+               + mem::divCeil(array_len
+                                  * static_cast<std::uint64_t>(
+                                      typeArrayElemBytes(k.kind)),
+                              8);
+    }
+    if (k.kind == KlassKind::ConstantPool
+        || k.kind == KlassKind::MethodData) {
+        return 3 + mem::divCeil(array_len, 8);
+    }
+    return k.instanceWords();
+}
+
+inline void
+ObjectArena::writeHeader(mem::Addr obj, KlassId klass,
+                         std::uint64_t size_words,
+                         std::uint64_t array_len)
+{
+    CHARON_ASSERT(size_words >= 2, "undersized object");
+    CHARON_ASSERT(size_words < (1ull << 32), "oversized object");
+    store64(obj, static_cast<std::uint64_t>(klass) | (size_words << 32));
+    store64(obj + 8, 0);
+    const Klass &k = klasses_.get(klass);
+    if (k.kind == KlassKind::ObjArray || isTypeArrayKind(k.kind)
+        || k.kind == KlassKind::ConstantPool
+        || k.kind == KlassKind::MethodData) {
+        store64(obj + 16, array_len);
+        if (k.kind == KlassKind::ObjArray) {
+            for (std::uint64_t i = 0; i < array_len; ++i)
+                store64(obj + 24 + i * 8, 0);
+        }
+    } else {
+        for (std::uint64_t i = 0; i < k.refFields; ++i)
+            store64(obj + 16 + i * 8, 0);
+    }
 }
 
 inline KlassId

@@ -25,13 +25,6 @@ MarkBitmap::clearAll()
 }
 
 std::uint64_t
-MarkBitmap::word(std::uint64_t index) const
-{
-    CHARON_ASSERT(index < words_.size(), "word index out of range");
-    return words_[index];
-}
-
-std::uint64_t
 MarkBitmap::findNextSet(std::uint64_t from, std::uint64_t limit) const
 {
     if (from >= limit)
@@ -147,18 +140,21 @@ optimizedLiveWords(const MarkBitmap &beg, const MarkBitmap &end,
     // Corner case 2: an object starts in range but ends beyond it —
     // the highest set bit overall belongs to the begin map only.
     // Drop it: the reference counts such objects as zero words.
-    std::uint64_t trailing_word = last_word + 1, trailing_bit = 0;
-    for (std::uint64_t i = last_word + 1; i-- > first_word;) {
-        std::uint64_t b = masked(beg, i), e = masked(end, i);
-        if ((b | e) == 0)
-            continue;
-        std::uint64_t top = 1ull << (63 - std::countl_zero(b | e));
-        if ((b & top) && !(e & top)) {
-            trailing_word = i;
-            trailing_bit = top;
-        }
-        break;
+    // Words above the highest one with a set bit add nothing, so the
+    // count below stops there and reuses that word pair.
+    std::uint64_t top_word = last_word;
+    std::uint64_t top_b = masked(beg, top_word);
+    std::uint64_t top_e = masked(end, top_word);
+    while ((top_b | top_e) == 0) {
+        if (top_word == first_word)
+            return 0;
+        --top_word;
+        top_b = masked(beg, top_word);
+        top_e = masked(end, top_word);
     }
+    const std::uint64_t top = 1ull << (63 - std::countl_zero(top_b | top_e));
+    if ((top_b & top) && !(top_e & top))
+        top_b &= ~top;
 
     // count = popcount(E - B) + popcount(B), computed word-wise with
     // borrow propagation from the least-significant word upward —
@@ -166,10 +162,9 @@ optimizedLiveWords(const MarkBitmap &beg, const MarkBitmap &end,
     std::uint64_t count = 0;
     std::uint64_t borrow = 0;
     bool seen_bit = false;
-    for (std::uint64_t i = first_word; i <= last_word; ++i) {
-        std::uint64_t b = masked(beg, i), e = masked(end, i);
-        if (i == trailing_word)
-            b &= ~trailing_bit;
+    for (std::uint64_t i = first_word; i <= top_word; ++i) {
+        std::uint64_t b = i == top_word ? top_b : masked(beg, i);
+        std::uint64_t e = i == top_word ? top_e : masked(end, i);
         // Corner case 1: the range starts inside an object — the
         // lowest set bit overall belongs to the end map only.  Drop
         // it: the reference algorithm never pairs it.

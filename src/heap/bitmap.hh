@@ -8,8 +8,9 @@
  * marks its last word.  live_words_in_range() — the Bitmap Count
  * primitive — is implemented here twice: exactly as in Figure 8 of the
  * paper, and as Charon's word-wise algorithm of Section 4.3.  The full
- * collector computes destinations with the word-wise count; the
- * Figure 8 walk is the reference it is property-tested against.
+ * collector computes destinations with the word-wise count, over one
+ * storage word from a block start; the Figure 8 walk is the reference
+ * it is property-tested against.
  */
 
 #ifndef CHARON_HEAP_BITMAP_HH
@@ -108,8 +109,24 @@ class MarkBitmap
     std::uint64_t countSet(std::uint64_t from, std::uint64_t limit) const;
 
     /** Raw 64-bit storage word (for the word-wise Bitmap Count). */
-    std::uint64_t word(std::uint64_t index) const;
+    std::uint64_t
+    word(std::uint64_t index) const
+    {
+        CHARON_ASSERT(index < words_.size(), "word index out of range");
+        return words_[index];
+    }
     std::uint64_t numWords() const { return words_.size(); }
+
+    /**
+     * Hint the storage word holding @p addr's bit into the host
+     * cache; nothing for an address outside the covered range.
+     */
+    void
+    prefetch(mem::Addr addr) const
+    {
+        if (addr >= heapBase_ && bitIndex(addr) < numBits_)
+            __builtin_prefetch(&words_[bitIndex(addr) >> 6]);
+    }
 
   private:
     void
@@ -174,8 +191,11 @@ std::uint64_t liveWordsInRange(
  *    in range but ends beyond it) is dropped too.
  * Both match the Figure 8 reference, which never counts such objects.
  *
- * Allocates nothing: the mark-compact collector calls it once per
- * adjusted pointer and once per moved object.
+ * Allocates nothing, and reads each storage word up to the highest
+ * one with a set bit once.  The mark-compact collector counts [64-word
+ * block start, obj), a range inside one storage word, once per
+ * adjusted pointer and once per moved object, and adds the block
+ * table's offset (gc/mark_compact.hh).
  *
  * @return total 8-byte words occupied by live objects fully contained
  *         in the range

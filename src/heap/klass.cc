@@ -29,53 +29,6 @@ klassKindName(KlassKind kind)
 }
 
 bool
-isTypeArrayKind(KlassKind kind)
-{
-    switch (kind) {
-      case KlassKind::TypeArrayBoolean:
-      case KlassKind::TypeArrayByte:
-      case KlassKind::TypeArrayChar:
-      case KlassKind::TypeArrayShort:
-      case KlassKind::TypeArrayInt:
-      case KlassKind::TypeArrayLong:
-      case KlassKind::TypeArrayFloat:
-      case KlassKind::TypeArrayDouble:
-        return true;
-      default:
-        return false;
-    }
-}
-
-int
-typeArrayElemBytes(KlassKind kind)
-{
-    switch (kind) {
-      case KlassKind::TypeArrayBoolean:
-      case KlassKind::TypeArrayByte:
-        return 1;
-      case KlassKind::TypeArrayChar:
-      case KlassKind::TypeArrayShort:
-        return 2;
-      case KlassKind::TypeArrayInt:
-      case KlassKind::TypeArrayFloat:
-        return 4;
-      case KlassKind::TypeArrayLong:
-      case KlassKind::TypeArrayDouble:
-        return 8;
-      default:
-        sim::panic("typeArrayElemBytes on non-array kind %s",
-                   klassKindName(kind));
-    }
-}
-
-std::uint32_t
-Klass::instanceWords() const
-{
-    // 2 header words + ref slots + payload.
-    return 2 + refFields + payloadWords;
-}
-
-bool
 Klass::hasRefs() const
 {
     switch (kind) {

@@ -50,10 +50,36 @@ constexpr int kNumKlassKinds = 15;
 const char *klassKindName(KlassKind kind);
 
 /** True when the kind is one of the eight primitive array kinds. */
-bool isTypeArrayKind(KlassKind kind);
+constexpr bool
+isTypeArrayKind(KlassKind kind)
+{
+    // The eight kinds are contiguous in KlassKind.
+    return kind >= KlassKind::TypeArrayBoolean
+           && kind <= KlassKind::TypeArrayDouble;
+}
 
 /** Element width in bytes for a type-array kind. */
-int typeArrayElemBytes(KlassKind kind);
+inline int
+typeArrayElemBytes(KlassKind kind)
+{
+    switch (kind) {
+      case KlassKind::TypeArrayBoolean:
+      case KlassKind::TypeArrayByte:
+        return 1;
+      case KlassKind::TypeArrayChar:
+      case KlassKind::TypeArrayShort:
+        return 2;
+      case KlassKind::TypeArrayInt:
+      case KlassKind::TypeArrayFloat:
+        return 4;
+      case KlassKind::TypeArrayLong:
+      case KlassKind::TypeArrayDouble:
+        return 8;
+      default:
+        sim::panic("typeArrayElemBytes on non-array kind %s",
+                   klassKindName(kind));
+    }
+}
 
 /**
  * True when reference slot @p slot of a @p kind object is *weak*:
@@ -87,7 +113,12 @@ struct Klass
     std::uint32_t payloadWords = 0;
 
     /** Fixed total size in 8-byte words for instance-flavoured kinds. */
-    std::uint32_t instanceWords() const;
+    std::uint32_t
+    instanceWords() const
+    {
+        // 2 header words + ref slots + payload.
+        return 2 + refFields + payloadWords;
+    }
 
     /** True when objects of this klass can hold references. */
     bool hasRefs() const;

@@ -211,10 +211,10 @@ TEST(DeviceUnits, IdleEnergyAndAreaCountTheUnitsThePoolsHold)
 
         // Table 4 per-unit areas over the units held, plus the
         // general components (the area with no units at all).
-        sim::CharonConfig none = cfg.charon;
-        none.copySearchUnits = 0;
-        none.bitmapCountUnits = 0;
-        none.scanPushUnits = 0;
+        sim::SystemConfig none = cfg;
+        none.charon.copySearchUnits = 0;
+        none.charon.bitmapCountUnits = 0;
+        none.charon.scanPushUnits = 0;
         const double expect = AreaModel(none).totalMm2()
                               + c.copySearch * 0.0223
                               + c.bitmapCount * 0.0427
@@ -230,15 +230,49 @@ TEST(DeviceUnits, IdleEnergyAndAreaCountTheUnitsThePoolsHold)
 
 TEST(AreaModel, TotalsMatchTable4)
 {
-    AreaModel area{sim::CharonConfig{}};
+    AreaModel area{sim::SystemConfig{}};
     EXPECT_NEAR(area.totalMm2(), 1.9470, 1e-4);
     EXPECT_NEAR(area.perCubeMm2(), 0.4868, 1e-4);
     EXPECT_NEAR(area.logicLayerFraction(), 0.0049, 1e-4);
 }
 
+TEST(AreaModel, PerCubeRowsFollowTheCubeCount)
+{
+    // Command Queue, both Request Queues, Metadata Array and TLB are
+    // one per cube; the bitmap cache stays one, and the unit rows keep
+    // their configured counts.  Table 4's 4 cubes hold 0.6948 mm^2 of
+    // per-cube rows, 0.1737 mm^2 a cube.
+    constexpr double kPerCube = 0.0049 + 0.0015 + 0.0162 + 0.0805 + 0.0706;
+    constexpr double kRest = 0.1562 + 8 * (0.0223 + 0.0427 + 0.0720);
+    for (int cubes : {2, 8}) {
+        SCOPED_TRACE(testing::Message() << cubes << " cubes");
+        sim::SystemConfig cfg;
+        cfg.hmc.cubes = cubes;
+        AreaModel area{cfg};
+        for (const auto &c : area.components()) {
+            if (c.isProcessingUnit || c.name == "Bitmap Cache")
+                continue;
+            EXPECT_EQ(c.units, cubes) << c.name;
+        }
+        EXPECT_NEAR(area.totalMm2(), cubes * kPerCube + kRest, 1e-12);
+        EXPECT_NEAR(area.perCubeMm2(), area.totalMm2() / cubes, 1e-12);
+        EXPECT_NEAR(area.logicLayerFraction(),
+                    area.perCubeMm2() / AreaModel::kLogicDieMm2, 1e-12);
+        EXPECT_DOUBLE_EQ(
+            accel::PowerModel::powerDensityMwPerMm2(4.0, cubes),
+            4000.0 / (cubes * AreaModel::kLogicDieMm2));
+    }
+    // 2 cubes: 2 x 0.1737 + 1.2522 = 1.5996 mm^2; 8 cubes: 2.6418.
+    sim::SystemConfig two, eight;
+    two.hmc.cubes = 2;
+    eight.hmc.cubes = 8;
+    EXPECT_NEAR(AreaModel(two).totalMm2(), 1.5996, 1e-4);
+    EXPECT_NEAR(AreaModel(eight).totalMm2(), 2.6418, 1e-4);
+}
+
 TEST(AreaModel, HasAllNineComponents)
 {
-    AreaModel area{sim::CharonConfig{}};
+    AreaModel area{sim::SystemConfig{}};
     EXPECT_EQ(area.components().size(), 9u);
     int units = 0, general = 0;
     for (const auto &c : area.components())
@@ -252,7 +286,7 @@ TEST(AreaModel, PowerDensityBelowPassiveHeatsinkLimit)
     // Section 5.3: max power 4.51 W -> 45.1 mW/mm^2 per cube budget,
     // far below a passive heat sink's limit.
     double density = accel::PowerModel::powerDensityMwPerMm2(
-        accel::PowerModel::kPaperMaxPowerW);
+        accel::PowerModel::kPaperMaxPowerW, 4);
     EXPECT_NEAR(density, 11.3, 0.1); // over 4 cubes' logic dies
     EXPECT_LT(density,
               accel::PowerModel::kPassiveHeatsinkMwPerMm2);

@@ -3,8 +3,9 @@
  * Tests for Charon's optimized Bitmap Count algorithm (Section 4.3):
  * exact equivalence with the Figure 8 software reference, including
  * the corner cases where begin/end bit counts differ inside the
- * range, and the [region start, live object) ranges the mark-compact
- * collector computes destinations over.
+ * range, the [region start, live object) ranges the mark-compact
+ * collector records, and the one-word [block start, live object)
+ * ranges it computes destinations over.
  */
 
 #include <gtest/gtest.h>
@@ -184,4 +185,66 @@ TEST(OptimizedBitmapCount, PropertyMatchesReferenceOnRandomHeaps)
                 << ")";
         }
     }
+}
+
+TEST(OptimizedBitmapCount, OneWordRangesMatchReference)
+{
+    // Ranges inside one 64-bit storage word, as the collector's
+    // destination counts are.  Random layouts with many one-word
+    // objects; arbitrary ranges within a word, which cut objects at
+    // either end, and the collector's ranges from a 64-word block
+    // start to a begin bit.
+    sim::Rng rng(4242);
+    struct Obj
+    {
+        std::uint64_t first, last;
+    };
+    std::uint64_t one_word = 0, leading_end = 0, trailing_begin = 0,
+                  from_block = 0;
+    for (int round = 0; round < 200; ++round) {
+        Maps m;
+        std::vector<Obj> objs;
+        std::uint64_t bit = rng.below(8);
+        const std::uint64_t limit = 1024 + rng.below(1024);
+        while (true) {
+            std::uint64_t words = rng.chance(0.4)   ? 1
+                                  : rng.chance(0.2) ? rng.range(2, 100)
+                                                    : rng.range(2, 8);
+            if (bit + words > limit)
+                break;
+            if (rng.chance(0.8)) {
+                m.paint(bit, words);
+                objs.push_back({bit, bit + words - 1});
+            }
+            bit += words + rng.below(4);
+        }
+        auto check = [&](std::uint64_t a, std::uint64_t b) {
+            ASSERT_EQ(a >> 6, (b - 1) >> 6);
+            EXPECT_EQ(optimizedLiveWords(m.beg, m.end, a, b),
+                      liveWordsInRange(m.beg, m.end, a, b))
+                << "round " << round << " range [" << a << "," << b
+                << ")";
+            for (const Obj &o : objs) {
+                one_word += o.first == o.last && o.first >= a
+                            && o.first < b;
+                leading_end += o.first < a && o.last >= a && o.last < b;
+                trailing_begin += o.first >= a && o.first < b
+                                  && o.last >= b;
+            }
+        };
+        for (int q = 0; q < 40; ++q) {
+            const std::uint64_t a = rng.below(limit);
+            check(a, a + 1 + rng.below(64 - (a & 63)));
+        }
+        for (const Obj &o : objs) {
+            if (o.first & 63) {
+                check(o.first & ~63ull, o.first);
+                ++from_block;
+            }
+        }
+    }
+    EXPECT_GT(one_word, 0u);
+    EXPECT_GT(leading_end, 0u);
+    EXPECT_GT(trailing_begin, 0u);
+    EXPECT_GT(from_block, 0u);
 }

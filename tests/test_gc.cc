@@ -429,6 +429,100 @@ TEST_F(GcTest, MarkCompactAcrossManyRegions)
               result.pointersAdjusted + result.liveObjects);
 }
 
+TEST_F(GcTest, MarkCompactBlockBoundaries)
+{
+    // Destinations come from a region destination, a block offset
+    // (64-word blocks, four to a 256-word region) and a count within
+    // one bitmap word.  Old-generation objects at planned word
+    // offsets put objects across block and region borders, leave
+    // blocks in which no object starts, and start regions inside
+    // objects begun earlier, whose words the block offsets must hold.
+    const Addr base = heap->base();
+    const auto longs = klasses.longArrayId();
+    auto place = [&](heap::KlassId k, std::uint64_t len,
+                     std::uint64_t at_word) {
+        Addr obj = heap->allocOldObject(k, len);
+        EXPECT_EQ(obj, base + at_word * 8);
+        return obj;
+    };
+    place(longs, 7, 0);                // dead [0, 10)
+    Addr n0 = place(nodeId, 0, 10);    // [10, 16)
+    place(longs, 41, 16);              // dead [16, 60)
+    Addr a = place(longs, 7, 60);      // [60, 70): crosses block 0/1
+    place(longs, 47, 70);              // dead [70, 120)
+    Addr b = place(longs, 77, 120);    // [120, 200): block 2 has no start
+    Addr c = place(nodeId, 0, 200);    // [200, 206)
+    place(longs, 41, 206);             // dead [206, 250)
+    Addr d = place(klasses.objArrayId(), 597, 250);
+    // d is [250, 850): regions 1 and 2 lie inside it, region 3 opens
+    // with its last 82 words, and blocks 4-12 hold no object start.
+    Addr e = place(nodeId, 0, 850);    // block 13's first, past d's end
+    place(longs, 31, 856);             // dead [856, 890)
+    Addr f = place(nodeId, 0, 890);    // [890, 896): ends on a block
+    Addr g = place(nodeId, 0, 896);    // on block 14's first word
+    place(longs, 95, 902);             // dead [902, 1000)
+    Addr h = place(longs, 37, 1000);   // [1000, 1040): region 4 opens
+                                       // with its last 16 words
+    Addr i = place(nodeId, 0, 1040);   // region 4's first object
+    place(longs, 51, 1046);            // dead [1046, 1100)
+    Addr j = place(nodeId, 0, 1100);   // block 17's first
+
+    for (std::uint64_t w = 0; w < 77; ++w) {
+        heap->store64(b + 24 + w * 8, w * 0x9e3779b97f4a7c15ull);
+        if (w < 37)
+            heap->store64(h + 24 + w * 8, ~w);
+    }
+    heap->roots() = {n0, c};
+    heap->storeRef(n0, 0, a);
+    heap->storeRef(n0, 1, b);
+    heap->storeRef(c, 0, d);
+    heap->storeRef(c, 1, n0);
+    heap->storeRef(d, 0, e);
+    heap->storeRef(d, 100, f);
+    heap->storeRef(d, 300, g);
+    heap->storeRef(d, 596, h);
+    heap->storeRef(e, 0, i);
+    heap->storeRef(e, 1, j);
+    heap->storeRef(i, 0, c);
+    heap->storeRef(j, 0, e);
+
+    auto before = fingerprintGraph(*heap);
+    auto result = MarkCompact(*heap, *rec).collect();
+    ASSERT_FALSE(result.outOfMemory);
+    EXPECT_EQ(result.liveObjects, 11u);
+    EXPECT_EQ(result.liveBytes, 772u * 8);
+    EXPECT_EQ(result.pointersAdjusted, 14u); // 12 references + 2 roots
+    EXPECT_EQ(heap->region(Space::Old).used(), result.liveBytes);
+    EXPECT_EQ(heap->objectCount(Space::Old), result.liveObjects);
+    EXPECT_EQ(fingerprintGraph(*heap), before);
+    checkHeapIntegrity(*heap);
+
+    // Packed: each object lands on the live words to its left.
+    const Addr n0_new = heap->roots()[0];
+    const Addr c_new = heap->roots()[1];
+    EXPECT_EQ(n0_new, base);
+    EXPECT_EQ(heap->refAt(n0_new, 0), base + 6 * 8);     // a
+    EXPECT_EQ(heap->refAt(n0_new, 1), base + 16 * 8);    // b
+    EXPECT_EQ(c_new, base + 96 * 8);
+    const Addr d_new = heap->refAt(c_new, 0);
+    EXPECT_EQ(d_new, base + 102 * 8);
+    const Addr e_new = heap->refAt(d_new, 0);
+    EXPECT_EQ(e_new, base + 702 * 8);
+    EXPECT_EQ(heap->refAt(d_new, 100), base + 708 * 8);  // f
+    EXPECT_EQ(heap->refAt(d_new, 300), base + 714 * 8);  // g
+    const Addr h_new = heap->refAt(d_new, 596);
+    EXPECT_EQ(h_new, base + 720 * 8);
+    EXPECT_EQ(heap->refAt(e_new, 0), base + 760 * 8);    // i
+    EXPECT_EQ(heap->refAt(e_new, 1), base + 766 * 8);    // j
+    for (std::uint64_t w = 0; w < 77; ++w) {
+        EXPECT_EQ(heap->load64(base + 16 * 8 + 24 + w * 8),
+                  w * 0x9e3779b97f4a7c15ull);
+        if (w < 37) {
+            EXPECT_EQ(heap->load64(h_new + 24 + w * 8), ~w);
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Collector policy
 
