@@ -115,12 +115,26 @@ putVar(std::ostream &os, std::uint64_t v)
     os.write(buf, n);
 }
 
+/**
+ * One byte straight from the stream buffer: istream::get() would
+ * build a sentry for every byte of the body.  At end of input it sets
+ * eofbit | failbit, as get() does.
+ */
+int
+getByte(std::istream &is)
+{
+    const int c = is.rdbuf()->sbumpc();
+    if (c == std::char_traits<char>::eof())
+        is.setstate(std::ios::eofbit | std::ios::failbit);
+    return c;
+}
+
 bool
 getVar(std::istream &is, std::uint64_t &v)
 {
     v = 0;
     for (int shift = 0; shift < 64; shift += 7) {
-        int c = is.get();
+        int c = getByte(is);
         if (c == std::char_traits<char>::eof())
             return false;
         // The tenth byte holds only bit 63: a continuation flag or
@@ -198,7 +212,7 @@ getColumns(std::istream &is, BucketColumns &c, std::size_t n)
 {
     c.kind.resize(n);
     for (auto &k : c.kind) {
-        int v = is.get();
+        int v = getByte(is);
         if (v == std::char_traits<char>::eof()
             || v >= kNumPrimKinds) {
             return false;
@@ -222,7 +236,7 @@ getColumns(std::istream &is, BucketColumns &c, std::size_t n)
     }
     c.hostOnly.resize(n);
     for (auto &v : c.hostOnly) {
-        int b = is.get();
+        int b = getByte(is);
         if (b == std::char_traits<char>::eof())
             return false;
         v = static_cast<std::uint8_t>(b);

@@ -185,8 +185,9 @@ FluidChannel::reallocate()
         }
     }
 
-    // Re-key the completion timer to the earliest projected finish;
-    // it leaves the queue only with the last flow.
+    // Re-key the completion timer to the earliest projected finish,
+    // from onTimer() too, where that re-arms the running timer in
+    // place; it leaves the queue only with the last flow.
     if (n == 0) {
         if (timer_) {
             eq_.deschedule(timer_);
@@ -209,14 +210,21 @@ FluidChannel::reallocate()
 void
 FluidChannel::armTimer(sim::Tick when)
 {
-    if (timer_ == 0 || !eq_.reschedule(timer_, when))
+    if (timer_ == 0) {
         timer_ = eq_.schedule(when, [this] { onTimer(); });
+        return;
+    }
+    const bool rekeyed = eq_.reschedule(timer_, when);
+    CHARON_ASSERT(rekeyed, "fluid channel %s lost its completion timer",
+                  stats_.name().c_str());
 }
 
 void
 FluidChannel::onTimer()
 {
-    timer_ = 0;
+    // timer_ stays set: a re-key from here or from a reentrant
+    // startFlow re-arms this very event, and if no flow is left,
+    // reallocate() lets it leave the queue.
     advance();
     // Collect finished flows first, then complete their joins (a
     // join's callback may reentrantly start new flows on this

@@ -8,8 +8,10 @@
  * equally among flows that can still absorb more.  Whenever the set of
  * active flows changes, remaining bytes are advanced at the old rates
  * and the allocation is recomputed; the channel's one completion timer
- * is re-keyed to the earliest projected finish, and it leaves the
- * event queue only when the last flow does.
+ * is re-keyed to the earliest projected finish, also from inside its
+ * own callback, so it keeps one event slot and one callback from the
+ * channel's first flow to its last and leaves the event queue only
+ * when the last flow does.
  *
  * Every flow completes into a sim::Join, the fan-in its caller built
  * over the resources the transfer occupies (the HMC route, the DDR4
@@ -107,8 +109,8 @@ class FluidChannel
     void reallocate();
 
     /**
-     * Point the completion timer at @p when: re-key the pending
-     * timer, or schedule one if none is pending.
+     * Point the completion timer at @p when: re-key the channel's
+     * timer, pending or running, or schedule one if it has none.
      */
     void armTimer(sim::Tick when);
 
@@ -119,21 +121,22 @@ class FluidChannel
     double capacity_;
     /**
      * Active flows in insertion order, structure-of-arrays: the
-     * advance/reallocate loops run once per completion timer and
-     * touch only the 8-byte column they need instead of striding
-     * over a ~90-byte flow record.  The insertion order is the order
-     * the progressive filling must visit flows in so the
-     * floating-point accumulation sequence (and therefore every
-     * projected finish time) matches runs made with any earlier
-     * container choice.  Erases compact all columns stably for the
-     * same reason.
+     * advance and reallocate loops run on every flow start and timer
+     * fire, and each touches only the columns it needs.  One 32-byte
+     * record per flow, with the advance folded into the pass that
+     * follows it, ran no faster on the warm perfbench pass, so the
+     * columns stay.  The insertion order is the order the progressive
+     * filling must visit flows in so the floating-point accumulation
+     * sequence (and therefore every projected finish time) matches
+     * runs made with any earlier container choice.  Erases compact
+     * all columns stably for the same reason.
      */
     std::vector<double> flowBytes_;     ///< bytes left
     std::vector<double> flowMax_;       ///< cap (0 == unlimited)
     std::vector<double> flowRate_;      ///< current allocation
     std::vector<sim::Join *> flowDone_; ///< completion joins (or null)
     sim::Tick lastAdvance_ = 0;
-    sim::EventId timer_ = 0; ///< pending completion timer, or 0
+    sim::EventId timer_ = 0; ///< completion timer while flows are active, or 0
     std::vector<std::uint32_t> uncappedScratch_; ///< reallocate() reuse
     std::vector<sim::Join *> doneScratch_;       ///< onTimer() reuse
 

@@ -10,6 +10,13 @@
  * itself (falling back to the heap above it), so the common wrappers
  * — "this plus a continuation plus a couple of scalars" — schedule
  * without touching the allocator.
+ *
+ * An inline callable of at most one cache line that is trivially
+ * copyable and trivially destructible (every closure the replay
+ * schedules captures only pointers and ticks) moves as a fixed-size
+ * byte copy and is destroyed without an indirect call.  The choice is
+ * made at compile time from the callable's type; every other callable
+ * moves and is destroyed through its vtable.
  */
 
 #ifndef CHARON_SIM_CALLBACK_HH
@@ -17,6 +24,7 @@
 
 #include <cstddef>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -50,6 +58,9 @@ class Function<R(Args...), Inline>
         using Fn = std::decay_t<F>;
         if constexpr (sizeof(Fn) <= Inline
                       && alignof(Fn) <= alignof(std::max_align_t)) {
+            // A byte copy moves kCopyBytes: define every one of them.
+            if constexpr (kBytewise<Fn>)
+                std::memset(buf_, 0, kCopyBytes);
             ::new (storage()) Fn(std::forward<F>(f));
             vt_ = &inlineVt<Fn>;
         } else {
@@ -67,14 +78,7 @@ class Function<R(Args...), Inline>
         }
     }
 
-    Function(Function &&o) noexcept
-    {
-        if (o.vt_) {
-            o.vt_->move(storage(), o.storage());
-            vt_ = o.vt_;
-            o.vt_ = nullptr;
-        }
-    }
+    Function(Function &&o) noexcept { take(o); }
 
     Function &
     operator=(const Function &o)
@@ -94,16 +98,23 @@ class Function<R(Args...), Inline>
     {
         if (this != &o) {
             reset();
-            if (o.vt_) {
-                o.vt_->move(storage(), o.storage());
-                vt_ = o.vt_;
-                o.vt_ = nullptr;
-            }
+            take(o);
         }
         return *this;
     }
 
     ~Function() { reset(); }
+
+    /** Destroy the held callable, if any, leaving this empty. */
+    void
+    reset()
+    {
+        if (vt_) {
+            if (vt_->destroy)
+                vt_->destroy(storage());
+            vt_ = nullptr;
+        }
+    }
 
     explicit operator bool() const { return vt_ != nullptr; }
 
@@ -114,6 +125,10 @@ class Function<R(Args...), Inline>
     }
 
   private:
+    /**
+     * Per-callable operations.  Null move and destroy mark a callable
+     * that moves as a byte copy and needs no destructor call.
+     */
     struct VTable
     {
         R (*invoke)(void *, Args &&...);
@@ -121,6 +136,14 @@ class Function<R(Args...), Inline>
         void (*move)(void *dst, void *src);
         void (*destroy)(void *);
     };
+
+    /** What a byte copy moves: the buffer, up to one cache line. */
+    static constexpr std::size_t kCopyBytes = Inline < 64 ? Inline : 64;
+
+    template <typename Fn>
+    static constexpr bool kBytewise =
+        sizeof(Fn) <= kCopyBytes && std::is_trivially_copyable_v<Fn>
+        && std::is_trivially_destructible_v<Fn>;
 
     template <typename Fn> static constexpr VTable inlineVt = {
         [](void *s, Args &&...args) -> R {
@@ -135,11 +158,12 @@ class Function<R(Args...), Inline>
             else
                 std::abort();
         },
-        [](void *dst, void *src) {
+        kBytewise<Fn> ? nullptr : +[](void *dst, void *src) {
             ::new (dst) Fn(std::move(*static_cast<Fn *>(src)));
             static_cast<Fn *>(src)->~Fn();
         },
-        [](void *s) { static_cast<Fn *>(s)->~Fn(); },
+        kBytewise<Fn> ? nullptr
+                      : +[](void *s) { static_cast<Fn *>(s)->~Fn(); },
     };
 
     template <typename Fn> static constexpr VTable heapVt = {
@@ -160,12 +184,17 @@ class Function<R(Args...), Inline>
         [](void *s) { delete *static_cast<Fn **>(s); },
     };
 
+    /** Move @p o's callable into this empty Function. */
     void
-    reset()
+    take(Function &o)
     {
-        if (vt_) {
-            vt_->destroy(storage());
-            vt_ = nullptr;
+        if (o.vt_) {
+            if (o.vt_->move)
+                o.vt_->move(storage(), o.storage());
+            else
+                std::memcpy(buf_, o.buf_, kCopyBytes);
+            vt_ = o.vt_;
+            o.vt_ = nullptr;
         }
     }
 

@@ -32,16 +32,29 @@ EventQueue::removeAt(std::size_t i)
 void
 EventQueue::fireTop()
 {
+    CHARON_ASSERT(running_ == kNone,
+                  "the event queue was run from inside a callback");
     const Node top = heap_.front();
     now_ = top.when;
     ++executed_;
-    removeAt(0);
+    // The node stays at the root while the callback runs: everything
+    // pending or scheduled from here on keys later.  Its slot is not
+    // pending, so only reschedule() of the running id can touch it.
     meta_[top.slot].pos = kNone;
+    running_ = top.slot;
+    parked_ = true;
     // Execute in place: the chunked slab never relocates a slot, so
-    // callbacks scheduled by fn() cannot move it mid-call, and the
-    // slot is out of the heap, so its own id is no longer pending.
+    // callbacks scheduled by fn() cannot move it mid-call.
     fnAt(top.slot)();
-    releaseSlot(top.slot);
+    running_ = kNone;
+    if (parked_) {
+        parked_ = false;
+        removeAt(0);
+    }
+    // Unless the callback re-keyed its event (and left it pending),
+    // the slot goes free.
+    if (meta_[top.slot].pos == kNone)
+        releaseSlot(top.slot);
 }
 
 bool

@@ -15,12 +15,20 @@
  * pending events), which makes an O(log n) heap cheaper in practice
  * than a calendar queue whose min-location must scan bucket windows.
  *
- * The queue records every slot's heap position, so the heap holds
- * exactly the pending events: deschedule() removes its node in
- * O(log n) and reschedule() re-keys a pending event in place.  An
- * EventId names a slot and that slot's generation, which is bumped
- * whenever the slot's event fires or is cancelled, so a stale id
- * matches nothing.
+ * The queue records every slot's heap position: deschedule() removes
+ * its node in O(log n) and reschedule() re-keys a pending event in
+ * place.  An EventId names a slot and that slot's generation, which
+ * is bumped whenever the slot's event fires or is cancelled, so a
+ * stale id matches nothing.
+ *
+ * A firing event's node stays at the heap root while its callback
+ * runs: every other pending event, and every event the callback
+ * schedules, keys later, so nothing can displace it.  The callback
+ * may re-key its own event with reschedule(); the node then takes a
+ * fresh key in place and stays pending under the same id, which is
+ * how a recurring timer (a FluidChannel's completion timer) keeps one
+ * slot and one callback for its whole life.  Otherwise the node
+ * leaves the heap and the slot is released after the callback.
  */
 
 #ifndef CHARON_SIM_EVENT_QUEUE_HH
@@ -99,7 +107,7 @@ class EventQueue
         fnAt(slot) = std::move(fn);
         heap_.push_back(Node{when, nextSeq_++, slot});
         siftUp(heap_.size() - 1);
-        return (static_cast<EventId>(meta_[slot].gen) << 32) | slot;
+        return idOf(slot);
     }
 
     /** Schedule @p fn @p delay ticks from now. */
@@ -111,11 +119,13 @@ class EventQueue
 
     /**
      * Cancel a pending event: its node leaves the heap and its
-     * callback is destroyed now.
+     * callback is destroyed now, or, for a running event that
+     * re-keyed itself, when its callback returns.
      *
      * @retval true the event was pending and is now cancelled.
      * @retval false the id names no pending event: it already fired,
-     *         is running, was cancelled, or never existed.
+     *         is running and has not re-keyed itself, was cancelled,
+     *         or never existed.
      */
     bool
     deschedule(EventId id)
@@ -124,7 +134,10 @@ class EventQueue
         if (slot == kNone)
             return false;
         removeAt(meta_[slot].pos);
-        releaseSlot(slot);
+        if (slot == running_)
+            retire(meta_[slot]); // fireTop() releases the running slot
+        else
+            releaseSlot(slot);
         return true;
     }
 
@@ -135,8 +148,14 @@ class EventQueue
      * same callback would put it: behind every event already
      * scheduled for @p when.
      *
+     * The running event may re-key itself, from inside its own
+     * callback: it then stays pending under the same id, at the
+     * (when, seq) a schedule() made at this point would get, and
+     * fires again.
+     *
      * @pre when >= now(), as for schedule().
-     * @retval true the event was pending and is re-keyed.
+     * @retval true the event was pending, or is the running one, and
+     *         is re-keyed.
      * @retval false the id names no pending event (see deschedule()).
      */
     bool
@@ -144,8 +163,16 @@ class EventQueue
     {
         assertNotPast(when);
         const std::uint32_t slot = pendingSlot(id);
-        if (slot == kNone)
-            return false;
+        if (slot == kNone) {
+            if (!parked_ || id != idOf(running_))
+                return false;
+            // The running event re-arms: its node still sits at the
+            // root, and its new key is the latest so far.
+            parked_ = false;
+            place(0, Node{when, nextSeq_++, running_});
+            siftDown(0);
+            return true;
+        }
         const std::size_t i = meta_[slot].pos;
         // A fresh seq makes the new key later than the old one at
         // the same tick, so only an earlier tick can move it up.
@@ -158,11 +185,14 @@ class EventQueue
         return true;
     }
 
-    /** Number of pending events. */
-    std::size_t pendingEvents() const { return heap_.size(); }
+    /**
+     * Number of pending events.  A running event counts once it has
+     * re-keyed itself.
+     */
+    std::size_t pendingEvents() const { return heap_.size() - parked_; }
 
     /** True when no events remain. */
-    bool empty() const { return heap_.empty(); }
+    bool empty() const { return pendingEvents() == 0; }
 
     /** Events executed over the queue's lifetime (perf metric). */
     std::uint64_t executedEvents() const { return executed_; }
@@ -238,9 +268,19 @@ class EventQueue
         return slot;
     }
 
+    /** The id naming @p slot's current generation. */
+    EventId
+    idOf(std::uint32_t slot) const
+    {
+        return (static_cast<EventId>(meta_[slot].gen) << 32) | slot;
+    }
+
     /** Remove the node at heap index @p i, keeping the heap valid. */
     void removeAt(std::size_t i);
-    /** Pop the earliest event and run it; @pre !empty(). */
+    /**
+     * Run the earliest event; afterwards remove it and release its
+     * slot unless it re-keyed itself.  @pre !empty().
+     */
     void fireTop();
 
     void
@@ -292,21 +332,31 @@ class EventQueue
 
     void growSlab();
 
+    /** Take a slot out of the heap's bookkeeping; stale its ids. */
+    static void
+    retire(SlotMeta &m)
+    {
+        m.pos = kNone;
+        if (++m.gen == 0)
+            m.gen = 1;
+    }
+
     /** Destroy the slot's callback and retire every id naming it. */
     void
     releaseSlot(std::uint32_t slot)
     {
-        fnAt(slot) = Callback();
-        SlotMeta &m = meta_[slot];
-        m.pos = kNone;
-        if (++m.gen == 0)
-            m.gen = 1;
+        fnAt(slot).reset();
+        retire(meta_[slot]);
         freeSlots_.push_back(slot);
     }
 
     Tick now_ = 0;
     std::uint64_t executed_ = 0;
     std::uint64_t nextSeq_ = 0;
+    /** Slot whose callback is running, or kNone. */
+    std::uint32_t running_ = kNone;
+    /** The running event's node sits at the root, not yet re-keyed. */
+    bool parked_ = false;
 
     std::vector<Node> heap_;
     std::vector<std::unique_ptr<Callback[]>> chunks_;

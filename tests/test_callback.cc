@@ -2,20 +2,26 @@
  * @file
  * sim::Function small-buffer-optimization edge cases: the event queue
  * schedules hundreds of thousands of these per replay, so the inline
- * vs. heap storage decision, the move/copy vtable paths, and exact
- * destruction counting all have to be airtight.
+ * vs. heap storage decision, the byte-copy path of trivially copyable
+ * closures, the move/copy vtable paths, and exact destruction
+ * counting all have to be airtight.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <type_traits>
 #include <utility>
 
 #include "sim/callback.hh"
+#include "sim/event_queue.hh"
 
+using charon::sim::EventQueue;
 using charon::sim::Function;
+using charon::sim::Tick;
 
 namespace
 {
@@ -192,6 +198,92 @@ TEST(Callback, HeapDestructionCounts)
         EXPECT_EQ(Probe::live, 3);
     }
     EXPECT_EQ(Probe::live, 0) << "every capture must be destroyed";
+}
+
+/**
+ * A replay-shaped closure: pointers and ticks only, within one cache
+ * line, so it is trivially copyable and moves through the queue as
+ * bytes.  Each fire checks its captures and schedules its successor.
+ */
+struct Hop
+{
+    EventQueue *eq;
+    std::uint64_t *next; ///< per chain (tag % 2): the tag due next
+    std::uint64_t tag;
+    Tick stride;
+    std::uint64_t check; ///< tag ^ stride, written at construction
+
+    void
+    operator()() const
+    {
+        EXPECT_EQ(check, tag ^ stride) << "capture bytes were mangled";
+        EXPECT_EQ(tag, next[tag % 2]) << "a chain fired out of order";
+        next[tag % 2] = tag + 2;
+        if (tag >= 2000)
+            return;
+        eq->scheduleIn(stride,
+                       Hop{eq, next, tag + 2, stride, (tag + 2) ^ stride});
+        // A same-tick filler that fires first and frees its slot, so
+        // the successors cycle through recycled slots.
+        eq->scheduleIn(0, [] {});
+    }
+};
+static_assert(sizeof(Hop) <= 64 && std::is_trivially_copyable_v<Hop>
+              && std::is_trivially_destructible_v<Hop>);
+
+TEST(Callback, BytewiseClosureKeepsCapturesThroughQueueSlots)
+{
+    EventQueue eq;
+    // Two interleaved chains of hops, 1001 fires each.
+    std::uint64_t next[2] = {0, 1};
+    eq.schedule(0, Hop{&eq, next, 0, 3, 0 ^ 3});
+    eq.schedule(1, Hop{&eq, next, 1, 5, 1 ^ 5});
+    eq.run();
+    EXPECT_EQ(next[0], 2002u);
+    EXPECT_EQ(next[1], 2003u);
+    EXPECT_EQ(eq.executedEvents(), 2u * 2002u - 2u);
+
+    // Moves between Functions: no allocation, the captures intact,
+    // the source left empty.
+    std::uint64_t direct[2] = {4000, 4001};
+    g_allocs = 0;
+    Function<void(), 104> f(Hop{&eq, direct, 4000, 7, 4000 ^ 7});
+    Function<void(), 104> g(std::move(f));
+    Function<void(), 104> h;
+    h = std::move(g);
+    EXPECT_EQ(g_allocs, 0u);
+    EXPECT_FALSE(static_cast<bool>(f));
+    EXPECT_FALSE(static_cast<bool>(g));
+    h();
+    EXPECT_EQ(direct[0], 4002u);
+    h.reset();
+    EXPECT_FALSE(static_cast<bool>(h));
+}
+
+TEST(Callback, NonTrivialClosuresThroughQueueAreDestroyedOnce)
+{
+    // A capture with a destructor keeps the vtable path: every copy
+    // the queue's moves make is destroyed, fired or cancelled.
+    Probe::reset();
+    {
+        EventQueue eq;
+        int fired = 0;
+        charon::sim::EventId ids[100] = {};
+        for (int i = 0; i < 100; ++i) {
+            Probe probe;
+            ids[i] = eq.schedule(static_cast<Tick>(i),
+                                 [probe, &fired] { ++fired; });
+        }
+        EXPECT_EQ(Probe::live, 100) << "one capture per pending event";
+        for (int i = 0; i < 100; i += 4)
+            EXPECT_TRUE(eq.deschedule(ids[i]));
+        EXPECT_EQ(Probe::live, 75);
+        eq.run();
+        EXPECT_EQ(fired, 75);
+        EXPECT_EQ(Probe::live, 0) << "fired captures are destroyed";
+        EXPECT_EQ(Probe::copies, 100);
+    }
+    EXPECT_EQ(Probe::live, 0);
 }
 
 TEST(Callback, SelfAssignmentIsSafe)

@@ -213,8 +213,9 @@ TEST(PersistedForms, CollectorValuesAndTokensNeverMove)
         ASSERT_TRUE(applyAxisValue(p, "collector", f.token, &error))
             << error;
         EXPECT_EQ(p.collector, f.model);
-        if (f.model == gc::CollectorModel::ParallelScavenge)
+        if (f.model == gc::CollectorModel::ParallelScavenge) {
             EXPECT_EQ(p.str(), DsePoint().str());
+        }
     }
     DsePoint g1;
     g1.collector = gc::CollectorModel::G1;

@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the discrete-event kernel: ordering, determinism,
- * cancellation, re-keying, stale-id rejection, bounded runs, and
- * reentrancy.
+ * cancellation, re-keying (also of a running event by itself),
+ * stale-id rejection, bounded runs, and reentrancy.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <functional>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -251,16 +252,6 @@ TEST(EventQueue, StaleIdsMatchNothing)
     EXPECT_TRUE(eq.deschedule(cancelled));
     EXPECT_FALSE(eq.reschedule(cancelled, 20));
     EXPECT_FALSE(eq.deschedule(cancelled));
-    // The running event's own id.
-    EventId self = 0;
-    bool ran = false;
-    self = eq.schedule(30, [&] {
-        ran = true;
-        EXPECT_FALSE(eq.reschedule(self, 40));
-        EXPECT_FALSE(eq.deschedule(self));
-    });
-    eq.run();
-    EXPECT_TRUE(ran);
     // The old id of a recycled slot: the new event takes the freed
     // slot under a new generation, and the old id cannot touch it.
     auto old_id = eq.schedule(50, [] {});
@@ -277,6 +268,64 @@ TEST(EventQueue, StaleIdsMatchNothing)
     eq.run();
     EXPECT_TRUE(recycled_fired);
     EXPECT_EQ(eq.now(), 60u);
+}
+
+TEST(EventQueue, RunningEventReArmsItself)
+{
+    // A callback re-keys its own event: reschedule() of the running
+    // id succeeds, and the event fires again at its new tick under the
+    // same id, where a schedule() made at the re-key would have put
+    // it: behind the same-tick events scheduled before the re-key,
+    // ahead of those scheduled after it.  Before the re-key the
+    // running event is not pending; from the re-key on it is, and
+    // counts once.
+    EventQueue eq;
+    std::vector<std::string> order;
+    EventId self = 0;
+    int fires = 0;
+    self = eq.schedule(10, [&] {
+        order.push_back("self@" + std::to_string(eq.now()));
+        if (++fires == 1) {
+            EXPECT_FALSE(eq.deschedule(self)) << "running, not re-armed";
+            EXPECT_EQ(eq.pendingEvents(), 0u);
+            EXPECT_TRUE(eq.empty());
+            eq.schedule(20, [&] { order.push_back("before"); });
+            EXPECT_EQ(eq.pendingEvents(), 1u);
+            EXPECT_TRUE(eq.reschedule(self, 20));
+            EXPECT_EQ(eq.pendingEvents(), 2u);
+            eq.schedule(20, [&] { order.push_back("after"); });
+            EXPECT_EQ(eq.pendingEvents(), 3u);
+            return;
+        }
+        // Second life, same id: re-arm again, then cancel.  The
+        // cancel takes effect, and the id goes stale, at once.
+        EXPECT_EQ(eq.pendingEvents(), 1u); // "after"
+        EXPECT_TRUE(eq.reschedule(self, 30));
+        EXPECT_EQ(eq.pendingEvents(), 2u);
+        EXPECT_TRUE(eq.deschedule(self));
+        EXPECT_EQ(eq.pendingEvents(), 1u);
+        EXPECT_FALSE(eq.deschedule(self));
+        EXPECT_FALSE(eq.reschedule(self, 40));
+    });
+    EXPECT_EQ(eq.run(10), 1u);
+    EXPECT_EQ(eq.pendingEvents(), 3u) << "the re-armed event counts once";
+    eq.run();
+    EXPECT_EQ(order, (std::vector<std::string>{"self@10", "before",
+                                               "self@20", "after"}));
+    EXPECT_EQ(fires, 2);
+    EXPECT_EQ(eq.executedEvents(), 4u);
+    EXPECT_EQ(eq.now(), 20u);
+    EXPECT_TRUE(eq.empty());
+    EXPECT_FALSE(eq.deschedule(self));
+    EXPECT_FALSE(eq.reschedule(self, 50));
+}
+
+TEST(EventQueue, RunningTheQueueFromACallbackPanics)
+{
+    EventQueue eq;
+    eq.schedule(1, [&] { eq.step(); });
+    eq.schedule(2, [] {});
+    EXPECT_DEATH(eq.run(), "inside a callback");
 }
 
 TEST(EventQueue, RescheduleIntoThePastPanics)
@@ -297,7 +346,9 @@ TEST(EventQueue, RandomizedStressMatchesSortedOracle)
     // specification oracle exactly: every event fires at its own
     // tick, globally ordered by (when, insertion seq), where a
     // re-key counts as a cancel plus a fresh schedule at the moment
-    // it is made.  The mix grows and shrinks the heap, removes and
+    // it is made, and a re-key of the running event from inside its
+    // own callback counts as a fresh schedule of that callback under
+    // the same id.  The mix grows and shrinks the heap, removes and
     // re-keys nodes in its middle, recycles slots under new
     // generations, and builds same-tick FIFO chains.
     for (std::uint64_t seed : {1ull, 42ull, 0xDEADull, 31337ull}) {
@@ -319,25 +370,38 @@ TEST(EventQueue, RandomizedStressMatchesSortedOracle)
         std::vector<std::uint64_t> fired;
         std::vector<std::size_t> live; ///< indices into evs
         std::uint64_t rekeys = 0;
+        std::uint64_t self_rekeys = 0;
+        constexpr std::size_t kIdle = ~std::size_t{0};
+        std::size_t running = kIdle; ///< event whose callback runs
 
+        // Re-key event @p e; the running one re-arms, a new schedule
+        // of its callback under the same id.
+        auto rekey = [&](std::size_t e) {
+            const Tick when = eq.now() + rng.below(3000);
+            const bool was_pending = !evs[e].done;
+            const bool re_arm = e == running && !was_pending;
+            EXPECT_EQ(eq.reschedule(evs[e].id, when),
+                      was_pending || re_arm)
+                << "seed " << seed << " event " << e;
+            if (!was_pending && !re_arm)
+                return false;
+            ++rekeys;
+            if (re_arm)
+                ++self_rekeys;
+            else
+                dropped.insert(evs[e].key);
+            evs[e].key = next_key++;
+            evs[e].when = when;
+            evs[e].done = false;
+            keyed.emplace_back(when, evs[e].key);
+            return true;
+        };
         auto rekeyRandom = [&] {
             if (live.empty())
                 return;
             const std::size_t i = rng.below(live.size());
-            const std::size_t e = live[i];
-            const Tick when = eq.now() + rng.below(3000);
-            const bool was_pending = !evs[e].done;
-            EXPECT_EQ(eq.reschedule(evs[e].id, when), was_pending)
-                << "seed " << seed << " event " << e;
-            if (!was_pending) {
+            if (!rekey(live[i]))
                 live.erase(live.begin() + static_cast<long>(i));
-                return;
-            }
-            ++rekeys;
-            dropped.insert(evs[e].key);
-            evs[e].key = next_key++;
-            evs[e].when = when;
-            keyed.emplace_back(when, evs[e].key);
         };
 
         std::function<void(Tick, int)> scheduleEvent =
@@ -347,6 +411,8 @@ TEST(EventQueue, RandomizedStressMatchesSortedOracle)
                 keyed.emplace_back(when, evs[e].key);
                 evs[e].id = eq.schedule(when, [&, e, depth] {
                     EXPECT_EQ(eq.now(), evs[e].when) << "seed " << seed;
+                    EXPECT_EQ(running, kIdle) << "seed " << seed;
+                    running = e;
                     fired.push_back(evs[e].key);
                     evs[e].done = true;
                     if (depth > 0 && rng.chance(0.25))
@@ -354,6 +420,9 @@ TEST(EventQueue, RandomizedStressMatchesSortedOracle)
                                       depth - 1);
                     if (rng.chance(0.2))
                         rekeyRandom();
+                    if (evs[e].done && rng.chance(0.1))
+                        rekey(e);
+                    running = kIdle;
                 });
                 live.push_back(e);
             };
@@ -387,6 +456,7 @@ TEST(EventQueue, RandomizedStressMatchesSortedOracle)
         EXPECT_TRUE(eq.empty());
         EXPECT_EQ(eq.pendingEvents(), 0u);
         EXPECT_GT(rekeys, 0u) << "seed " << seed;
+        EXPECT_GT(self_rekeys, 0u) << "seed " << seed;
 
         // The oracle: stable specification order over what survived.
         std::vector<std::pair<Tick, std::uint64_t>> expected_events;

@@ -2,13 +2,15 @@
  * @file
  * Tests for the fluid bandwidth-sharing channel: single flows, fair
  * sharing, rate caps, reentrant starts, a completion timer re-keyed
- * by staggered arrivals, and accounting.  Every flow completes into
- * a join from a JoinPool, as the memory models' flows do.
+ * by staggered arrivals and re-armed from inside its own callback,
+ * and accounting.  Every flow completes into a join from a JoinPool,
+ * as the memory models' flows do.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "finish_into.hh"
@@ -171,6 +173,49 @@ TEST(FluidChannel, CallbackMayStartNextFlow)
     }));
     eq.run();
     EXPECT_EQ(done2, 100u); // 50 + 50
+}
+
+TEST(FluidChannel, FinishesStartNextFlowsUnderOneTimer)
+{
+    // The replay's steady state: eight flows keep a channel busy, half
+    // of them capped below the fair share, and each finish starts the
+    // next flow through its join, as a memory stream's window does.
+    // The completion timer re-arms from inside its own callback, so
+    // after each start the channel's timer is the one pending event.
+    EventQueue eq;
+    FluidChannel ch(eq, "ch", 4.0);
+    JoinPool joins(eq);
+    constexpr int kWindow = 8;
+    constexpr int kFlows = 400;
+    int started = 0;
+    int finished = 0;
+    Tick last = 0;
+    std::function<void()> startNext = [&] {
+        const double cap = started % 2 ? 0.25 : 0.0;
+        const std::uint64_t bytes = 50 + 7 * (started % 13);
+        ++started;
+        ch.startFlow(bytes, cap, joins.acquire(1, [&](Tick t) {
+            ++finished;
+            EXPECT_EQ(t, eq.now());
+            EXPECT_GE(t, last);
+            last = t;
+            if (started < kFlows) {
+                startNext();
+                EXPECT_EQ(eq.pendingEvents(), 1u) << "flow " << started;
+            }
+        }));
+    };
+    for (int k = 0; k < kWindow; ++k)
+        startNext();
+    EXPECT_EQ(eq.pendingEvents(), 1u);
+    eq.run();
+    EXPECT_EQ(started, kFlows);
+    EXPECT_EQ(finished, kFlows);
+    EXPECT_EQ(ch.activeFlows(), 0u);
+    EXPECT_TRUE(eq.empty());
+    // Every event was a timer fire, and no more fired than flows.
+    EXPECT_LE(eq.executedEvents(), static_cast<std::uint64_t>(kFlows));
+    EXPECT_GT(last, 0u);
 }
 
 TEST(FluidChannel, AccountsTotalBytes)

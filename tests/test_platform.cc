@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "platform/platform_sim.hh"
@@ -209,22 +211,30 @@ TEST_P(EveryPlatform, ProducesSaneTiming)
     EXPECT_LE(bd.total(), t.gcSeconds * 8 * 1.001);
 }
 
+/** Every platform kind, with the name its test case carries. */
+constexpr std::pair<PlatformKind, const char *> kEveryKind[] = {
+    {PlatformKind::HostDdr4, "Ddr4"},
+    {PlatformKind::HostHmc, "Hmc"},
+    {PlatformKind::CharonNmp, "Charon"},
+    {PlatformKind::CharonCpuSide, "CharonCpu"},
+    {PlatformKind::Ideal, "Ideal"},
+    {PlatformKind::IgpuOffload, "Igpu"},
+    {PlatformKind::CxlMsa, "Cxl"},
+};
+
+std::vector<PlatformKind>
+everyKind()
+{
+    std::vector<PlatformKind> kinds;
+    for (const auto &kind : kEveryKind)
+        kinds.push_back(kind.first);
+    return kinds;
+}
+
 INSTANTIATE_TEST_SUITE_P(
-    AllKinds, EveryPlatform,
-    ::testing::Values(sim::PlatformKind::HostDdr4,
-                      sim::PlatformKind::HostHmc,
-                      sim::PlatformKind::CharonNmp,
-                      sim::PlatformKind::CharonCpuSide,
-                      sim::PlatformKind::Ideal),
-    [](const ::testing::TestParamInfo<sim::PlatformKind> &info) {
-        switch (info.param) {
-          case sim::PlatformKind::HostDdr4:      return "Ddr4";
-          case sim::PlatformKind::HostHmc:       return "Hmc";
-          case sim::PlatformKind::CharonNmp:     return "Charon";
-          case sim::PlatformKind::CharonCpuSide: return "CharonCpu";
-          case sim::PlatformKind::Ideal:         return "Ideal";
-        }
-        return "Unknown";
+    AllKinds, EveryPlatform, ::testing::ValuesIn(everyKind()),
+    [](const ::testing::TestParamInfo<PlatformKind> &info) {
+        return std::string(kEveryKind[info.index].second);
     });
 
 TEST(SeedRobustness, CharonSpeedupStableAcrossSeeds)
