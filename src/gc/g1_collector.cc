@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "gc/mark_work.hh"
 #include "sim/logging.hh"
 
 namespace charon::gc
@@ -13,31 +14,32 @@ using heap::G1RegionKind;
 using mem::Addr;
 
 G1Collector::G1Collector(heap::G1Heap &heap, TraceRecorder &recorder)
-    : heap_(heap), rec_(recorder)
+    : EvacuationDrain(heap, recorder)
 {
 }
 
-Addr
-G1Collector::readSlot(const SlotRef &slot) const
+bool
+G1Collector::inSet(Addr target) const
 {
-    if (slot.isRoot)
-        return heap_.roots()[slot.value];
-    return heap_.load64(slot.value);
+    return heap_.arena().contains(target)
+           && cset_->count(heap_.regionIndexOf(target));
+}
+
+G1Collector::SlotRule
+G1Collector::scanSlot(Addr obj, std::uint64_t i, Addr target, bool weak)
+{
+    if (weak)
+        return SlotRule::Weak;
+    if (inSet(target))
+        return SlotRule::Push;
+    // Out-of-set reference: maintain the remembered set for the
+    // relocated holder.
+    heap_.recordRemset(heap_.refSlotAddr(obj, i), target);
+    return SlotRule::Skip;
 }
 
 void
-G1Collector::writeSlot(const SlotRef &slot, Addr target)
-{
-    if (slot.isRoot) {
-        heap_.roots()[slot.value] = target;
-        return;
-    }
-    heap_.arena().store64(slot.value, target);
-    heap_.recordRemset(slot.value, target);
-}
-
-void
-G1Collector::scanRemsets(const std::unordered_set<int> &cset)
+G1Collector::scanRemsets()
 {
     // The analogue of ParallelScavenge's card scan: walk the
     // collection set's remembered sets and enqueue every slot that
@@ -45,16 +47,15 @@ G1Collector::scanRemsets(const std::unordered_set<int> &cset)
     // refinement).  The slot walk itself is host work.
     rec_.beginPhase(PhaseKind::MinorCardScan);
     const auto &costs = rec_.costs();
-    for (int index : cset) {
+    for (int index : *cset_) {
         const G1Region &r = heap_.region(index);
         for (Addr slot : r.remset) {
             rec_.recordGlue(costs.cardObjectLookup, 1);
-            if (cset.count(heap_.regionIndexOf(slot)))
+            if (cset_->count(heap_.regionIndexOf(slot)))
                 continue; // the holder is itself being evacuated
             Addr target = heap_.load64(slot);
-            if (target != 0 && heap_.arena().contains(target)
-                && cset.count(heap_.regionIndexOf(target))) {
-                pending_.push_back(SlotRef{false, slot});
+            if (target != 0 && inSet(target)) {
+                pushSlot(slot);
                 rec_.recordGlue(costs.pushObject);
             }
             rec_.nextThread();
@@ -64,7 +65,7 @@ G1Collector::scanRemsets(const std::unordered_set<int> &cset)
 }
 
 Addr
-G1Collector::copyOut(Addr obj, const std::unordered_set<int> &cset)
+G1Collector::copy(Addr obj)
 {
     const auto &costs = rec_.costs();
     auto &arena = heap_.arena();
@@ -95,8 +96,7 @@ G1Collector::copyOut(Addr obj, const std::unordered_set<int> &cset)
         failedRegions_.insert(heap_.regionIndexOf(obj));
         return obj;
     }
-    CHARON_ASSERT(!cset.count(heap_.regionIndexOf(dest)),
-                  "evacuated into the collection set");
+    CHARON_ASSERT(!inSet(dest), "evacuated into the collection set");
 
     rec_.recordGlue(costs.allocate + costs.forwardInstall, 2);
     arena.copyBytes(dest, obj, size_words * 8);
@@ -109,65 +109,9 @@ G1Collector::copyOut(Addr obj, const std::unordered_set<int> &cset)
 }
 
 void
-G1Collector::scanNewCopy(Addr new_obj,
-                         const std::unordered_set<int> &cset)
+G1Collector::releaseCset()
 {
-    const auto &costs = rec_.costs();
-    std::uint64_t n = heap_.refCount(new_obj);
-    std::uint64_t pushed = 0;
-    auto kind = heap_.klasses().get(heap_.klassOf(new_obj)).kind;
-    for (std::uint64_t i = 0; i < n; ++i) {
-        Addr target = heap_.refAt(new_obj, i);
-        if (target == 0)
-            continue;
-        Addr slot = heap_.refSlotAddr(new_obj, i);
-        if (heap::isWeakSlot(kind, i)) {
-            // The referent must not be kept alive by this slot alone;
-            // resolved after the strong closure is evacuated.
-            weakRefs_.push_back(new_obj);
-            continue;
-        }
-        if (cset.count(heap_.regionIndexOf(target))) {
-            pending_.push_back(SlotRef{false, slot});
-            ++pushed;
-        } else {
-            // Out-of-set reference: maintain the remembered set for
-            // the relocated holder.
-            heap_.recordRemset(slot, target);
-        }
-    }
-    rec_.recordGlue(costs.typeDispatch, 1);
-    rec_.recordScanPush(new_obj, 16 + n * 8, n, pushed,
-                        heap_.klasses()
-                            .get(heap_.klassOf(new_obj))
-                            .acceleratable());
-}
-
-void
-G1Collector::processSlot(const SlotRef &slot,
-                         const std::unordered_set<int> &cset)
-{
-    Addr target = readSlot(slot);
-    if (target == 0 || !heap_.arena().contains(target))
-        return;
-    if (!cset.count(heap_.regionIndexOf(target)))
-        return; // already updated, or never in the collection set
-    auto &arena = heap_.arena();
-    if (arena.isForwarded(target)) {
-        writeSlot(slot, arena.forwardee(target));
-        return;
-    }
-    Addr dest = copyOut(target, cset);
-    writeSlot(slot, dest);
-    // A self-forwarded (failed) object is scanned in place so its own
-    // collection-set references still get processed.
-    scanNewCopy(dest, cset);
-}
-
-void
-G1Collector::releaseCset(const std::unordered_set<int> &cset)
-{
-    for (int index : cset) {
+    for (int index : *cset_) {
         if (failedRegions_.count(index)) {
             // Evacuation failure: the region keeps its surviving
             // (self-forwarded) objects and is retired to Old; stale
@@ -189,7 +133,7 @@ G1Collector::releaseCset(const std::unordered_set<int> &cset)
         auto &remset = heap_.region(i).remset;
         for (auto it = remset.begin(); it != remset.end();) {
             int slot_region = heap_.regionIndexOf(*it);
-            if (cset.count(slot_region)
+            if (cset_->count(slot_region)
                 && !failedRegions_.count(slot_region)) {
                 it = remset.erase(it);
             } else {
@@ -202,6 +146,7 @@ G1Collector::releaseCset(const std::unordered_set<int> &cset)
 G1Collector::EvacResult
 G1Collector::evacuate(const std::unordered_set<int> &cset)
 {
+    cset_ = &cset;
     current_ = EvacResult{};
     current_.regionsCollected = static_cast<int>(cset.size());
     failedRegions_.clear();
@@ -210,50 +155,13 @@ G1Collector::evacuate(const std::unordered_set<int> &cset)
     heap_.retireAllocationCursors();
 
     rec_.beginGc(/*major=*/false);
-
-    rec_.beginPhase(PhaseKind::MinorRoots);
-    const auto &costs = rec_.costs();
-    for (std::uint64_t i = 0; i < heap_.roots().size(); ++i) {
-        rec_.recordGlue(costs.rootVisit, 1);
-        pending_.push_back(SlotRef{true, i});
-        rec_.nextThread();
-    }
-    rec_.endPhase();
-
-    scanRemsets(cset);
-
-    rec_.beginPhase(PhaseKind::MinorEvacuate);
-    while (!pending_.empty()) {
-        SlotRef slot = pending_.front();
-        pending_.pop_front();
-        rec_.recordGlue(costs.popObject, 1);
-        processSlot(slot, cset);
-        rec_.nextThread();
-    }
-    // Reference processing: weak referents follow the strong copy or
-    // get cleared.
-    auto &arena = heap_.arena();
-    for (Addr holder : weakRefs_) {
-        rec_.recordGlue(costs.pointerAdjust, 2);
-        Addr target = heap_.refAt(holder, 0);
-        if (target == 0 || !arena.contains(target)
-            || !cset.count(heap_.regionIndexOf(target))) {
-            continue;
-        }
-        Addr slot = heap_.refSlotAddr(holder, 0);
-        if (arena.isForwarded(target)) {
-            Addr moved = arena.forwardee(target);
-            arena.store64(slot, moved);
-            heap_.recordRemset(slot, moved);
-        } else {
-            arena.store64(slot, 0);
-        }
-    }
-    weakRefs_.clear();
-    rec_.endPhase();
+    scanRoots();
+    scanRemsets();
+    drain();
     rec_.endGc();
 
-    releaseCset(cset);
+    releaseCset();
+    cset_ = nullptr;
     return current_;
 }
 
@@ -279,68 +187,18 @@ G1Collector::youngCollect()
 G1Collector::MarkResult
 G1Collector::concurrentMark()
 {
-    MarkResult result;
     rec_.beginGc(/*major=*/true);
+    // G1 policies: begin+end bits for the liveness count, no explicit
+    // root push charge, weak-slot test before the null test.
+    MarkOptions opt;
+    opt.dualBitmap = true;
+    MarkStats stats = runMarkClosure(heap_, rec_, opt);
+    MarkResult result;
+    result.liveObjects = stats.liveObjects;
+    result.liveBytes = stats.liveBytes;
     const auto &costs = rec_.costs();
-    auto &beg = heap_.begBitmap();
-    auto &end = heap_.endBitmap();
-
-    // --- Mark.
-    rec_.beginPhase(PhaseKind::MajorMark);
-    beg.clearAll();
-    end.clearAll();
-    rec_.recordGlue(beg.storageBytes() / 32, beg.storageBytes() / 32);
-
-    auto &arena = heap_.arena();
-    std::vector<Addr> stack;
-    auto mark_and_push = [&](Addr obj) {
-        if (obj == 0 || beg.test(obj))
-            return false;
-        std::uint64_t size_words = arena.sizeWords(obj);
-        beg.set(obj);
-        end.set(obj + (size_words - 1) * 8);
-        rec_.recordMarkObj(beg.storageAddrOfBit(beg.bitIndex(obj)));
-        rec_.recordMarkObj(end.storageAddrOfBit(
-            end.bitIndex(obj + (size_words - 1) * 8)));
-        stack.push_back(obj);
-        return true;
-    };
-    for (Addr root : heap_.roots()) {
-        rec_.recordGlue(costs.rootVisit, 1);
-        mark_and_push(root);
-        rec_.nextThread();
-    }
-    std::vector<Addr> weak_refs;
-    while (!stack.empty()) {
-        Addr obj = stack.back();
-        stack.pop_back();
-        rec_.recordGlue(costs.popObject + costs.typeDispatch, 2);
-        std::uint64_t n = heap_.refCount(obj);
-        std::uint64_t pushed = 0;
-        auto kind = heap_.klasses().get(heap_.klassOf(obj)).kind;
-        for (std::uint64_t i = 0; i < n; ++i) {
-            if (heap::isWeakSlot(kind, i)) {
-                weak_refs.push_back(obj);
-                continue;
-            }
-            pushed += mark_and_push(heap_.refAt(obj, i)) ? 1 : 0;
-        }
-        rec_.recordScanPush(obj, 16 + n * 8, n, pushed,
-                            heap_.klasses()
-                                .get(heap_.klassOf(obj))
-                                .acceleratable());
-        ++result.liveObjects;
-        result.liveBytes += heap_.sizeBytes(obj);
-        rec_.nextThread();
-    }
-    // Clear weak referents the strong closure did not reach.
-    for (Addr holder : weak_refs) {
-        rec_.recordGlue(costs.pointerAdjust, 2);
-        Addr target = heap_.refAt(holder, 0);
-        if (target != 0 && !beg.test(target))
-            heap_.setRefRaw(holder, 0, 0);
-    }
-    rec_.endPhase();
+    const auto &beg = heap_.begBitmap();
+    const auto &end = heap_.endBitmap();
 
     // --- Per-region liveness: the G1 Bitmap Count usage.  One call
     // per used region over its whole bit range.
@@ -356,8 +214,10 @@ G1Collector::concurrentMark()
                                end.storageAddrOfBit(start_bit),
                                region_bits);
         rec_.recordGlue(costs.regionSummary, 1);
-        // Functional liveness: marked object spans clipped to the
-        // region (what live_words_in_range computes).
+        // Functional liveness: the whole size of each marked object
+        // whose header lies in the region.  Spans are not clipped at
+        // the region end, so a humongous head region reads more than
+        // its capacity and its continuations read nothing.
         std::uint64_t live = 0;
         std::uint64_t limit_bit = start_bit + region_bits;
         for (std::uint64_t bit = beg.findNextSet(start_bit, limit_bit);

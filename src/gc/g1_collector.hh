@@ -7,12 +7,14 @@
  *  - youngCollect(): evacuate every Eden + Survivor region.  The
  *    collection set's remembered sets replace ParallelScavenge's
  *    card-table Search; evacuation is the same Copy + Scan&Push the
- *    paper accelerates.
+ *    paper accelerates, run by the drain ParallelScavenge runs
+ *    (gc/evacuation.hh).
  *
  *  - concurrentMark() (stop-the-world here): trace the whole heap
- *    into the begin/end bitmaps, then account per-region liveness by
- *    scanning the bitmap region by region — the Bitmap Count usage
- *    the paper says G1 enjoys "with slight modifications"
+ *    into the begin/end bitmaps with the mark closure every tracing
+ *    collector runs (gc/mark_work.hh), then account per-region
+ *    liveness by scanning the bitmap region by region — the Bitmap
+ *    Count usage the paper says G1 enjoys "with slight modifications"
  *    (Section 4.6: "it scans the bitmap to identify the state of the
  *    entire heap").  Dead humongous regions are reclaimed here.
  *
@@ -27,10 +29,10 @@
 #define CHARON_GC_G1_COLLECTOR_HH
 
 #include <cstdint>
-#include <deque>
 #include <unordered_set>
 
 #include "gc/collector_iface.hh"
+#include "gc/evacuation.hh"
 #include "gc/recorder.hh"
 #include "heap/g1_heap.hh"
 
@@ -40,8 +42,11 @@ namespace charon::gc
 /**
  * The collector.
  */
-class G1Collector : public CollectorIface
+class G1Collector : public CollectorIface,
+                    private EvacuationDrain<G1Collector, heap::G1Heap>
 {
+    friend EvacuationDrain;
+
   public:
     struct EvacResult
     {
@@ -125,32 +130,29 @@ class G1Collector : public CollectorIface
     EvacResult mixedCollect(double live_threshold = 0.65);
 
   private:
-    struct SlotRef
-    {
-        bool isRoot;
-        std::uint64_t value; ///< root index or slot VA
-    };
+    // EvacuationDrain hooks.
 
-    mem::Addr readSlot(const SlotRef &slot) const;
-    void writeSlot(const SlotRef &slot, mem::Addr target);
+    /** In a collection-set region. */
+    bool inSet(mem::Addr target) const;
+    /** Copy @p obj out of the collection set; returns the new location. */
+    mem::Addr copy(mem::Addr obj);
+    /** Record a cross-region @p slot in @p target's remembered set. */
+    void barrier(mem::Addr slot, mem::Addr target)
+    {
+        heap_.recordRemset(slot, target);
+    }
+    /** Weak test first; an out-of-set target's slot joins its remset. */
+    SlotRule scanSlot(mem::Addr obj, std::uint64_t i, mem::Addr target,
+                      bool weak);
 
     /** Evacuate every region in @p cset. */
     EvacResult evacuate(const std::unordered_set<int> &cset);
 
-    void scanRemsets(const std::unordered_set<int> &cset);
-    void processSlot(const SlotRef &slot,
-                     const std::unordered_set<int> &cset);
-    mem::Addr copyOut(mem::Addr obj,
-                      const std::unordered_set<int> &cset);
-    void scanNewCopy(mem::Addr new_obj,
-                     const std::unordered_set<int> &cset);
-    void releaseCset(const std::unordered_set<int> &cset);
+    void scanRemsets();
+    void releaseCset();
 
-    heap::G1Heap &heap_;
-    TraceRecorder &rec_;
-    std::deque<SlotRef> pending_;
-    /** Reference-kind holders registered during evacuation/marking. */
-    std::vector<mem::Addr> weakRefs_;
+    /** The collection set of the evacuation under way. */
+    const std::unordered_set<int> *cset_ = nullptr;
     /** Regions holding self-forwarded objects (kept, not freed). */
     std::unordered_set<int> failedRegions_;
     EvacResult current_;

@@ -3,14 +3,15 @@
  * Shared stop-the-world marking worklist.
  *
  * Every tracing collector in the zoo — ParallelScavenge's full
- * compactor, the CMS-style mark-sweep, and the RC collector's backup
- * cycle pass — runs the same depth-first closure: pop an object, test
+ * compactor, G1's marking cycle, the CMS-style mark-sweep, and the RC
+ * collector's backup cycle pass — runs the same depth-first closure
+ * over the heap's mark bitmaps (heap::ObjectHeap): pop an object, test
  * its reference slots, mark-and-push the unmarked targets, record one
  * Scan&Push per scanned object.  The collectors differ only in small,
  * trace-visible policies (dual begin/end bitmaps vs a single mark
  * bit, whether a marked root charges an explicit push, the order of
  * the null and weak-slot tests), so those are MarkOptions rather than
- * three diverging copies of the loop.
+ * four diverging copies of the loop.
  *
  * The policies are not cosmetic: the recorded traces must stay
  * byte-identical to the pre-refactor collectors, and e.g. the
@@ -26,7 +27,7 @@
 #include <vector>
 
 #include "gc/recorder.hh"
-#include "heap/heap.hh"
+#include "heap/object_heap.hh"
 
 namespace charon::gc
 {
@@ -38,8 +39,8 @@ struct MarkOptions
     PhaseKind phase = PhaseKind::MajorMark;
     /**
      * Set begin AND end bits (two mark_obj RMWs per object, the
-     * ParallelOld encoding compaction needs); else one CMS-style
-     * mark bit in the begin map.
+     * ParallelOld encoding compaction and G1's liveness count need);
+     * else one CMS-style mark bit in the begin map.
      */
     bool dualBitmap = false;
     /**
@@ -50,8 +51,8 @@ struct MarkOptions
     bool rootPushGlue = false;
     /**
      * Skip null targets before the weak-slot test (ParallelOld
-     * order). CMS tests the slot kind first, so a Reference with a
-     * null referent still reaches the weak-processing pass.
+     * order). CMS and G1 test the slot kind first, so a Reference
+     * with a null referent still reaches the weak-processing pass.
      */
     bool nullCheckFirst = false;
 };
@@ -69,7 +70,7 @@ struct MarkStats
  * Opens and closes its own recorder phase.
  */
 inline MarkStats
-runMarkClosure(heap::ManagedHeap &heap, TraceRecorder &rec,
+runMarkClosure(heap::ObjectHeap &heap, TraceRecorder &rec,
                const MarkOptions &opt)
 {
     using mem::Addr;

@@ -10,23 +10,9 @@ namespace charon::gc
 using heap::Space;
 using mem::Addr;
 
-namespace
-{
-
-/**
- * How far ahead of the one it processes the scavenge asks for a
- * queued referent's header.  Both work lists are FIFO, so a hint
- * given at push (HotSpot's claim_or_forward_depth, whose stack is
- * LIFO) would arrive a whole queue length early.
- */
-constexpr std::size_t kPrefetchAhead = 8;
-
-} // namespace
-
 Scavenge::Scavenge(heap::ManagedHeap &heap, TraceRecorder &recorder,
                    int tenuring_threshold)
-    : heap_(heap),
-      rec_(recorder),
+    : EvacuationDrain(heap, recorder),
       threshold_(tenuring_threshold > 0
                      ? tenuring_threshold
                      : heap.config().tenuringThreshold)
@@ -110,39 +96,30 @@ Scavenge::promotionGuaranteeHolds() const
     return need_old <= heap_.region(Space::Old).free();
 }
 
-Addr
-Scavenge::readSlot(const SlotRef &slot) const
+bool
+Scavenge::inSet(Addr target) const
 {
-    if (slot.isRoot)
-        return heap_.roots()[slot.value];
-    return heap_.load64(slot.value);
+    // A slot can be enqueued twice (an object spanning two dirty-card
+    // clusters is scanned from both); once it points into To space it
+    // is already processed.
+    return heap_.inYoung(target) && heap_.spaceOf(target) != Space::To;
 }
 
 void
-Scavenge::writeSlot(const SlotRef &slot, Addr target)
+Scavenge::barrier(Addr slot, Addr target)
 {
-    if (slot.isRoot) {
-        heap_.roots()[slot.value] = target;
-        return;
-    }
-    heap_.store64(slot.value, target);
     // Re-dirty the card when an old-generation object ends up
     // referencing the young generation (promoted copies included).
-    if (heap_.inOld(slot.value) && heap_.inYoung(target))
-        heap_.cardTable().dirty(slot.value);
+    if (heap_.inOld(slot) && heap_.inYoung(target))
+        heap_.cardTable().dirty(slot);
 }
 
-void
-Scavenge::scanRoots()
+Scavenge::SlotRule
+Scavenge::scanSlot(Addr, std::uint64_t, Addr target, bool weak)
 {
-    rec_.beginPhase(PhaseKind::MinorRoots);
-    const auto &costs = rec_.costs();
-    for (std::uint64_t i = 0; i < heap_.roots().size(); ++i) {
-        rec_.recordGlue(costs.rootVisit, 1);
-        pending_.push_back(SlotRef{true, i});
-        rec_.nextThread();
-    }
-    rec_.endPhase();
+    if (!heap_.inYoung(target))
+        return SlotRule::Skip;
+    return weak ? SlotRule::Weak : SlotRule::Push;
 }
 
 void
@@ -179,36 +156,15 @@ Scavenge::scanCards()
             result_.dirtyCards += end - dirty;
 
             // Scan the objects overlapping the dirty cluster.
-            Addr cluster_start = cards.cardStart(dirty);
             Addr cluster_end = cards.cardStart(end);
             Addr obj = heap_.firstObjectOnCard(dirty);
             rec_.recordGlue(costs.cardObjectLookup * (end - dirty),
                             end - dirty);
             Addr old_top = heap_.region(Space::Old).top;
             while (obj != 0 && obj < cluster_end && obj < old_top) {
-                std::uint64_t n = heap_.refCount(obj);
-                std::uint64_t pushed = 0;
-                auto kind = heap_.klasses().get(heap_.klassOf(obj)).kind;
-                for (std::uint64_t i = 0; i < n; ++i) {
-                    Addr target = heap_.refAt(obj, i);
-                    if (target == 0 || !heap_.inYoung(target))
-                        continue;
-                    if (heap::isWeakSlot(kind, i)) {
-                        weakRefs_.push_back(obj);
-                        continue;
-                    }
-                    pending_.push_back(
-                        SlotRef{false, heap_.refSlotAddr(obj, i)});
-                    ++pushed;
-                }
-                rec_.recordGlue(costs.typeDispatch, 1);
-                rec_.recordScanPush(obj, 16 + n * 8, n, pushed,
-                                    heap_.klasses()
-                                        .get(heap_.klassOf(obj))
-                                        .acceleratable());
+                scanObject(obj);
                 obj += heap_.sizeBytes(obj);
             }
-            (void)cluster_start;
             cursor = end;
         }
         rec_.recordGlue(costs.cardMaintain * (hi - lo) / 8);
@@ -220,7 +176,7 @@ Scavenge::scanCards()
 }
 
 Addr
-Scavenge::evacuate(Addr obj)
+Scavenge::copy(Addr obj)
 {
     const auto &costs = rec_.costs();
     const std::uint64_t size_words = heap_.sizeWords(obj);
@@ -275,94 +231,6 @@ Scavenge::evacuate(Addr obj)
         result_.bytesCopied += bytes;
     }
     return dest;
-}
-
-void
-Scavenge::scanNewCopy(Addr new_obj)
-{
-    const auto &costs = rec_.costs();
-    std::uint64_t n = heap_.refCount(new_obj);
-    std::uint64_t pushed = 0;
-    auto kind = heap_.klasses().get(heap_.klassOf(new_obj)).kind;
-    for (std::uint64_t i = 0; i < n; ++i) {
-        Addr target = heap_.refAt(new_obj, i);
-        if (target == 0 || !heap_.inYoung(target))
-            continue;
-        if (heap::isWeakSlot(kind, i)) {
-            // Weak referent: never evacuated on its own account.
-            weakRefs_.push_back(new_obj);
-            continue;
-        }
-        pending_.push_back(
-            SlotRef{false, heap_.refSlotAddr(new_obj, i)});
-        ++pushed;
-    }
-    rec_.recordGlue(costs.typeDispatch, 1);
-    rec_.recordScanPush(new_obj, 16 + n * 8, n, pushed,
-                        heap_.klasses().get(heap_.klassOf(new_obj))
-                            .acceleratable());
-}
-
-void
-Scavenge::processSlot(const SlotRef &slot)
-{
-    Addr target = readSlot(slot);
-    if (target == 0 || !heap_.inYoung(target))
-        return; // null or old-generation target: nothing to do
-    // A slot can be enqueued twice (an object spanning two dirty-card
-    // clusters is scanned from both); once it points into To space it
-    // is already processed.
-    if (heap_.spaceOf(target) == Space::To)
-        return;
-    if (heap_.isForwarded(target)) {
-        writeSlot(slot, heap_.forwardee(target));
-        return;
-    }
-    Addr dest = evacuate(target);
-    writeSlot(slot, dest);
-    scanNewCopy(dest);
-}
-
-void
-Scavenge::drain()
-{
-    rec_.beginPhase(PhaseKind::MinorEvacuate);
-    const auto &costs = rec_.costs();
-    while (!pending_.empty()) {
-        // A hint only: the referent of the slot one stride on.
-        if (pending_.size() > kPrefetchAhead)
-            heap_.arena().prefetch(readSlot(pending_[kPrefetchAhead]));
-        SlotRef slot = pending_.front();
-        pending_.pop_front();
-        rec_.recordGlue(costs.popObject, 1);
-        processSlot(slot);
-        rec_.nextThread();
-    }
-    processWeakReferences();
-    rec_.endPhase();
-}
-
-void
-Scavenge::processWeakReferences()
-{
-    const auto &costs = rec_.costs();
-    for (Addr holder : weakRefs_) {
-        rec_.recordGlue(costs.pointerAdjust, 2);
-        Addr target = heap_.refAt(holder, 0);
-        if (target == 0 || !heap_.inYoung(target))
-            continue;
-        if (heap_.spaceOf(target) == Space::To)
-            continue; // duplicate registration, already updated
-        if (heap_.isForwarded(target)) {
-            // Survived via a strong path: follow the move.
-            writeSlot(SlotRef{false, heap_.refSlotAddr(holder, 0)},
-                      heap_.forwardee(target));
-        } else {
-            // Only weakly reachable: the referent dies, clear it.
-            heap_.setRefRaw(holder, 0, 0);
-        }
-    }
-    weakRefs_.clear();
 }
 
 Scavenge::Result

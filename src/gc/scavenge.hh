@@ -4,9 +4,11 @@
  * generation (Figure 3(a) of the paper).
  *
  * Flow: push the root set, Search the card table for old-to-young
- * references, then drain the object stack — for every reachable young
+ * references, then drain the slot queue — for every reachable young
  * object, Copy it to the To survivor space (or promote it to Old when
  * aged), install a forwarding pointer, and Scan&Push its references.
+ * The roots phase and the drain are the ones G1 evacuates with
+ * (gc/evacuation.hh).
  *
  * The collector is functionally real (objects move, slots are
  * rewritten, cards re-dirtied) and records every primitive invocation
@@ -17,8 +19,9 @@
 #define CHARON_GC_SCAVENGE_HH
 
 #include <cstdint>
-#include <deque>
+#include <vector>
 
+#include "gc/evacuation.hh"
 #include "gc/recorder.hh"
 #include "heap/heap.hh"
 
@@ -28,8 +31,10 @@ namespace charon::gc
 /**
  * One minor collection.
  */
-class Scavenge
+class Scavenge : private EvacuationDrain<Scavenge, heap::ManagedHeap>
 {
+    friend EvacuationDrain;
+
   public:
     struct Result
     {
@@ -103,47 +108,23 @@ class Scavenge
     Result collect();
 
   private:
-    /** A location holding a reference that may need updating. */
-    struct SlotRef
-    {
-        bool isRoot;
-        std::uint64_t value; ///< root index, or slot VA
-    };
+    // EvacuationDrain hooks.
 
-    mem::Addr readSlot(const SlotRef &slot) const;
-    void writeSlot(const SlotRef &slot, mem::Addr target);
+    /** Young and not yet in To: evacuated or forwarded on a visit. */
+    bool inSet(mem::Addr target) const;
+    /** Copy or promote @p obj; returns the new location. */
+    mem::Addr copy(mem::Addr obj);
+    /** Re-dirty the card of an old slot that now points young. */
+    void barrier(mem::Addr slot, mem::Addr target);
+    /** Out-of-young targets drop before the weak test. */
+    SlotRule scanSlot(mem::Addr obj, std::uint64_t i, mem::Addr target,
+                      bool weak);
 
-    /**
-     * Ensure the young target of @p slot is evacuated and the slot
-     * updated; enqueues the new copy for scanning on first visit.
-     */
-    void processSlot(const SlotRef &slot);
-
-    /** Copy/promote @p obj; returns the new location. */
-    mem::Addr evacuate(mem::Addr obj);
-
-    /** Scan a newly evacuated object, enqueueing its young refs. */
-    void scanNewCopy(mem::Addr new_obj);
-
-    void scanRoots();
     void scanCards();
-    void drain();
 
-    /**
-     * java.lang.ref semantics: after the transitive closure is
-     * copied, update weak referents that survived via a strong path
-     * and clear the ones that did not.
-     */
-    void processWeakReferences();
-
-    heap::ManagedHeap &heap_;
-    TraceRecorder &rec_;
     int threshold_;
-    std::deque<SlotRef> pending_;
     /** Objects self-forwarded by a promotion failure. */
     std::vector<mem::Addr> failed_;
-    /** Reference-kind holders whose weak slot needs post-processing. */
-    std::vector<mem::Addr> weakRefs_;
     Result result_;
 };
 

@@ -19,11 +19,7 @@ g1RegionKindName(G1RegionKind kind)
 }
 
 G1Heap::G1Heap(const G1Config &cfg, const KlassTable &klasses)
-    : ObjectHeap(cfg.base, cfg.heapBytes, klasses),
-      cfg_(cfg),
-      begMap_(cfg.base, cfg.heapBytes, cfg.base + cfg.heapBytes),
-      endMap_(cfg.base, cfg.heapBytes,
-              cfg.base + cfg.heapBytes + cfg.heapBytes / 64)
+    : ObjectHeap(cfg.base, cfg.heapBytes, klasses), cfg_(cfg)
 {
     CHARON_ASSERT(cfg.heapBytes % cfg.regionBytes == 0,
                   "heap must be a whole number of regions");
@@ -37,7 +33,6 @@ G1Heap::G1Heap(const G1Config &cfg, const KlassTable &klasses)
         r.end = r.start + cfg.regionBytes;
         r.top = r.start;
     }
-    vaLimit_ = cfg.base + cfg.heapBytes + 2 * (cfg.heapBytes / 64);
 }
 
 G1Region &

@@ -25,7 +25,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "heap/bitmap.hh"
 #include "heap/object_heap.hh"
 #include "sim/types.hh"
 
@@ -150,16 +149,11 @@ class G1Heap final : public ObjectHeap
     void recordRemset(mem::Addr slot, mem::Addr target);
 
     // ------------------------------------------------------------------
-    // Iteration and marking support
+    // Iteration
 
     /** Visit every object in region @p index, in address order. */
     void forEachObjectInRegion(
         int index, const std::function<void(mem::Addr)> &fn) const;
-
-    MarkBitmap &begBitmap() { return begMap_; }
-    MarkBitmap &endBitmap() { return endMap_; }
-    const MarkBitmap &begBitmap() const { return begMap_; }
-    const MarkBitmap &endBitmap() const { return endMap_; }
 
     /** Walk every used region checking object-header sanity. */
     void verify() const;
@@ -167,8 +161,6 @@ class G1Heap final : public ObjectHeap
   private:
     G1Config cfg_;
     std::vector<G1Region> regions_;
-    MarkBitmap begMap_;
-    MarkBitmap endMap_;
 
     /** Current allocation region per kind (-1 = none). */
     int currentEden_ = -1;

@@ -27,8 +27,6 @@ ManagedHeap::ManagedHeap(const HeapConfig &cfg, const KlassTable &klasses)
              /*covered_bytes=*/static_cast<std::uint64_t>(
                  (1.0 - cfg.youngFraction) * cfg.heapBytes),
              /*storage_base=*/0), // fixed up below
-      begMap_(cfg.base, cfg.heapBytes, 0),
-      endMap_(cfg.base, cfg.heapBytes, 0),
       stats_("heap"),
       bytesAllocated_(&stats_, "bytes_allocated", "mutator bytes allocated"),
       objectsAllocated_(&stats_, "objects_allocated",
@@ -56,17 +54,10 @@ ManagedHeap::ManagedHeap(const HeapConfig &cfg, const KlassTable &klasses)
     from_ = {p, p + survivor_bytes, p};
     p += survivor_bytes;
     to_ = {p, p + survivor_bytes, p};
-    p += survivor_bytes;
 
-    // Metadata VAs: begin bitmap, end bitmap, card table.
-    const std::uint64_t bitmap_bytes = begMap_.storageBytes();
-    begMap_ = MarkBitmap(cfg.base, cfg.heapBytes, p);
-    p += bitmap_bytes;
-    endMap_ = MarkBitmap(cfg.base, cfg.heapBytes, p);
-    p += bitmap_bytes;
-    cards_ = CardTable(old_.start, old_bytes, p);
-    p += cards_.storageBytes();
-    vaLimit_ = p;
+    // The card table follows the mark bitmaps.
+    cards_ = CardTable(old_.start, old_bytes, vaLimit_);
+    vaLimit_ += cards_.storageBytes();
 
     firstObjInCard_.assign(cards_.numCards(), 0);
 }

@@ -7,9 +7,9 @@
  *
  *   [ Old generation | Eden | Survivor A | Survivor B ]
  *
- * followed (at distinct VAs, storage owned by the respective helper
- * objects) by the begin/end mark bitmaps and the card table, so the
- * timing layer can attribute metadata traffic to the right cubes.
+ * followed (at distinct VAs) by the begin/end mark bitmaps every heap
+ * shape has (heap/object_heap.hh) and the card table, so the timing
+ * layer can attribute metadata traffic to the right cubes.
  *
  * Objects are real: allocation writes headers into a backing arena,
  * reference fields hold real addresses, and the collectors genuinely
@@ -159,10 +159,6 @@ class ManagedHeap final : public ObjectHeap
 
     CardTable &cardTable() { return cards_; }
     const CardTable &cardTable() const { return cards_; }
-    MarkBitmap &begBitmap() { return begMap_; }
-    MarkBitmap &endBitmap() { return endMap_; }
-    const MarkBitmap &begBitmap() const { return begMap_; }
-    const MarkBitmap &endBitmap() const { return endMap_; }
 
     /**
      * Bit-per-word scratch map over the young generation for a pass
@@ -204,8 +200,6 @@ class ManagedHeap final : public ObjectHeap
     Region old_, eden_, from_, to_;
 
     CardTable cards_;
-    MarkBitmap begMap_;
-    MarkBitmap endMap_;
     std::optional<MarkBitmap> youngScratch_;
 
     /** Block-offset table: first object starting in each old card. */

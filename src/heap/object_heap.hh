@@ -1,8 +1,14 @@
 /**
  * @file
  * ObjectHeap: what every heap shape shares — the ObjectArena holding
- * the objects, the root set, the VA span, and the object-access
- * forwards onto the arena.
+ * the objects, the root set, the begin/end mark bitmaps, the VA span,
+ * and the object-access forwards onto the arena.
+ *
+ * Every shape lays its metadata out the same way above the heap: the
+ * begin bitmap at base + heapBytes, the end bitmap heapBytes / 64 on,
+ * then whatever the shape adds (ManagedHeap's card table).  Those VAs
+ * reach the trace (each mark_obj RMW names its bitmap byte, and the
+ * timing layer maps the byte to a cube), so they must not move.
  *
  * The mutator drives a heap only through this surface: it reads
  * objects, edits the roots, and stores references.  The one virtual
@@ -19,6 +25,7 @@
 #include <vector>
 
 #include "heap/arena.hh"
+#include "heap/bitmap.hh"
 #include "heap/klass.hh"
 #include "mem/addr.hh"
 #include "sim/logging.hh"
@@ -45,6 +52,12 @@ class ObjectHeap
     std::uint64_t heapBytes() const { return arena_.bytes(); }
     /** Heap plus its metadata (bitmaps, card table): total VA span. */
     mem::Addr vaLimit() const { return vaLimit_; }
+
+    /** The mark bitmaps: object starts, and object ends. */
+    MarkBitmap &begBitmap() { return begMap_; }
+    MarkBitmap &endBitmap() { return endMap_; }
+    const MarkBitmap &begBitmap() const { return begMap_; }
+    const MarkBitmap &endBitmap() const { return endMap_; }
 
     /** Root set (simulated stack + globals); owned by the mutator. */
     std::vector<mem::Addr> &roots() { return roots_; }
@@ -143,15 +156,20 @@ class ObjectHeap
   protected:
     ObjectHeap(mem::Addr base, std::uint64_t heap_bytes,
                const KlassTable &klasses)
-        : arena_(base, heap_bytes, klasses)
+        : arena_(base, heap_bytes, klasses),
+          vaLimit_(base + heap_bytes + 2 * (heap_bytes / 64)),
+          begMap_(base, heap_bytes, base + heap_bytes),
+          endMap_(base, heap_bytes, base + heap_bytes + heap_bytes / 64)
     {
     }
 
     ObjectArena arena_;
-    /** Set by the shape once it has laid out its metadata. */
-    mem::Addr vaLimit_ = 0;
+    /** End of the metadata; a shape that adds its own moves it up. */
+    mem::Addr vaLimit_;
 
   private:
+    MarkBitmap begMap_;
+    MarkBitmap endMap_;
     std::vector<mem::Addr> roots_;
 };
 

@@ -1,5 +1,6 @@
 #include "stats.hh"
 
+#include <algorithm>
 #include <cmath>
 
 namespace charon::sim
@@ -10,41 +11,6 @@ Counter::Counter(StatGroup *group, std::string name, std::string desc)
 {
     if (group)
         group->add(this);
-}
-
-Average::Average(StatGroup *group, std::string name, std::string desc)
-    : name_(std::move(name)), desc_(std::move(desc))
-{
-    if (group)
-        group->add(this);
-}
-
-Histogram::Histogram(StatGroup *group, std::string name, std::string desc)
-    : name_(std::move(name)), desc_(std::move(desc))
-{
-    if (group)
-        group->add(this);
-}
-
-void
-Histogram::sample(double v)
-{
-    ++count_;
-    sum_ += v;
-    std::size_t bucket = 0;
-    if (v >= 1.0)
-        bucket = static_cast<std::size_t>(std::log2(v));
-    if (buckets_.size() <= bucket)
-        buckets_.resize(bucket + 1, 0);
-    ++buckets_[bucket];
-}
-
-void
-Histogram::reset()
-{
-    buckets_.clear();
-    count_ = 0;
-    sum_ = 0;
 }
 
 QuantileAccumulator::QuantileAccumulator(StatGroup *group,
@@ -133,10 +99,6 @@ StatGroup::resetAll()
 {
     for (auto *c : counters_)
         c->reset();
-    for (auto *a : averages_)
-        a->reset();
-    for (auto *h : histograms_)
-        h->reset();
     for (auto *q : quantiles_)
         q->reset();
 }
@@ -146,14 +108,6 @@ StatGroup::dump(std::ostream &os) const
 {
     for (const auto *c : counters_)
         os << name_ << '.' << c->name() << " = " << c->value() << '\n';
-    for (const auto *a : averages_) {
-        os << name_ << '.' << a->name() << ".mean = " << a->mean() << '\n';
-        os << name_ << '.' << a->name() << ".count = " << a->count() << '\n';
-    }
-    for (const auto *h : histograms_) {
-        os << name_ << '.' << h->name() << ".count = " << h->count() << '\n';
-        os << name_ << '.' << h->name() << ".mean = " << h->mean() << '\n';
-    }
     for (const auto *q : quantiles_) {
         os << name_ << '.' << q->name() << ".count = " << q->count()
            << '\n';

@@ -1,7 +1,8 @@
 /**
  * @file
- * Lightweight statistics package: named scalar counters, averages and
- * distributions grouped per component, with a registry for dumping.
+ * Lightweight statistics package: named scalar counters and exact
+ * quantile accumulators grouped per component, with a registry for
+ * dumping.
  *
  * Modelled loosely on gem5's Stats package but kept deliberately small:
  * a StatGroup owns named stats; every stat is registered on construction
@@ -11,7 +12,6 @@
 #ifndef CHARON_SIM_STATS_HH
 #define CHARON_SIM_STATS_HH
 
-#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <ostream>
@@ -30,8 +30,8 @@ class StatGroup;
  * are `+=` / `++` (which must be fed non-negative deltas) and
  * `reset()`, which restarts the accumulation at zero.  There is no
  * arbitrary-write `set()` — a stat that needs last-value semantics is
- * a gauge, not a Counter, and sampling one belongs in Average or on a
- * Timeline counter track.  test_stats.cc pins this surface down.
+ * a gauge, not a Counter, and sampling one belongs on a Timeline
+ * counter track.  test_stats.cc pins this surface down.
  */
 class Counter
 {
@@ -50,62 +50,6 @@ class Counter
     std::string name_;
     std::string desc_;
     double value_ = 0;
-};
-
-/** Running mean/min/max over samples. */
-class Average
-{
-  public:
-    Average() = default;
-    Average(StatGroup *group, std::string name, std::string desc);
-
-    void
-    sample(double v)
-    {
-        sum_ += v;
-        ++count_;
-        min_ = count_ == 1 ? v : std::min(min_, v);
-        max_ = count_ == 1 ? v : std::max(max_, v);
-    }
-
-    double mean() const { return count_ ? sum_ / count_ : 0; }
-    double sum() const { return sum_; }
-    std::uint64_t count() const { return count_; }
-    double min() const { return min_; }
-    double max() const { return max_; }
-    void reset() { sum_ = 0; count_ = 0; min_ = 0; max_ = 0; }
-    const std::string &name() const { return name_; }
-
-  private:
-    std::string name_;
-    std::string desc_;
-    double sum_ = 0;
-    std::uint64_t count_ = 0;
-    double min_ = 0;
-    double max_ = 0;
-};
-
-/** Power-of-two-bucketed distribution (for sizes, latencies). */
-class Histogram
-{
-  public:
-    Histogram() = default;
-    Histogram(StatGroup *group, std::string name, std::string desc);
-
-    void sample(double v);
-    std::uint64_t count() const { return count_; }
-    double mean() const { return count_ ? sum_ / count_ : 0; }
-    /** Bucket i covers [2^i, 2^(i+1)); bucket 0 also covers <1. */
-    const std::vector<std::uint64_t> &buckets() const { return buckets_; }
-    void reset();
-    const std::string &name() const { return name_; }
-
-  private:
-    std::string name_;
-    std::string desc_;
-    std::vector<std::uint64_t> buckets_;
-    std::uint64_t count_ = 0;
-    double sum_ = 0;
 };
 
 /**
@@ -181,8 +125,6 @@ class StatGroup
 
     /** Register hooks used by the stat constructors. */
     void add(Counter *c) { counters_.push_back(c); }
-    void add(Average *a) { averages_.push_back(a); }
-    void add(Histogram *h) { histograms_.push_back(h); }
     void add(QuantileAccumulator *q) { quantiles_.push_back(q); }
 
     /** Reset every stat in this group. */
@@ -192,13 +134,10 @@ class StatGroup
     void dump(std::ostream &os) const;
 
     const std::vector<Counter *> &counters() const { return counters_; }
-    const std::vector<Average *> &averages() const { return averages_; }
 
   private:
     std::string name_;
     std::vector<Counter *> counters_;
-    std::vector<Average *> averages_;
-    std::vector<Histogram *> histograms_;
     std::vector<QuantileAccumulator *> quantiles_;
 };
 

@@ -31,7 +31,11 @@ std::size_t g_allocs = 0;
 
 } // namespace
 
-void *
+// The replacements stay out of line: where GCC inlines one into a
+// caller that also sees its partner, it pairs malloc() with operator
+// delete, or operator new with free(), and warns
+// -Wmismatched-new-delete.
+[[gnu::noinline]] void *
 operator new(std::size_t size)
 {
     ++g_allocs;
@@ -40,26 +44,26 @@ operator new(std::size_t size)
     throw std::bad_alloc();
 }
 
-void *
+[[gnu::noinline]] void *
 operator new(std::size_t size, const std::nothrow_t &) noexcept
 {
     ++g_allocs;
     return std::malloc(size);
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void *p) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void *p, std::size_t) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void *p, const std::nothrow_t &) noexcept
 {
     std::free(p);

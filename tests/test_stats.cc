@@ -25,54 +25,15 @@ TEST(Counter, AccumulatesAndResets)
     EXPECT_DOUBLE_EQ(c.value(), 0.0);
 }
 
-TEST(Average, TracksMeanMinMax)
-{
-    StatGroup g("g");
-    Average a(&g, "a", "test avg");
-    a.sample(10);
-    a.sample(20);
-    a.sample(30);
-    EXPECT_DOUBLE_EQ(a.mean(), 20.0);
-    EXPECT_DOUBLE_EQ(a.min(), 10.0);
-    EXPECT_DOUBLE_EQ(a.max(), 30.0);
-    EXPECT_EQ(a.count(), 3u);
-}
-
-TEST(Average, EmptyMeanIsZero)
-{
-    Average a;
-    EXPECT_DOUBLE_EQ(a.mean(), 0.0);
-}
-
-TEST(Histogram, BucketsByPowerOfTwo)
-{
-    StatGroup g("g");
-    Histogram h(&g, "h", "test hist");
-    h.sample(0.5);  // bucket 0
-    h.sample(1);    // bucket 0
-    h.sample(2);    // bucket 1
-    h.sample(5);    // bucket 2
-    h.sample(1024); // bucket 10
-    EXPECT_EQ(h.count(), 5u);
-    ASSERT_GE(h.buckets().size(), 11u);
-    EXPECT_EQ(h.buckets()[0], 2u);
-    EXPECT_EQ(h.buckets()[1], 1u);
-    EXPECT_EQ(h.buckets()[2], 1u);
-    EXPECT_EQ(h.buckets()[10], 1u);
-}
-
 TEST(StatGroup, DumpMentionsEveryStat)
 {
     StatGroup g("grp");
     Counter c(&g, "ctr", "");
-    Average a(&g, "avg", "");
     c += 7;
-    a.sample(3);
     std::ostringstream os;
     g.dump(os);
     auto s = os.str();
     EXPECT_NE(s.find("grp.ctr = 7"), std::string::npos);
-    EXPECT_NE(s.find("grp.avg.mean = 3"), std::string::npos);
 }
 
 TEST(Geomean, MatchesHandComputation)
@@ -112,8 +73,8 @@ TEST(Counter, ContractIsAccumulateOnly)
 {
     // The documented contract: a Counter only accumulates (+=, ++)
     // and resets to zero.  Last-value semantics belong to a gauge
-    // (Average, or a Timeline counter track), so there must be no
-    // arbitrary-write set() to silently break monotonicity with.
+    // (a Timeline counter track), so there must be no arbitrary-write
+    // set() to silently break monotonicity with.
     static_assert(!HasArbitraryWrite<Counter>::value,
                   "Counter::set() would break the monotone-"
                   "accumulation contract; use a gauge instead");
