@@ -70,29 +70,10 @@ main(int argc, char **argv)
         smoke ? std::vector<std::string>{"KM"} : allWorkloads();
 
     // Grid: workload x collector x platform, platform fastest so one
-    // functional run feeds all four replays.  Heap headroom matches
-    // collector_zoo: RC keeps everything in the old space and G1
-    // fragments on ALS, so both get 2x the Table 3 heap.
-    std::vector<Cell> cells;
-    for (const auto &name : workloads) {
-        const std::uint64_t catalog_heap =
-            workload::findWorkload(name).heapBytes;
-        for (CollectorModel kind : kFamilies) {
-            std::uint64_t heap_bytes = 0;
-            if (kind == CollectorModel::Rc
-                || (kind == CollectorModel::G1 && name == "ALS")) {
-                heap_bytes = catalog_heap * 2;
-            }
-            for (auto platform : kPlatforms) {
-                Cell c = cell(name, platform, heap_bytes);
-                c.key.collector = kind;
-                c.label = name + " ("
-                          + gc::collectorToken(kind) + ") on "
-                          + sim::platformName(platform);
-                cells.push_back(c);
-            }
-        }
-    }
+    // functional run feeds all four replays, with the family headroom
+    // collector_zoo uses (harness::familyHeapBytes).
+    const std::vector<Cell> cells =
+        harness::familyCells(workloads, kPlatforms);
     auto results = runner.run(cells);
 
     // speedup[family][backend][workload]; backend 0 is the baseline

@@ -37,6 +37,9 @@ namespace
 constexpr const auto &kZoo = gc::kCollectorModels;
 constexpr int kNumZoo = static_cast<int>(std::size(kZoo));
 
+constexpr sim::PlatformKind kPlatforms[] = {sim::PlatformKind::HostDdr4,
+                                            sim::PlatformKind::CharonNmp};
+
 /** Per-collector capability evidence accumulated across workloads. */
 struct Evidence
 {
@@ -116,32 +119,10 @@ main(int argc, char **argv)
     const std::vector<std::string> workloads =
         smoke ? std::vector<std::string>{"KM"} : allWorkloads();
 
-    // Grid: workload x collector x {DDR4, Charon}.  Collectors with
-    // different generational discipline need different headroom: G1
-    // fragments on ALS's humongous churn (see g1_vs_ps), and the RC
-    // collector keeps *everything* in the old space, so both get 2x
-    // the Table 3 heap.
-    std::vector<Cell> cells;
-    for (const auto &name : workloads) {
-        const std::uint64_t catalog_heap =
-            workload::findWorkload(name).heapBytes;
-        for (CollectorModel kind : kZoo) {
-            std::uint64_t heap_bytes = 0;
-            if (kind == CollectorModel::Rc
-                || (kind == CollectorModel::G1 && name == "ALS")) {
-                heap_bytes = catalog_heap * 2;
-            }
-            for (auto platform : {sim::PlatformKind::HostDdr4,
-                                  sim::PlatformKind::CharonNmp}) {
-                Cell c = cell(name, platform, heap_bytes);
-                c.key.collector = kind;
-                c.label = name + " ("
-                          + gc::collectorToken(kind) + ") on "
-                          + sim::platformName(platform);
-                cells.push_back(c);
-            }
-        }
-    }
+    // Grid: workload x collector x {DDR4, Charon}, with the family
+    // headroom of harness::familyHeapBytes.
+    const std::vector<Cell> cells =
+        harness::familyCells(workloads, kPlatforms);
     auto results = runner.run(cells);
 
     // ------------------------------------------------------------------

@@ -11,6 +11,8 @@
 
 #include "bench_common.hh"
 
+#include "dse/presets.hh"
+
 using namespace charon;
 using namespace charon::bench;
 
@@ -21,44 +23,13 @@ main(int argc, char **argv)
     ExperimentRunner runner(opt.runnerConfig());
     Report report(opt);
 
-    const sim::PlatformKind kinds[] = {sim::PlatformKind::HostDdr4,
-                                       sim::PlatformKind::HostHmc,
-                                       sim::PlatformKind::CharonNmp};
-    const auto workloads = allWorkloads();
-    std::vector<Cell> cells;
-    for (const auto &name : workloads)
-        for (auto kind : kinds)
-            cells.push_back(cell(name, kind));
+    // Cells and tables are charon-explore --preset fig13's.
+    auto [cells, keys] = dse::fig13Cells();
     auto results = runner.run(cells);
-
-    auto &table = report.table(
-        "fig13",
-        "Figure 13: bandwidth utilized during GC and "
-        "Charon's local-access ratio",
-        {"workload", "DDR4 GB/s", "HMC GB/s", "Charon GB/s", "local",
-         "remote"});
-    for (std::size_t w = 0; w < workloads.size(); ++w) {
-        std::size_t i = w * 3;
-        bool ok = true;
-        for (std::size_t k = 0; k < 3; ++k)
-            ok &= report.checkCell(cells[i + k], results[i + k]);
-        if (!ok)
-            continue;
-        const auto &ddr4 = results[i].timing;
-        const auto &hmc = results[i + 1].timing;
-        const auto &charon = results[i + 2].timing;
-        table.addRow(
-            {workloads[w], report::num(ddr4.avgGcBandwidthGBs, 1),
-             report::num(hmc.avgGcBandwidthGBs, 1),
-             report::num(charon.avgGcBandwidthGBs, 1),
-             report::num(100 * charon.localAccessFraction, 0) + "%",
-             report::num(100 * (1 - charon.localAccessFraction), 0)
-                 + "%"});
-    }
-    table.note("\noff-chip limits: DDR4 34 GB/s, HMC links 80 GB/s; "
-               "Charon internal peak 4 x 320 GB/s");
-    table.note("paper: >70% local for most workloads; LR and CC "
-               "closer to ~50%");
+    std::vector<dse::JournalRecord> records;
+    for (std::size_t i = 0; i < cells.size(); ++i)
+        records.push_back(dse::toRecord(keys[i], results[i]));
+    dse::renderFig13(report, cells, records);
     report.addRollups(cells, results);
     harness::finishTimeline(runner, opt);
     return report.finish(std::cout);

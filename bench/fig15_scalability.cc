@@ -13,6 +13,8 @@
 
 #include "bench_common.hh"
 
+#include "dse/presets.hh"
+
 using namespace charon;
 using namespace charon::bench;
 
@@ -23,73 +25,13 @@ main(int argc, char **argv)
     ExperimentRunner runner(opt.runnerConfig());
     Report report(opt);
 
-    const int thread_counts[] = {1, 2, 4, 8, 16};
-    const std::string workloads[] = {"KM", "CC"};
-
-    // Aggregate over one Spark-style and one GraphChi-style workload,
-    // as the paper plots both behaviours.  Every (workload, threads)
-    // pair is its own functional key; the three variants replay it.
-    std::vector<Cell> cells;
-    for (const auto &name : workloads) {
-        for (int threads : thread_counts) {
-            auto cfg = sim::SystemConfig::threadScaling(threads);
-
-            Cell ddr4 = cell(name, sim::PlatformKind::HostDdr4, 0, 1,
-                             threads);
-            ddr4.config = cfg;
-            cells.push_back(ddr4);
-
-            Cell uni = cell(name, sim::PlatformKind::CharonNmp, 0, 1,
-                            threads);
-            uni.config = cfg;
-            cells.push_back(uni);
-
-            Cell dist = uni;
-            dist.config.charon.distributedStructures = true;
-            dist.label += " (distributed)";
-            cells.push_back(dist);
-        }
-    }
+    // Cells and tables are charon-explore --preset fig15's.
+    auto [cells, keys] = dse::fig15Cells();
     auto results = runner.run(cells);
-
-    std::size_t i = 0;
-    ResultSink *last = nullptr;
-    for (const auto &name : workloads) {
-        auto &table =
-            report.table("fig15." + name,
-                         "Figure 15 (" + name
-                             + "): GC throughput scalability "
-                               "(normalized to 1 thread)",
-                         {"threads", "DDR4", "Charon unified",
-                          "Charon distributed"});
-        double base_ddr4 = 0, base_uni = 0, base_dist = 0;
-        for (int threads : thread_counts) {
-            bool ok = true;
-            for (std::size_t k = 0; k < 3; ++k)
-                ok &= report.checkCell(cells[i + k], results[i + k]);
-            if (ok) {
-                double ddr4 = results[i].timing.gcSeconds;
-                double uni = results[i + 1].timing.gcSeconds;
-                double dist = results[i + 2].timing.gcSeconds;
-                if (threads == 1) {
-                    base_ddr4 = ddr4;
-                    base_uni = uni;
-                    base_dist = dist;
-                }
-                table.addRow({std::to_string(threads),
-                              report::times(base_ddr4 / ddr4),
-                              report::times(base_uni / uni),
-                              report::times(base_dist / dist)});
-            }
-            i += 3;
-        }
-        last = &table;
-    }
-    if (last) {
-        last->note("\npaper: DDR4 hardly scales (34 GB/s cap); Charon "
-                   "scales with internal bandwidth; distributed "
-                   "structures scale best");
-    }
+    std::vector<dse::JournalRecord> records;
+    for (std::size_t i = 0; i < cells.size(); ++i)
+        records.push_back(dse::toRecord(keys[i], results[i]));
+    dse::renderFig15(report, cells, records);
     report.addRollups(cells, results);
     harness::finishTimeline(runner, opt);
     return report.finish(std::cout);

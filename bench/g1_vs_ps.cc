@@ -39,13 +39,10 @@ main(int argc, char **argv)
         cells.push_back(cell(name, sim::PlatformKind::HostDdr4));
         cells.push_back(cell(name, sim::PlatformKind::CharonNmp));
 
-        std::uint64_t g1_heap =
-            workload::findWorkload(name).heapBytes;
-        if (name == "ALS")
-            g1_heap *= 2; // humongous-churn headroom
         for (auto kind : {sim::PlatformKind::HostDdr4,
                           sim::PlatformKind::CharonNmp}) {
-            Cell c = cell(name, kind, g1_heap);
+            Cell c = cell(name, kind,
+                          harness::familyHeapBytes(name, CollectorModel::G1));
             c.key.collector = CollectorModel::G1;
             c.label = name + " (G1) on "
                       + sim::platformName(kind);

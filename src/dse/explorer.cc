@@ -1,7 +1,6 @@
 #include "explorer.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <numeric>
 #include <sstream>
 
@@ -9,17 +8,6 @@
 
 namespace charon::dse
 {
-
-namespace
-{
-
-std::string
-fmtDouble(double v)
-{
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
 
 JournalRecord
 toRecord(std::string key, const harness::CellResult &result)
@@ -44,8 +32,6 @@ toRecord(std::string key, const harness::CellResult &result)
     }
     return rec;
 }
-
-} // namespace
 
 std::string
 cellKey(const harness::Cell &cell, int screenGcs)

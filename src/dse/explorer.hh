@@ -38,6 +38,15 @@ namespace charon::dse
 {
 
 /**
+ * The journal's view of one cell result, keyed @p key: the only
+ * conversion from a harness::CellResult to a JournalRecord, so a
+ * figure rendered from records reads exactly the scalars a journal
+ * keeps, whether the records came from a run or from the journal.
+ */
+JournalRecord toRecord(std::string key,
+                       const harness::CellResult &result);
+
+/**
  * The journal identity of one cell: resolved functional key +
  * platform + architectural-config digest + screening depth.  Two
  * cells with equal keys would replay byte-identical simulations.

@@ -16,6 +16,14 @@
 namespace charon::dse
 {
 
+std::string
+fmtDouble(double v)
+{
+    char buf[48];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return buf;
+}
+
 namespace
 {
 
@@ -54,15 +62,6 @@ escapeJson(const std::string &s)
         }
     }
     return out;
-}
-
-/** %.17g: enough digits that strtod round-trips the exact double. */
-std::string
-fmtDouble(double v)
-{
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
 }
 
 /**

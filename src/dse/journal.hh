@@ -28,6 +28,10 @@
 namespace charon::dse
 {
 
+/** %.17g: enough digits that strtod round-trips the exact double, so
+ *  journal lines, cell keys and Pareto CSVs reproduce it bit for bit. */
+std::string fmtDouble(double v);
+
 /**
  * One journalled cell result: the replay-side scalars every report
  * and objective needs.  (Traces themselves live in the harness trace

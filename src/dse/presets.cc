@@ -1,6 +1,5 @@
 #include "presets.hh"
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
@@ -13,37 +12,13 @@ namespace charon::dse
 namespace
 {
 
-/** bench_common.hh's cell(), replicated so the preset grids stay
- *  byte-identical to the bench binaries without src -> bench
- *  includes. */
-harness::Cell
-benchCell(std::string workload, sim::PlatformKind platform,
-          std::uint64_t heap_bytes = 0, std::uint64_t seed = 1,
-          int gc_threads = 8, int num_cubes = 4)
-{
-    harness::Cell c;
-    c.key.workload = std::move(workload);
-    c.key.heapBytes = heap_bytes;
-    c.key.seed = seed;
-    c.key.gcThreads = gc_threads;
-    c.key.numCubes = num_cubes;
-    c.platform = platform;
-    c.config = sim::SystemConfig::table2();
-    c.label = c.key.workload + " on " + sim::platformName(platform);
-    return c;
-}
-
-std::vector<std::string>
-allWorkloads()
-{
-    std::vector<std::string> names;
-    for (const auto &w : workload::workloadCatalog())
-        names.push_back(w.name);
-    return names;
-}
+constexpr int kFig15Threads[] = {1, 2, 4, 8, 16};
+// One Spark-style and one GraphChi-style workload, as the paper plots
+// both behaviours.
+const char *const kFig15Workloads[] = {"KM", "CC"};
 
 /** Report::checkCell over a journal record: counts ok cells and
- *  files failures exactly like the bench path does. */
+ *  files failures exactly as for a harness::CellResult. */
 bool
 checkRecord(harness::Report &report, const harness::Cell &cell,
             const JournalRecord &rec)
@@ -65,13 +40,8 @@ cellKeys(const std::vector<harness::Cell> &cells)
     return keys;
 }
 
-std::string
-fmtDouble(double v)
-{
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
+constexpr Figure kFigures[] = {{"fig13", fig13Cells, renderFig13},
+                               {"fig15", fig15Cells, renderFig15}};
 
 } // namespace
 
@@ -108,29 +78,63 @@ fig13Cells()
                                        sim::PlatformKind::HostHmc,
                                        sim::PlatformKind::CharonNmp};
     PointCells out;
-    for (const auto &name : allWorkloads())
+    for (const auto &name : harness::allWorkloads())
         for (auto kind : kinds)
-            out.cells.push_back(benchCell(name, kind));
+            out.cells.push_back(harness::cell(name, kind));
     out.keys = cellKeys(out.cells);
     return out;
+}
+
+void
+renderFig13(harness::Report &report,
+            const std::vector<harness::Cell> &cells,
+            const std::vector<JournalRecord> &records)
+{
+    auto &table = report.table(
+        "fig13",
+        "Figure 13: bandwidth utilized during GC and "
+        "Charon's local-access ratio",
+        {"workload", "DDR4 GB/s", "HMC GB/s", "Charon GB/s", "local",
+         "remote"});
+    for (std::size_t i = 0; i < cells.size(); i += 3) {
+        bool ok = true;
+        for (std::size_t k = 0; k < 3; ++k)
+            ok &= checkRecord(report, cells[i + k], records[i + k]);
+        if (!ok)
+            continue;
+        const auto &ddr4 = records[i];
+        const auto &hmc = records[i + 1];
+        const auto &charon = records[i + 2];
+        table.addRow(
+            {cells[i].key.workload, report::num(ddr4.avgGcBandwidthGBs, 1),
+             report::num(hmc.avgGcBandwidthGBs, 1),
+             report::num(charon.avgGcBandwidthGBs, 1),
+             report::num(100 * charon.localAccessFraction, 0) + "%",
+             report::num(100 * (1 - charon.localAccessFraction), 0)
+                 + "%"});
+    }
+    table.note("\noff-chip limits: DDR4 34 GB/s, HMC links 80 GB/s; "
+               "Charon internal peak 4 x 320 GB/s");
+    table.note("paper: >70% local for most workloads; LR and CC "
+               "closer to ~50%");
 }
 
 PointCells
 fig15Cells()
 {
-    const int thread_counts[] = {1, 2, 4, 8, 16};
-    const std::string workloads[] = {"KM", "CC"};
+    // Every (workload, threads) pair is its own functional key; the
+    // three variants replay it.
     PointCells out;
-    for (const auto &name : workloads) {
-        for (int threads : thread_counts) {
+    for (const char *name : kFig15Workloads) {
+        for (int threads : kFig15Threads) {
             auto cfg = sim::SystemConfig::threadScaling(threads);
 
-            harness::Cell ddr4 = benchCell(
+            harness::Cell ddr4 = harness::cell(
                 name, sim::PlatformKind::HostDdr4, 0, 1, threads);
             ddr4.config = cfg;
             out.cells.push_back(ddr4);
 
-            harness::Cell uni = benchCell(
+            harness::Cell uni = harness::cell(
                 name, sim::PlatformKind::CharonNmp, 0, 1, threads);
             uni.config = cfg;
             out.cells.push_back(uni);
@@ -146,54 +150,13 @@ fig15Cells()
 }
 
 void
-runFig13Preset(Explorer &explorer, harness::Report &report)
+renderFig15(harness::Report &report,
+            const std::vector<harness::Cell> &cells,
+            const std::vector<JournalRecord> &records)
 {
-    const auto workloads = allWorkloads();
-    auto [cells, keys] = fig13Cells();
-    auto records = explorer.runCells(cells, keys);
-
-    auto &table = report.table(
-        "fig13",
-        "Figure 13: bandwidth utilized during GC and "
-        "Charon's local-access ratio",
-        {"workload", "DDR4 GB/s", "HMC GB/s", "Charon GB/s", "local",
-         "remote"});
-    for (std::size_t w = 0; w < workloads.size(); ++w) {
-        std::size_t i = w * 3;
-        bool ok = true;
-        for (std::size_t k = 0; k < 3; ++k)
-            ok &= checkRecord(report, cells[i + k], records[i + k]);
-        if (!ok)
-            continue;
-        const auto &ddr4 = records[i];
-        const auto &hmc = records[i + 1];
-        const auto &charon = records[i + 2];
-        table.addRow(
-            {workloads[w], report::num(ddr4.avgGcBandwidthGBs, 1),
-             report::num(hmc.avgGcBandwidthGBs, 1),
-             report::num(charon.avgGcBandwidthGBs, 1),
-             report::num(100 * charon.localAccessFraction, 0) + "%",
-             report::num(100 * (1 - charon.localAccessFraction), 0)
-                 + "%"});
-    }
-    table.note("\noff-chip limits: DDR4 34 GB/s, HMC links 80 GB/s; "
-               "Charon internal peak 4 x 320 GB/s");
-    table.note("paper: >70% local for most workloads; LR and CC "
-               "closer to ~50%");
-}
-
-void
-runFig15Preset(Explorer &explorer, harness::Report &report)
-{
-    const int thread_counts[] = {1, 2, 4, 8, 16};
-    const std::string workloads[] = {"KM", "CC"};
-
-    auto [cells, keys] = fig15Cells();
-    auto records = explorer.runCells(cells, keys);
-
     std::size_t i = 0;
     harness::ResultSink *last = nullptr;
-    for (const auto &name : workloads) {
+    for (const std::string name : kFig15Workloads) {
         auto &table =
             report.table("fig15." + name,
                          "Figure 15 (" + name
@@ -202,7 +165,7 @@ runFig15Preset(Explorer &explorer, harness::Report &report)
                          {"threads", "DDR4", "Charon unified",
                           "Charon distributed"});
         double base_ddr4 = 0, base_uni = 0, base_dist = 0;
-        for (int threads : thread_counts) {
+        for (int threads : kFig15Threads) {
             bool ok = true;
             for (std::size_t k = 0; k < 3; ++k)
                 ok &= checkRecord(report, cells[i + k], records[i + k]);
@@ -229,6 +192,15 @@ runFig15Preset(Explorer &explorer, harness::Report &report)
                    "scales with internal bandwidth; distributed "
                    "structures scale best");
     }
+}
+
+const Figure *
+findFigure(const std::string &name)
+{
+    for (const auto &figure : kFigures)
+        if (name == figure.name)
+            return &figure;
+    return nullptr;
 }
 
 SweepSummary

@@ -4,13 +4,12 @@
  * journal-backed ParamSpaces, plus the sweep reporting shared by
  * every charon-explore run.
  *
- * The fig13 / fig15 presets rebuild the *exact* cell grids of the
- * bench binaries of the same name and render the same tables, so
- * `charon-explore --preset fig13` must be byte-identical to
- * `bench/fig13_bandwidth` (CI diffs them) while additionally
- * journalling every cell.  The frontier preset is the beyond-paper
- * sweep: unit count x offload threshold, scored on speedup vs. area
- * and energy.
+ * Figures 13 and 15 are defined here once, cells and render, for
+ * both the bench binaries of the same name and the fig13 / fig15
+ * presets, so `charon-explore --preset fig13` prints the bytes of
+ * `bench/fig13_bandwidth` (CI diffs them) while journalling every
+ * cell.  The frontier preset is the beyond-paper sweep: unit count x
+ * offload threshold, scored on speedup vs. area and energy.
  */
 
 #ifndef CHARON_DSE_PRESETS_HH
@@ -42,20 +41,39 @@ ParamSpace smokeSpace();
 ParamSpace frontierSpace();
 
 /**
- * The exact cell grid (and journal keys) a fig13 / fig15 preset run
- * evaluates, exposed so the sweep supervisor can farm the same cells
- * out to worker shards before the preset renders — the render pass is
- * then pure journal hits and stays byte-identical to the bench
- * binary.
+ * A paper figure defined once: the exact cell grid it evaluates (with
+ * each cell's journal key) and its render from one JournalRecord per
+ * cell.  The bench binary of the same name renders its runner's
+ * results converted by toRecord(); `charon-explore --preset` renders
+ * Explorer::runCells records, after the sweep supervisor has farmed
+ * the same cells out to worker shards when --shards is set.  Every
+ * path prints the same bytes.
  */
+struct Figure
+{
+    const char *name; ///< the --preset value
+    PointCells (*cells)();
+    void (*render)(harness::Report &report,
+                   const std::vector<harness::Cell> &cells,
+                   const std::vector<JournalRecord> &records);
+};
+
+/** Figure 13: GC bandwidth on DDR4, HMC and Charon, and Charon's
+ *  local-access ratio, per workload. */
 PointCells fig13Cells();
+void renderFig13(harness::Report &report,
+                 const std::vector<harness::Cell> &cells,
+                 const std::vector<JournalRecord> &records);
+
+/** Figure 15: GC throughput scaling with threads on KM and CC, DDR4
+ *  against Charon with unified and distributed structures. */
 PointCells fig15Cells();
+void renderFig15(harness::Report &report,
+                 const std::vector<harness::Cell> &cells,
+                 const std::vector<JournalRecord> &records);
 
-/** Figure 13 sweep (TSV vs. off-chip bandwidth), bench-identical. */
-void runFig13Preset(Explorer &explorer, harness::Report &report);
-
-/** Figure 15 sweep (thread scaling x structures), bench-identical. */
-void runFig15Preset(Explorer &explorer, harness::Report &report);
+/** The figure whose --preset value is @p name, or null. */
+const Figure *findFigure(const std::string &name);
 
 /** Frontier + knee of a finished sweep. */
 struct SweepSummary

@@ -17,7 +17,9 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "fault/fault.hh"
 #include "gc/collector_iface.hh"
@@ -115,6 +117,33 @@ struct CellResult
     std::shared_ptr<const FunctionalRun> run;
     platform::RunTiming timing; ///< valid when ok && cell.replay
 };
+
+/** A Table 2 replay cell for @p workload on @p platform, labelled
+ *  "W on P". */
+Cell cell(std::string workload, sim::PlatformKind platform,
+          std::uint64_t heap_bytes = 0, std::uint64_t seed = 1,
+          int gc_threads = 8, int num_cubes = 4);
+
+/** All six workload names in catalog (Table 3) order. */
+std::vector<std::string> allWorkloads();
+
+/**
+ * The heap a collector-family grid gives @p workload under
+ * @p collector: 2x the Table 3 heap for RC, which keeps every object
+ * in the old space, and for G1 on ALS, whose humongous factor
+ * matrices fragment a region heap; 0 (the catalog default)
+ * otherwise.
+ */
+std::uint64_t familyHeapBytes(const std::string &workload,
+                              gc::CollectorModel collector);
+
+/**
+ * The collector-family grid: @p workloads x gc::kCollectorModels x
+ * @p platforms, platform fastest so one functional run feeds all of
+ * its replays, each at familyHeapBytes() and labelled "W (tok) on P".
+ */
+std::vector<Cell> familyCells(const std::vector<std::string> &workloads,
+                              std::span<const sim::PlatformKind> platforms);
 
 } // namespace charon::harness
 

@@ -3,9 +3,10 @@
  * Design-space explorer tests: deterministic parameter-space
  * enumeration, journal durability (resume after a kill, torn final
  * line tolerated as a miss), Pareto extraction on hand-built
- * objective sets, journal-first cell evaluation, and the pinned
- * smoke-grid Pareto golden (regenerate after intended model changes
- * with CHARON_UPDATE_GOLDEN=1; see EXPERIMENTS.md).
+ * objective sets, journal-first cell evaluation, the Figure 13 and 15
+ * renders on hand-built records, and the pinned smoke-grid Pareto
+ * golden (regenerate after intended model changes with
+ * CHARON_UPDATE_GOLDEN=1; see EXPERIMENTS.md).
  */
 
 #include <gtest/gtest.h>
@@ -27,6 +28,7 @@
 #include "dse/presets.hh"
 #include "gc/trace_io.hh"
 #include "harness/experiment_runner.hh"
+#include "scratch_dir.hh"
 
 using namespace charon;
 using namespace charon::dse;
@@ -34,15 +36,7 @@ using namespace charon::dse;
 namespace
 {
 
-std::string
-freshDir(const char *name)
-{
-    auto dir = std::filesystem::path(::testing::TempDir())
-               / (std::string("charon-dse-") + name);
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    return dir.string();
-}
+using test::freshDir;
 
 // ---------------------------------------------------------------------
 // ParamSpace
@@ -719,6 +713,179 @@ TEST(Explorer, PrunedKnobSweepSimulatesOnceAndShares)
         EXPECT_EQ(records[3].gcSeconds, records[0].gcSeconds);
         EXPECT_EQ(records[3].key, extraKeys[3]);
     }
+}
+
+// ---------------------------------------------------------------------
+// Figures 13 and 15, rendered from hand-built records: no simulation.
+
+/** A record whose fields differ from each other and from the same
+ *  field of every other @p i, so a render that reads the wrong field
+ *  or the wrong cell prints other text. */
+JournalRecord
+distinctRecord(const std::string &key, int i)
+{
+    JournalRecord r;
+    r.key = key;
+    r.ok = true;
+    r.gcSeconds = 1 + 0.25 * i;
+    r.minorSeconds = 100 + i;
+    r.majorSeconds = 200 + i;
+    r.mutatorSeconds = 300 + i;
+    r.avgGcBandwidthGBs = 400.375 + i;
+    r.localAccessFraction = 0.5 + 0.01 * i;
+    r.dramBytes = 1e9 + i;
+    r.hostEnergyJ = 500 + i;
+    r.dramEnergyJ = 600 + i;
+    r.unitEnergyJ = 700 + i;
+    return r;
+}
+
+std::vector<JournalRecord>
+distinctRecords(const std::vector<std::string> &keys)
+{
+    std::vector<JournalRecord> records;
+    for (std::size_t i = 0; i < keys.size(); ++i)
+        records.push_back(distinctRecord(keys[i], int(i)));
+    return records;
+}
+
+/** What toRecord() makes of a failed cell. */
+JournalRecord
+failedRecord(const std::string &key, bool oom, const std::string &error)
+{
+    JournalRecord r;
+    r.key = key;
+    r.oom = oom;
+    r.error = error;
+    return r;
+}
+
+/**
+ * Both figures into one report, as text (@p csv false) or CSV, with
+ * Figure 13's KM-on-HMC cell failed and Figure 15's last cell (CC, 16
+ * threads, distributed) out of memory.  Returns Report::finish's exit
+ * code.
+ */
+int
+renderFigures(bool csv, std::string &out)
+{
+    harness::Options opt;
+    opt.csv = csv;
+    harness::Report report(opt);
+
+    auto fig13 = fig13Cells();
+    auto records13 = distinctRecords(fig13.keys);
+    EXPECT_EQ(fig13.cells[4].label, "KM on HMC");
+    records13[4] = failedRecord(fig13.keys[4], false, "replay threw");
+    renderFig13(report, fig13.cells, records13);
+
+    auto fig15 = fig15Cells();
+    auto records15 = distinctRecords(fig15.keys);
+    EXPECT_EQ(fig15.cells.back().label, "CC on Charon (distributed)");
+    records15.back() = failedRecord(fig15.keys.back(), true, "OOM");
+    renderFig15(report, fig15.cells, records15);
+
+    std::ostringstream os;
+    int rc = report.finish(os);
+    out = os.str();
+    return rc;
+}
+
+TEST(FigureRender, LookupServesBothFigures)
+{
+    ASSERT_NE(findFigure("fig13"), nullptr);
+    EXPECT_EQ(findFigure("fig13")->cells, fig13Cells);
+    EXPECT_EQ(findFigure("fig13")->render, renderFig13);
+    ASSERT_NE(findFigure("fig15"), nullptr);
+    EXPECT_EQ(findFigure("fig15")->cells, fig15Cells);
+    EXPECT_EQ(findFigure("fig15")->render, renderFig15);
+    EXPECT_EQ(findFigure("smoke"), nullptr);
+    EXPECT_EQ(findFigure(""), nullptr);
+}
+
+TEST(FigureRender, AlignedTextIsPinned)
+{
+    std::string text;
+    // A failed cell that is not an OOM fails the run.
+    EXPECT_EQ(renderFigures(false, text), 1);
+    EXPECT_EQ(text,
+              "\n"
+              "== Figure 13: bandwidth utilized during GC and Charon's "
+              "local-access ratio ==\n"
+              "\n"
+              "workload  DDR4 GB/s  HMC GB/s  Charon GB/s  local  remote\n"
+              "---------------------------------------------------------\n"
+              "BS            400.4     401.4        402.4    52%     48%\n"
+              "LR            406.4     407.4        408.4    58%     42%\n"
+              "CC            409.4     410.4        411.4    61%     39%\n"
+              "PR            412.4     413.4        414.4    64%     36%\n"
+              "ALS           415.4     416.4        417.4    67%     33%\n"
+              "\n"
+              "off-chip limits: DDR4 34 GB/s, HMC links 80 GB/s; Charon "
+              "internal peak 4 x 320 GB/s\n"
+              "paper: >70% local for most workloads; LR and CC closer to ~50%\n"
+              "\n"
+              "\n"
+              "== Figure 15 (KM): GC throughput scalability (normalized to 1 "
+              "thread) ==\n"
+              "\n"
+              "threads   DDR4  Charon unified  Charon distributed\n"
+              "--------------------------------------------------\n"
+              "1        1.00x           1.00x               1.00x\n"
+              "2        0.57x           0.62x               0.67x\n"
+              "4        0.40x           0.45x               0.50x\n"
+              "8        0.31x           0.36x               0.40x\n"
+              "16       0.25x           0.29x               0.33x\n"
+              "\n"
+              "\n"
+              "== Figure 15 (CC): GC throughput scalability (normalized to 1 "
+              "thread) ==\n"
+              "\n"
+              "threads   DDR4  Charon unified  Charon distributed\n"
+              "--------------------------------------------------\n"
+              "1        1.00x           1.00x               1.00x\n"
+              "2        0.86x           0.87x               0.88x\n"
+              "4        0.76x           0.77x               0.78x\n"
+              "8        0.68x           0.69x               0.70x\n"
+              "\n"
+              "paper: DDR4 hardly scales (34 GB/s cap); Charon scales with "
+              "internal bandwidth; distributed structures scale best\n"
+              "\n"
+              "2 cell(s) failed and were excluded from the aggregates:\n"
+              "  - KM on HMC: replay threw\n"
+              "  - CC on Charon (distributed): OOM\n");
+}
+
+TEST(FigureRender, CsvTextIsPinned)
+{
+    std::string text;
+    EXPECT_EQ(renderFigures(true, text), 1);
+    EXPECT_EQ(text,
+              "# fig13: Figure 13: bandwidth utilized during GC and Charon's "
+              "local-access ratio\n"
+              "workload,DDR4 GB/s,HMC GB/s,Charon GB/s,local,remote\n"
+              "BS,400.4,401.4,402.4,52%,48%\n"
+              "LR,406.4,407.4,408.4,58%,42%\n"
+              "CC,409.4,410.4,411.4,61%,39%\n"
+              "PR,412.4,413.4,414.4,64%,36%\n"
+              "ALS,415.4,416.4,417.4,67%,33%\n"
+              "# fig15.KM: Figure 15 (KM): GC throughput scalability "
+              "(normalized to 1 thread)\n"
+              "threads,DDR4,Charon unified,Charon distributed\n"
+              "1,1.00x,1.00x,1.00x\n"
+              "2,0.57x,0.62x,0.67x\n"
+              "4,0.40x,0.45x,0.50x\n"
+              "8,0.31x,0.36x,0.40x\n"
+              "16,0.25x,0.29x,0.33x\n"
+              "# fig15.CC: Figure 15 (CC): GC throughput scalability "
+              "(normalized to 1 thread)\n"
+              "threads,DDR4,Charon unified,Charon distributed\n"
+              "1,1.00x,1.00x,1.00x\n"
+              "2,0.86x,0.87x,0.88x\n"
+              "4,0.76x,0.77x,0.78x\n"
+              "8,0.68x,0.69x,0.70x\n"
+              "# failed-cell: KM on HMC: replay threw\n"
+              "# failed-cell: CC on Charon (distributed): OOM\n");
 }
 
 // ---------------------------------------------------------------------

@@ -31,6 +31,7 @@
 #include "harness/experiment_runner.hh"
 #include "harness/options.hh"
 #include "harness/result_sink.hh"
+#include "scratch_dir.hh"
 #include "timing_eq.hh"
 #include "workload/mutator.hh"
 
@@ -40,14 +41,7 @@ using namespace charon::fault;
 namespace
 {
 
-std::string
-freshPath(const char *name)
-{
-    auto p = std::filesystem::path(::testing::TempDir())
-             / (std::string("charon-fault-") + name);
-    std::filesystem::remove_all(p);
-    return p.string();
-}
+using test::freshPath;
 
 /** A Charon replay cell on the cheapest calibrated workload. */
 harness::Cell

@@ -31,6 +31,7 @@
 #include "harness/repo_root.hh"
 #include "harness/supervised.hh"
 #include "harness/trace_cache.hh"
+#include "scratch_dir.hh"
 #include "workload/catalog.hh"
 
 using namespace charon;
@@ -39,16 +40,7 @@ using namespace charon::harness;
 namespace
 {
 
-/** A unique per-test cache directory under the gtest temp root. */
-std::string
-freshDir(const char *name)
-{
-    auto dir = std::filesystem::path(::testing::TempDir())
-               / (std::string("charon-harness-") + name);
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    return dir.string();
-}
+using test::freshDir;
 
 /** A tiny synthetic run: cache tests need bytes, not realism. */
 FunctionalRun
@@ -565,13 +557,32 @@ TEST(Options, JobsMustBeANonNegativeInteger)
 // findRepoRoot: artifact-path discovery for out-of-tree build dirs.
 // ---------------------------------------------------------------------
 
+namespace
+{
+
+/**
+ * A fresh directory outside every checkout: from inside the build tree
+ * the walk up would reach this repository's ROADMAP.md.  It sits in
+ * the system temp directory, under a name taken from the build tree's
+ * scratch root, so two build trees never share it.
+ */
+std::string
+outsideCheckoutDir(const char *name)
+{
+    auto tree = std::hash<std::string>{}(CHARON_TEST_SCRATCH_DIR);
+    return freshDir(name, std::filesystem::path(::testing::TempDir())
+                              / ("charon-" + std::to_string(tree)));
+}
+
+} // namespace
+
 TEST(RepoRoot, RoadmapAncestorBeatsNestedGitCheckout)
 {
     // The regression shape: a fetched dependency's checkout under
     // build-rel/_deps/<pkg>-src/ carries its own .git, and the bench
     // used to stop there instead of climbing to the real root.
     namespace fs = std::filesystem;
-    fs::path root = freshDir("reporoot-nested");
+    fs::path root = outsideCheckoutDir("reporoot-nested");
     std::ofstream(root / "ROADMAP.md") << "north star\n";
     fs::path depsSrc = root / "build-rel" / "_deps" / "x-src";
     fs::create_directories(depsSrc / ".git");
@@ -588,7 +599,7 @@ TEST(RepoRoot, RoadmapAncestorBeatsNestedGitCheckout)
 TEST(RepoRoot, GitIsOnlyAFallbackWithoutRoadmap)
 {
     namespace fs = std::filesystem;
-    fs::path root = freshDir("reporoot-gitonly");
+    fs::path root = outsideCheckoutDir("reporoot-gitonly");
     fs::create_directories(root / ".git");
     fs::path start = root / "build" / "bench";
     fs::create_directories(start);
@@ -596,7 +607,7 @@ TEST(RepoRoot, GitIsOnlyAFallbackWithoutRoadmap)
 
     // A gitlink *file* (worktree / submodule) counts the same as a
     // .git directory.
-    fs::path wt = freshDir("reporoot-gitfile");
+    fs::path wt = outsideCheckoutDir("reporoot-gitfile");
     std::ofstream(wt / ".git") << "gitdir: elsewhere\n";
     fs::path wtStart = wt / "sub";
     fs::create_directories(wtStart);
@@ -612,7 +623,7 @@ TEST(RepoRoot, GitIsOnlyAFallbackWithoutRoadmap)
 TEST(RepoRoot, NoMarkersReturnsStart)
 {
     namespace fs = std::filesystem;
-    fs::path bare = freshDir("reporoot-bare");
+    fs::path bare = outsideCheckoutDir("reporoot-bare");
     fs::path start = bare / "deep" / "er";
     fs::create_directories(start);
     EXPECT_EQ(findRepoRoot(start), start);

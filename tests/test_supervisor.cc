@@ -32,6 +32,7 @@
 #include "dse/param_space.hh"
 #include "dse/supervisor.hh"
 #include "harness/experiment_runner.hh"
+#include "scratch_dir.hh"
 
 using namespace charon;
 using namespace charon::dse;
@@ -39,15 +40,7 @@ using namespace charon::dse;
 namespace
 {
 
-std::string
-freshDir(const char *name)
-{
-    auto dir = std::filesystem::path(::testing::TempDir())
-               / (std::string("charon-supervisor-") + name);
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    return dir.string();
-}
+using test::freshDir;
 
 std::string
 slurp(const std::string &path)

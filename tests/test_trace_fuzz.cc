@@ -22,6 +22,7 @@
 #include "gc/trace.hh"
 #include "gc/trace_io.hh"
 #include "harness/experiment_runner.hh"
+#include "scratch_dir.hh"
 
 using namespace charon;
 using namespace charon::gc;
@@ -229,10 +230,7 @@ TEST(TraceFuzz, CorruptedHitRateIsRejected)
 
 TEST(TraceFuzz, CorruptCacheEntryDegradesToMiss)
 {
-    auto dir = std::filesystem::path(::testing::TempDir())
-               / "charon-fuzz-cache";
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
+    const std::filesystem::path dir = test::freshDir("cache");
 
     harness::FunctionalKey key;
     key.workload = "CC";

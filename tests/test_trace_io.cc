@@ -13,6 +13,7 @@
 #include "gc/rollup.hh"
 #include "gc/trace_io.hh"
 #include "platform/platform_sim.hh"
+#include "scratch_dir.hh"
 #include "workload/mutator.hh"
 
 using namespace charon;
@@ -211,7 +212,7 @@ TEST(TraceIo, RealWorkloadRoundTripPreservesTiming)
 TEST(TraceIo, FileRoundTrip)
 {
     RunTrace original = syntheticTrace();
-    std::string path = ::testing::TempDir() + "charon_trace_test.bin";
+    std::string path = test::freshPath("trace.bin");
     std::string error;
     ASSERT_TRUE(saveTraceFile(path, original, &error)) << error;
     RunTrace loaded;

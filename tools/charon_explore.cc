@@ -146,8 +146,8 @@ main(int argc, char **argv)
     if (search != "grid" && search != "random" && search != "halving")
         return usageError("unknown --search '" + search
                           + "' (grid | random | halving)");
-    const bool figPreset = preset == "fig13" || preset == "fig15";
-    if (!preset.empty() && !figPreset && preset != "frontier"
+    const dse::Figure *figure = dse::findFigure(preset);
+    if (!preset.empty() && !figure && preset != "frontier"
         && preset != "smoke")
         return usageError("unknown --preset '" + preset
                           + "' (fig13 | fig15 | frontier | smoke)");
@@ -264,22 +264,18 @@ main(int argc, char **argv)
     };
 
     try {
-        if (figPreset) {
-            // The figure presets replicate the bench binaries' cell
-            // grids and tables exactly (CI diffs the outputs), adding
-            // only the journal underneath.
+        if (figure) {
+            // The bench binary's cells and render (CI diffs the
+            // outputs), with the journal underneath.
+            auto pc = figure->cells();
             if (shards > 0) {
-                auto pc = preset == "fig13" ? dse::fig13Cells()
-                                            : dse::fig15Cells();
                 int rc = shardPrerun(pc, cellUnits(pc.cells.size()),
                                      0);
                 if (rc >= 0)
                     return rc;
             }
-            if (preset == "fig13")
-                dse::runFig13Preset(explorer, report);
-            else
-                dse::runFig15Preset(explorer, report);
+            figure->render(report, pc.cells,
+                           explorer.runCells(pc.cells, pc.keys));
         } else {
             dse::ParamSpace space;
             std::string error;
