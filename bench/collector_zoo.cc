@@ -80,23 +80,6 @@ applicability(const Evidence &e, PrimKind kind)
     return "-";
 }
 
-double
-primSeconds(const platform::RunTiming &t, PrimKind kind)
-{
-    auto pick = [&](const platform::PrimBreakdown &b) {
-        switch (kind) {
-          case PrimKind::Copy:        return b.copy;
-          case PrimKind::Search:      return b.search;
-          case PrimKind::ScanPush:    return b.scanPush;
-          case PrimKind::BitmapCount: return b.bitmapCount;
-          case PrimKind::BitSweep:    return b.bitSweep;
-          case PrimKind::RefCount:    return b.refCount;
-        }
-        return 0.0;
-    };
-    return pick(t.minorBreakdown) + pick(t.majorBreakdown);
-}
-
 } // namespace
 
 int
@@ -152,9 +135,9 @@ main(int argc, char **argv)
             speedupCell[z][name] = report::times(speedup);
             for (int k = 0; k < gc::kNumPrimKinds; ++k) {
                 auto kind = static_cast<PrimKind>(k);
-                primHost[z][k] += primSeconds(results[i].timing, kind);
+                primHost[z][k] += results[i].timing.threadSeconds(kind);
                 primCharon[z][k] +=
-                    primSeconds(results[i + 1].timing, kind);
+                    results[i + 1].timing.threadSeconds(kind);
             }
         }
     }

@@ -22,6 +22,8 @@ using namespace charon::bench;
 namespace
 {
 
+using gc::PrimKind;
+
 void
 breakdownTable(Report &report, const char *id, const char *title,
                bool major, const std::vector<std::string> &workloads,
@@ -37,15 +39,22 @@ breakdownTable(Report &report, const char *id, const char *title,
     for (std::size_t w = 0; w < workloads.size(); ++w) {
         if (!results[w].ok)
             continue;
-        auto bd = major ? results[w].timing.majorBreakdown
-                        : results[w].timing.minorBreakdown;
-        double total = bd.total();
-        double prim = bd.offloadable();
-        table.addRow({workloads[w], report::percent(bd.copy, total),
-                      report::percent(bd.search, total),
-                      report::percent(bd.scanPush, total),
-                      report::percent(bd.bitmapCount, total),
-                      report::percent(bd.glue, total),
+        const auto &t = results[w].timing;
+        auto secs = [&](PrimKind kind) {
+            return t.threadSeconds(major, kind);
+        };
+        const double glue = t.threadSeconds(major, std::nullopt);
+        double total = 0;
+        for (int k = 0; k < gc::kNumPrimKinds; ++k)
+            total += secs(static_cast<PrimKind>(k));
+        total += glue;
+        const double prim = total - glue;
+        table.addRow({workloads[w],
+                      report::percent(secs(PrimKind::Copy), total),
+                      report::percent(secs(PrimKind::Search), total),
+                      report::percent(secs(PrimKind::ScanPush), total),
+                      report::percent(secs(PrimKind::BitmapCount), total),
+                      report::percent(glue, total),
                       report::percent(prim, total)});
         const auto &params = workload::findWorkload(workloads[w]);
         if (params.framework == "Spark") {

@@ -44,15 +44,15 @@ main(int argc, char **argv)
                   & report.checkCell(cells[i + 1], results[i + 1]);
         if (!ok)
             continue;
-        auto ddr4 = results[i].timing.breakdown();
-        auto charon = results[i + 1].timing.breakdown();
-        auto ratio = [](double a, double b) {
-            return b > 0 ? a / b : 0.0;
+        auto ratio = [&](gc::PrimKind kind) {
+            double ddr4 = results[i].timing.threadSeconds(kind);
+            double charon = results[i + 1].timing.threadSeconds(kind);
+            return charon > 0 ? ddr4 / charon : 0.0;
         };
-        s.push_back(ratio(ddr4.search, charon.search));
-        sp.push_back(ratio(ddr4.scanPush, charon.scanPush));
-        c.push_back(ratio(ddr4.copy, charon.copy));
-        bc.push_back(ratio(ddr4.bitmapCount, charon.bitmapCount));
+        s.push_back(ratio(gc::PrimKind::Search));
+        sp.push_back(ratio(gc::PrimKind::ScanPush));
+        c.push_back(ratio(gc::PrimKind::Copy));
+        bc.push_back(ratio(gc::PrimKind::BitmapCount));
         table.addRow({workloads[w], report::times(s.back()),
                       report::times(sp.back()),
                       report::times(c.back()),

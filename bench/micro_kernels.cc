@@ -12,6 +12,7 @@
 #include <sstream>
 #include <string>
 
+#include "gc/recorder.hh"
 #include "gc/trace_io.hh"
 #include "heap/bitmap.hh"
 #include "heap/heap.hh"
@@ -93,7 +94,8 @@ BENCHMARK(BM_BitmapCountOptimized)->Arg(64)->Arg(128)->Arg(512)->Arg(4096);
 static void
 BM_BitmapCacheAccess(benchmark::State &state)
 {
-    mem::CacheModel cache(8 * 1024, 8, 32);
+    mem::CacheModel cache(gc::kBitmapCache.bytes, gc::kBitmapCache.assoc,
+                          gc::kBitmapCache.blockBytes);
     sim::Rng rng(7);
     for (auto _ : state) {
         benchmark::DoNotOptimize(

@@ -73,12 +73,8 @@ class AreaModel
  */
 struct PowerModel
 {
-    /**
-     * Average Charon power across workloads reported by the paper;
-     * used as a cross-check against our computed unit energy.
-     */
-    static constexpr double kPaperAvgPowerW = 2.98;
-    static constexpr double kPaperMaxPowerW = 4.51; // ALS
+    /** Peak Charon power the paper reports (ALS). */
+    static constexpr double kPaperMaxPowerW = 4.51;
 
     /** Max allowable power density for a low-end passive heat sink. */
     static constexpr double kPassiveHeatsinkMwPerMm2 = 96.0;

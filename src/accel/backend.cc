@@ -36,12 +36,10 @@ makeBackend(sim::PlatformKind kind, sim::EventQueue &eq,
       case sim::BackendKind::Charon: {
         CHARON_ASSERT(hmc != nullptr,
                       "Charon backend requires HMC memory");
-        // Figure 16 CPU-side unit placement is a platform property,
-        // not a preset the caller must remember to set.
-        sim::SystemConfig dev_cfg = cfg;
-        dev_cfg.charon.cpuSide =
-            (kind == sim::PlatformKind::CharonCpuSide);
-        return std::make_unique<CharonDevice>(eq, *hmc, dev_cfg, instr);
+        // Figure 16 CPU-side unit placement is a platform property.
+        return std::make_unique<CharonDevice>(
+            eq, *hmc, cfg, kind == sim::PlatformKind::CharonCpuSide,
+            instr);
       }
       case sim::BackendKind::Igpu:
         CHARON_ASSERT(ddr4 != nullptr,

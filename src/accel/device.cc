@@ -34,9 +34,10 @@ charonAreaMm2(const sim::SystemConfig &cfg)
 }
 
 CharonDevice::CharonDevice(sim::EventQueue &eq, hmc::HmcMemory &hmc,
-                           const sim::SystemConfig &cfg,
+                           const sim::SystemConfig &cfg, bool cpu_side,
                            const sim::Instrumentation &instr)
-    : eq_(eq), hmc_(hmc), cfg_(cfg), units_(charonUnits(cfg)),
+    : eq_(eq), hmc_(hmc), cfg_(cfg), cpuSide_(cpu_side),
+      units_(charonUnits(cfg)),
       timeline_(instr.timeline())
 {
     const double freq = cfg_.charon.unitFreqHz;
@@ -68,7 +69,7 @@ CharonDevice::CharonDevice(sim::EventQueue &eq, hmc::HmcMemory &hmc,
 hmc::Origin
 CharonDevice::unitOrigin(int cube) const
 {
-    if (cfg_.charon.cpuSide)
+    if (cpuSide_)
         return hmc::Origin::host();
     return hmc::Origin::onCube(cube);
 }
@@ -107,7 +108,7 @@ CharonDevice::offloadOverhead(int cube) const
     // Unit decode/startup: 2 logic-layer cycles.
     double start_ns = 2 * 1e9 / ch.unitFreqHz;
     double link_ns = 0;
-    if (!ch.cpuSide) {
+    if (!cpuSide_) {
         int hops = 1 + (cube != 0 ? 1 : 0);
         link_ns = 2.0 * hops * cfg_.hmc.linkLatencyNs;
     } else {
@@ -134,7 +135,7 @@ CharonDevice::gcPrologueTicks() const
 int
 CharonDevice::unitCube(const gc::Bucket &b) const
 {
-    if (cfg_.charon.cpuSide)
+    if (cpuSide_)
         return 0;
     const bool scan_push_units =
         b.kind == PrimKind::ScanPush || b.kind == PrimKind::RefCount;
@@ -144,15 +145,14 @@ CharonDevice::unitCube(const gc::Bucket &b) const
 bool
 CharonDevice::remoteStructures(int unit_cube) const
 {
-    return !cfg_.charon.distributedStructures && !cfg_.charon.cpuSide
+    return !cfg_.charon.distributedStructures && !cpuSide_
            && unit_cube != 0;
 }
 
 Tick
 CharonDevice::firstAccessLatency(mem::AccessPattern p) const
 {
-    return cfg_.charon.cpuSide ? hmc_.hostPort().latency(p)
-                               : hmc_.localLatency(p);
+    return cpuSide_ ? hmc_.hostPort().latency(p) : hmc_.localLatency(p);
 }
 
 void
@@ -315,7 +315,7 @@ CharonDevice::meanProbeLatency(int unit_cube) const
     const int cubes = cfg_.hmc.cubes;
     double avg_lat = 0;
     for (int c = 0; c < cubes; ++c) {
-        Tick l = cfg_.charon.cpuSide
+        Tick l = cpuSide_
                      ? hmc_.hostPort().latency(mem::AccessPattern::Random)
                      : hmc_.latency(hmc::Origin::onCube(unit_cube),
                                     static_cast<mem::Addr>(c)

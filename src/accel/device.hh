@@ -14,9 +14,9 @@
  *
  * Scheduling follows the paper: Copy/Search and Bitmap Count run on
  * the cube that houses their source data; Scan&Push runs on the
- * central cube (ablatably).  The "cpuSide" configuration (Figure 16)
- * places every pool beside the host memory controller instead, so all
- * traffic crosses the off-chip link.
+ * central cube (ablatably).  The CPU-side placement (Figure 16) puts
+ * every pool beside the host memory controller instead, so all traffic
+ * crosses the off-chip link.
  */
 
 #ifndef CHARON_ACCEL_DEVICE_HH
@@ -68,6 +68,9 @@ class CharonDevice : public OffloadBackend
 {
   public:
     /**
+     * @param cpu_side place the units at the host memory controller
+     *        instead of the HMC logic layer (Figure 16): they then see
+     *        only the off-chip link bandwidth, not the TSVs
      * @param instr instrumentation: every unit pool becomes a counter
      *        track (busy == active flows > 0), and address-translation
      *        traffic gets a "charon.tlb.remote" counter of lookups
@@ -76,7 +79,7 @@ class CharonDevice : public OffloadBackend
      *        contention Figure 15 distributes away).
      */
     CharonDevice(sim::EventQueue &eq, hmc::HmcMemory &hmc,
-                 const sim::SystemConfig &cfg,
+                 const sim::SystemConfig &cfg, bool cpu_side,
                  const sim::Instrumentation &instr = {});
 
     sim::BackendKind kind() const override
@@ -188,6 +191,7 @@ class CharonDevice : public OffloadBackend
     sim::EventQueue &eq_;
     hmc::HmcMemory &hmc_;
     sim::SystemConfig cfg_;
+    bool cpuSide_; ///< units beside the host memory controller
     CharonUnits units_;
     /** Root joins of the buckets. */
     sim::JoinPool joins_{eq_};

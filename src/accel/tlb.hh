@@ -45,7 +45,7 @@ class AcceleratorTlb
 {
   public:
     /**
-     * @param cfg Charon configuration (page size, entries per cube)
+     * @param cfg Charon configuration (huge-page size)
      * @param cubes cubes in the system
      * @param physical_pages huge pages of physical memory available
      *        (the admission-control budget)
@@ -54,7 +54,6 @@ class AcceleratorTlb
                    std::uint64_t physical_pages);
 
     int pageShift() const { return pageShift_; }
-    std::uint64_t pageBytes() const { return 1ull << pageShift_; }
 
     /**
      * Pin a huge page for @p pcid at @p vaddr; the physical page is
@@ -88,7 +87,6 @@ class AcceleratorTlb
     std::uint64_t pinnedPages() const { return entries_.size(); }
     std::uint64_t hits() const { return hits_; }
     std::uint64_t faults() const { return faults_; }
-    std::uint64_t capacityPages() const { return physicalPages_; }
 
   private:
     static std::uint64_t key(std::uint16_t pcid, mem::Addr vpage)

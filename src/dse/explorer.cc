@@ -52,8 +52,8 @@ cellKey(const harness::Cell &cell, int screenGcs)
        << cfg.charon.bitmapCountUnits << "/sp"
        << cfg.charon.scanPushUnits << "/mai" << cfg.charon.maiEntries
        << (cfg.charon.distributedStructures ? "/dist" : "/uni")
-       << (cfg.charon.scanPushLocal ? "/splocal" : "")
-       << (cfg.charon.cpuSide ? "/cpuside" : "") << "|g" << screenGcs;
+       << (cfg.charon.scanPushLocal ? "/splocal" : "") << "|g"
+       << screenGcs;
     return os.str();
 }
 

@@ -75,9 +75,7 @@ std::string cellKey(const harness::Cell &cell, int screenGcs);
  *    `distributedStructures` when none of {BitmapCount, Scan&Push,
  *    RefCount} can dispatch, and `scanPushLocal` when neither
  *    Scan&Push nor RefCount can (those are the only code paths that
- *    read each knob);
- *  - `cpuSide` is always dropped: PlatformSim's constructor pins it
- *    from the platform kind.
+ *    read each knob).
  *
  * @p profile must be the profile of the cell's *full* functional
  * trace; screening truncation only removes buckets, so pruning by

@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include "harness/atomic_publish.hh"
+#include "sim/json.hh"
 
 namespace charon::dse
 {
@@ -28,41 +29,6 @@ namespace
 {
 
 constexpr int kVersion = 1;
-
-std::string
-escapeJson(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        switch (c) {
-        case '"':
-            out += "\\\"";
-            break;
-        case '\\':
-            out += "\\\\";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        case '\t':
-            out += "\\t";
-            break;
-        case '\r':
-            out += "\\r";
-            break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 /**
  * Minimal parser for the flat JSON objects the journal itself writes:
@@ -432,11 +398,14 @@ std::string
 SweepJournal::formatLine(const JournalRecord &r)
 {
     std::ostringstream os;
-    os << "{\"v\":" << kVersion << ",\"key\":\"" << escapeJson(r.key)
-       << "\",\"ok\":" << (r.ok ? "true" : "false")
+    os << "{\"v\":" << kVersion << ",\"key\":";
+    sim::putJsonString(os, r.key);
+    os << ",\"ok\":" << (r.ok ? "true" : "false")
        << ",\"oom\":" << (r.oom ? "true" : "false");
-    if (!r.error.empty())
-        os << ",\"error\":\"" << escapeJson(r.error) << "\"";
+    if (!r.error.empty()) {
+        os << ",\"error\":";
+        sim::putJsonString(os, r.error);
+    }
     os << ",\"gcSeconds\":" << fmtDouble(r.gcSeconds)
        << ",\"minorSeconds\":" << fmtDouble(r.minorSeconds)
        << ",\"majorSeconds\":" << fmtDouble(r.majorSeconds)

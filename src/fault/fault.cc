@@ -182,8 +182,10 @@ FaultPlan::str() const
 {
     std::string s = sim::format("seed=%llu",
                                 static_cast<unsigned long long>(seed));
-    for (const auto &spec : specs)
-        s += " " + spec.str();
+    for (const auto &spec : specs) {
+        s += ' ';
+        s += spec.str();
+    }
     return s;
 }
 

@@ -462,7 +462,11 @@ fleetMix(const std::string &name, int tenants)
         // GC trigger rides each tenant's own arrival stream.  Every
         // eighth tenant rotates the seed for demographic variety.
         spec.seed = 1 + static_cast<std::uint64_t>(i) / 8;
-        spec.name = "t" + std::to_string(i) + ":" + spec.workload;
+        std::string name = "t";
+        name += std::to_string(i);
+        name += ':';
+        name += spec.workload;
+        spec.name = std::move(name);
         specs.push_back(std::move(spec));
     }
     return specs;

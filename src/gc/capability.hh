@@ -22,7 +22,6 @@
 #define CHARON_GC_CAPABILITY_HH
 
 #include <cstdint>
-#include <string>
 
 #include "gc/trace.hh"
 
@@ -78,9 +77,6 @@ struct CapabilitySet
     }
     bool operator!=(const CapabilitySet &o) const { return !(*this == o); }
 };
-
-/** "Copy+Search+Scan&Push" style render of @p mask, "-" when empty. */
-std::string primMaskNames(std::uint32_t mask);
 
 } // namespace charon::gc
 

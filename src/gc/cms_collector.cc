@@ -76,7 +76,6 @@ CmsCollector::fullCollect()
     MarkCompact mc(heap_, rec_);
     auto result = mc.collect();
     ++majors_;
-    ++failures_;
     return !result.outOfMemory;
 }
 

@@ -52,9 +52,6 @@ class CmsCollector : public CollectorIface
     std::uint64_t minorCount() const override { return minors_; }
     std::uint64_t majorCount() const override { return majors_; }
 
-    /** Full collections the family had to fall back to. */
-    std::uint64_t concurrentModeFailures() const { return failures_; }
-
   private:
     /** Old-generation mark-sweep; true when it freed anything. */
     bool oldCollect();
@@ -71,7 +68,6 @@ class CmsCollector : public CollectorIface
 
     std::uint64_t minors_ = 0;
     std::uint64_t majors_ = 0;
-    std::uint64_t failures_ = 0;
 };
 
 } // namespace charon::gc

@@ -13,17 +13,6 @@ namespace charon::gc
 using heap::Space;
 
 const char *
-gcOutcomeName(GcOutcome outcome)
-{
-    switch (outcome) {
-      case GcOutcome::Minor:       return "minor";
-      case GcOutcome::Major:       return "major";
-      case GcOutcome::OutOfMemory: return "out-of-memory";
-    }
-    return "unknown";
-}
-
-const char *
 collectorToken(CollectorModel model)
 {
     switch (model) {

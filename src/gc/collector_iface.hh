@@ -41,8 +41,6 @@ enum class GcOutcome
     OutOfMemory, ///< live set does not fit: allocation cannot proceed
 };
 
-const char *gcOutcomeName(GcOutcome outcome);
-
 /**
  * The collector families the factory builds.  The values are
  * persisted (trace-cache headers), so the order never changes.

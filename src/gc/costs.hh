@@ -70,12 +70,6 @@ struct GlueCosts
      * algorithm of Section 4.3.
      */
     double cpuCyclesPerBitmapBit = 2.6;
-
-    /**
-     * Hardware cycles per 64-bit bitmap word for Charon's optimized
-     * subtract+popcount datapath (one word per cycle, Figure 6(b)).
-     */
-    double charonCyclesPerBitmapWord = 1.0;
 };
 
 } // namespace charon::gc

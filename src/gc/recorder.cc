@@ -10,7 +10,8 @@ TraceRecorder::TraceRecorder(int num_threads, int cube_shift,
     : numThreads_(num_threads),
       cubeShift_(cube_shift),
       numCubes_(num_cubes),
-      bitmapCache_(8 * 1024, 8, 32) // Section 4.5 configuration
+      bitmapCache_(kBitmapCache.bytes, kBitmapCache.assoc,
+                   kBitmapCache.blockBytes)
 {
     CHARON_ASSERT(num_threads > 0, "need at least one GC thread");
     CHARON_ASSERT(mem::isPow2(static_cast<std::uint64_t>(num_cubes)),

@@ -11,6 +11,7 @@
 #ifndef CHARON_GC_RECORDER_HH
 #define CHARON_GC_RECORDER_HH
 
+#include <cstdint>
 #include <memory>
 
 #include "gc/capability.hh"
@@ -20,6 +21,20 @@
 
 namespace charon::gc
 {
+
+/**
+ * Charon's bitmap cache (Table 2, Section 4.5): 8 KiB, 8-way, 32 B
+ * blocks.  The recorder simulates it over the bitmap access stream,
+ * so its hit rate is measured at record time and travels in the
+ * trace; the timing models read only that rate.
+ */
+struct BitmapCacheGeometry
+{
+    std::uint64_t bytes;
+    int assoc;
+    int blockBytes;
+};
+inline constexpr BitmapCacheGeometry kBitmapCache{8 * 1024, 8, 32};
 
 /**
  * Collects one RunTrace across a whole mutator run.
@@ -155,17 +170,11 @@ class TraceRecorder
     /** Attribute subsequent records to a specific thread (striping). */
     void setThread(int thread);
 
-    /** Thread the current work item is attributed to. */
-    int currentThread() const { return cursor_; }
-
     const GlueCosts &costs() const { return costs_; }
 
     /** Completed run trace. */
     RunTrace &run() { return run_; }
     const RunTrace &run() const { return run_; }
-
-    /** The functional bitmap-cache model (for inspection in tests). */
-    mem::CacheModel &bitmapCache() { return bitmapCache_; }
 
   private:
     ThreadWork &work();

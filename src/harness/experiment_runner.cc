@@ -278,17 +278,9 @@ namespace
 // CellResult wire format for the crash-isolated runner: the child
 // process serializes its result over a pipe with the trace_io
 // little-endian framing; a short or missing payload marks the child
-// as crashed.  Each field table is the wire order for both directions.
+// as crashed.  The field table is the wire order for both directions.
 
-using platform::PrimBreakdown;
 using platform::RunTiming;
-
-constexpr double PrimBreakdown::*kBreakdownFields[] = {
-    &PrimBreakdown::copy,     &PrimBreakdown::search,
-    &PrimBreakdown::scanPush, &PrimBreakdown::bitmapCount,
-    &PrimBreakdown::bitSweep, &PrimBreakdown::refCount,
-    &PrimBreakdown::glue,
-};
 
 constexpr double RunTiming::*kTimingFields[] = {
     &RunTiming::gcSeconds,           &RunTiming::minorSeconds,
@@ -299,37 +291,17 @@ constexpr double RunTiming::*kTimingFields[] = {
 };
 
 void
-putBreakdown(std::ostream &os, const PrimBreakdown &b)
-{
-    for (auto field : kBreakdownFields)
-        gc::io::putF64(os, b.*field);
-}
-
-bool
-getBreakdown(std::istream &is, PrimBreakdown &b)
-{
-    for (auto field : kBreakdownFields) {
-        if (!gc::io::getF64(is, b.*field))
-            return false;
-    }
-    return true;
-}
-
-void
 putTiming(std::ostream &os, const RunTiming &t)
 {
     using namespace gc::io;
     putU64(os, static_cast<std::uint64_t>(t.platform));
     for (auto field : kTimingFields)
         putF64(os, t.*field);
-    putBreakdown(os, t.minorBreakdown);
-    putBreakdown(os, t.majorBreakdown);
     putU64(os, t.gcs.size());
     for (const auto &gc : t.gcs) {
         putU64(os, gc.major ? 1 : 0);
         putF64(os, gc.seconds);
         putF64(os, gc.unitSeconds);
-        putBreakdown(os, gc.breakdown);
     }
     gc::writeRollup(os, t.rollup());
 }
@@ -346,16 +318,13 @@ getTiming(std::istream &is, RunTiming &t)
         if (!getF64(is, t.*field))
             return false;
     }
-    if (!getBreakdown(is, t.minorBreakdown)
-        || !getBreakdown(is, t.majorBreakdown) || !getU64(is, gcs)) {
+    if (!getU64(is, gcs))
         return false;
-    }
     t.gcs.resize(gcs);
     for (auto &gc : t.gcs) {
         std::uint64_t major;
         if (!getU64(is, major) || !getF64(is, gc.seconds)
-            || !getF64(is, gc.unitSeconds)
-            || !getBreakdown(is, gc.breakdown)) {
+            || !getF64(is, gc.unitSeconds)) {
             return false;
         }
         gc.major = major != 0;

@@ -5,6 +5,7 @@
 #include <fstream>
 
 #include "report/table.hh"
+#include "sim/json.hh"
 #include "sim/logging.hh"
 
 namespace charon::harness
@@ -112,8 +113,9 @@ Report::addRollups(const std::vector<Cell> &cells,
         }
         for (std::size_t g = 0; g < res.timing.gcs.size(); ++g) {
             const gc::GcRollup &gc = res.timing.gcs[g].rollup;
-            std::string gc_id = "#" + std::to_string(g)
-                                + (gc.major ? " major" : " minor");
+            std::string gc_id = "#";
+            gc_id += std::to_string(g);
+            gc_id += gc.major ? " major" : " minor";
             for (const auto &phase : gc.phases) {
                 const char *pname = gc::phaseKindName(phase.kind);
                 for (int k = 0; k < gc::kNumPrimKinds; ++k) {
@@ -136,34 +138,6 @@ Report::addRollups(const std::vector<Cell> &cells,
     }
 }
 
-namespace
-{
-
-void
-jsonEscape(std::ostream &os, const std::string &s)
-{
-    os << '"';
-    for (char c : s) {
-        switch (c) {
-          case '"':  os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\t': os << "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                os << buf;
-            } else {
-                os << c;
-            }
-        }
-    }
-    os << '"';
-}
-
-} // namespace
-
 void
 Report::writeJson(std::ostream &os) const
 {
@@ -174,9 +148,9 @@ Report::writeJson(std::ostream &os) const
             os << ",\n";
         first_sink = false;
         os << "    {\n      \"id\": ";
-        jsonEscape(os, sink.id());
+        sim::putJsonString(os, sink.id());
         os << ",\n      \"title\": ";
-        jsonEscape(os, sink.title());
+        sim::putJsonString(os, sink.title());
         os << ",\n      \"rows\": [\n";
         bool first_row = true;
         for (const auto &row : sink.rows()) {
@@ -187,9 +161,9 @@ Report::writeJson(std::ostream &os) const
             for (std::size_t c = 0; c < row.size(); ++c) {
                 if (c)
                     os << ", ";
-                jsonEscape(os, sink.headers()[c]);
+                sim::putJsonString(os, sink.headers()[c]);
                 os << ": ";
-                jsonEscape(os, row[c]);
+                sim::putJsonString(os, row[c]);
             }
             os << '}';
         }
@@ -199,7 +173,7 @@ Report::writeJson(std::ostream &os) const
     for (std::size_t i = 0; i < failures_.size(); ++i) {
         if (i)
             os << ", ";
-        jsonEscape(os, failures_[i]);
+        sim::putJsonString(os, failures_[i]);
     }
     os << "]\n}\n";
 }

@@ -90,8 +90,6 @@ class Report
      *  returns true when the cell is usable. */
     bool checkCell(const Cell &cell, const CellResult &result);
 
-    bool hasFailures() const { return !failures_.empty(); }
-
     /**
      * Render every sink (aligned text or CSV per options), print the
      * failed-cell summary, and write the JSON file when requested.

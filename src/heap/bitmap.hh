@@ -96,9 +96,6 @@ class MarkBitmap
     /** Bytes of backing storage (what HotSpot would allocate). */
     std::uint64_t storageBytes() const { return words_.size() * 8; }
 
-    mem::Addr storageBase() const { return storageBase_; }
-    mem::Addr heapBase() const { return heapBase_; }
-
     /**
      * Find the first set bit at or after @p from, strictly before
      * @p limit; returns limit when none.
@@ -115,7 +112,6 @@ class MarkBitmap
         CHARON_ASSERT(index < words_.size(), "word index out of range");
         return words_[index];
     }
-    std::uint64_t numWords() const { return words_.size(); }
 
     /**
      * Hint the storage word holding @p addr's bit into the host

@@ -94,8 +94,6 @@ class CardTable
 
     std::uint64_t numCards() const { return bytes_.size(); }
     std::uint64_t storageBytes() const { return bytes_.size(); }
-    mem::Addr coveredBase() const { return coveredBase_; }
-    mem::Addr storageBase() const { return storageBase_; }
 
   private:
     mem::Addr coveredBase_;

@@ -26,12 +26,7 @@ ManagedHeap::ManagedHeap(const HeapConfig &cfg, const KlassTable &klasses)
       cards_(/*covered_base=*/cfg.base,
              /*covered_bytes=*/static_cast<std::uint64_t>(
                  (1.0 - cfg.youngFraction) * cfg.heapBytes),
-             /*storage_base=*/0), // fixed up below
-      stats_("heap"),
-      bytesAllocated_(&stats_, "bytes_allocated", "mutator bytes allocated"),
-      objectsAllocated_(&stats_, "objects_allocated",
-                        "mutator objects allocated"),
-      allocFailures_(&stats_, "alloc_failures", "eden exhaustion events")
+             /*storage_base=*/0) // fixed up below
 {
     CHARON_ASSERT(cfg.heapBytes % 4096 == 0, "heap size must be page sized");
 
@@ -118,13 +113,9 @@ ManagedHeap::allocEden(KlassId klass, std::uint64_t array_len)
 {
     std::uint64_t size_words = sizeWordsFor(klass, array_len);
     mem::Addr obj = allocIn(eden_, size_words);
-    if (obj == 0) {
-        ++allocFailures_;
+    if (obj == 0)
         return 0;
-    }
     arena_.writeHeader(obj, klass, size_words, array_len);
-    bytesAllocated_ += static_cast<double>(size_words * 8);
-    ++objectsAllocated_;
     return obj;
 }
 
@@ -187,8 +178,6 @@ ManagedHeap::allocOldObject(KlassId klass, std::uint64_t array_len)
     if (obj == 0)
         return 0;
     arena_.writeHeader(obj, klass, size_words, array_len);
-    bytesAllocated_ += static_cast<double>(size_words * 8);
-    ++objectsAllocated_;
     return obj;
 }
 

@@ -29,7 +29,6 @@
 #include "heap/bitmap.hh"
 #include "heap/card_table.hh"
 #include "heap/object_heap.hh"
-#include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace charon::heap
@@ -178,16 +177,13 @@ class ManagedHeap final : public ObjectHeap
     void setOldTop(mem::Addr top);
 
     // ------------------------------------------------------------------
-    // Verification & stats
+    // Verification
 
     /** Walk a space checking header sanity; panics on corruption. */
     void verifySpace(Space space) const;
 
     /** Count live (allocated) objects in a space. */
     std::uint64_t objectCount(Space space) const;
-
-    sim::StatGroup &stats() { return stats_; }
-    double bytesAllocated() const { return bytesAllocated_.value(); }
 
   private:
     mem::Addr allocIn(Region &region, std::uint64_t size_words);
@@ -208,11 +204,6 @@ class ManagedHeap final : public ObjectHeap
     bool gcFaultArmed_ = false;
     std::uint64_t gcFaultAfter_ = 0;
     std::uint64_t gcFaultRemaining_ = 0;
-
-    sim::StatGroup stats_;
-    sim::Counter bytesAllocated_;
-    sim::Counter objectsAllocated_;
-    sim::Counter allocFailures_;
 };
 
 } // namespace charon::heap

@@ -322,9 +322,9 @@ void
 HmcMemory::dumpStats(std::ostream &os) const
 {
     for (const auto &c : internal_)
-        c->stats().dump(os);
+        c->dumpStats(os);
     for (const auto &l : links_)
-        l->stats().dump(os);
+        l->dumpStats(os);
 }
 
 void

@@ -137,7 +137,7 @@ void
 Ddr4Memory::dumpStats(std::ostream &os) const
 {
     for (const auto &ch : channels_)
-        ch->stats().dump(os);
+        ch->dumpStats(os);
 }
 
 } // namespace charon::mem

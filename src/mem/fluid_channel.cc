@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ostream>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -15,32 +16,14 @@ namespace
 constexpr double kFinishEpsilon = 1e-6;
 } // namespace
 
-const char *
-patternName(AccessPattern p)
-{
-    switch (p) {
-      case AccessPattern::Sequential:
-        return "sequential";
-      case AccessPattern::Strided:
-        return "strided";
-      case AccessPattern::Random:
-        return "random";
-    }
-    return "unknown";
-}
-
 FluidChannel::FluidChannel(sim::EventQueue &eq, std::string name,
                            double capacity,
                            const sim::Instrumentation &instr)
     : eq_(eq),
       capacity_(capacity),
-      stats_(std::move(name)),
-      bytesTransferred_(&stats_, "bytes", "total bytes transferred"),
-      utilizedTicks_(&stats_, "utilized_ticks",
-                     "integral of utilization over time"),
-      flowCount_(&stats_, "flows", "number of flows served"),
+      name_(std::move(name)),
       timeline_(instr.timeline()),
-      track_(instr.track(stats_.name()))
+      track_(instr.track(name_))
 {
     CHARON_ASSERT(capacity_ > 0, "channel capacity must be positive");
 }
@@ -49,14 +32,14 @@ void
 FluidChannel::startFlow(std::uint64_t bytes, double maxRate,
                         sim::Join *join)
 {
-    ++flowCount_;
+    ++flows_;
     if (bytes == 0) {
         // Degenerate flow: complete immediately, still in event order.
         sim::arriveAt(eq_, join, eq_.now());
         return;
     }
     advance();
-    bytesTransferred_ += static_cast<double>(bytes);
+    bytes_ += static_cast<double>(bytes);
     flowBytes_.push_back(static_cast<double>(bytes));
     flowMax_.push_back(maxRate);
     flowRate_.push_back(0);
@@ -216,7 +199,7 @@ FluidChannel::armTimer(sim::Tick when)
     }
     const bool rekeyed = eq_.reschedule(timer_, when);
     CHARON_ASSERT(rekeyed, "fluid channel %s lost its completion timer",
-                  stats_.name().c_str());
+                  name_.c_str());
 }
 
 void
@@ -263,6 +246,14 @@ FluidChannel::onTimer()
     // No advance() here: the clock has not moved since the one above,
     // and any reentrant startFlow already advanced to this tick.
     reallocate();
+}
+
+void
+FluidChannel::dumpStats(std::ostream &os) const
+{
+    os << name_ << ".bytes = " << bytes_ << '\n';
+    os << name_ << ".utilized_ticks = " << utilizedTicks_ << '\n';
+    os << name_ << ".flows = " << flows_ << '\n';
 }
 
 } // namespace charon::mem

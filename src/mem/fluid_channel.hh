@@ -28,6 +28,7 @@
 #define CHARON_MEM_FLUID_CHANNEL_HH
 
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -35,7 +36,6 @@
 #include "sim/event_queue.hh"
 #include "sim/instrumentation.hh"
 #include "sim/join.hh"
-#include "sim/stats.hh"
 #include "sim/timeline.hh"
 #include "sim/types.hh"
 
@@ -50,10 +50,11 @@ class FluidChannel
   public:
     /**
      * @param eq global event queue
-     * @param name stat-group name ("ddr4.ch0", "hmc.cube2.tsv", ...)
+     * @param name channel name ("ddr4.ch0", "hmc.cube2.tsv", ...),
+     *        the prefix of its statistics lines
      * @param capacity peak capacity in bytes/tick
      * @param instr instrumentation context; when enabled the channel
-     *        becomes a counter track (named after its stat group)
+     *        becomes a counter track (named after the channel)
      *        sampling the number of active flows, so busy/idle and
      *        contention are visible per channel.  With the disabled
      *        context the emit path is one branch.
@@ -87,19 +88,28 @@ class FluidChannel
     void setCapacity(double capacity);
 
     /** Total bytes ever pushed through this channel. */
-    double totalBytes() const { return bytesTransferred_.value(); }
+    double totalBytes() const { return bytes_; }
 
     /** Busy time integral: sum over time of (allocated/capacity) dt. */
-    double utilizedTicks() const { return utilizedTicks_.value(); }
+    double utilizedTicks() const { return utilizedTicks_; }
 
     /** Number of currently active flows. */
     std::size_t activeFlows() const { return flowBytes_.size(); }
 
-    /** Stats access (bytes, utilization). */
-    const sim::StatGroup &stats() const { return stats_; }
-
     /** Reset the accounting (not the in-flight flows). */
-    void resetStats() { stats_.resetAll(); }
+    void
+    resetStats()
+    {
+        bytes_ = 0;
+        utilizedTicks_ = 0;
+        flows_ = 0;
+    }
+
+    /**
+     * Print "<name>.bytes = ...", "<name>.utilized_ticks = ..." and
+     * "<name>.flows = ..." lines, values in the stream's formatting.
+     */
+    void dumpStats(std::ostream &os) const;
 
   private:
     /** Advance all flows to now() at their current rates. */
@@ -140,10 +150,12 @@ class FluidChannel
     std::vector<std::uint32_t> uncappedScratch_; ///< reallocate() reuse
     std::vector<sim::Join *> doneScratch_;       ///< onTimer() reuse
 
-    sim::StatGroup stats_;
-    sim::Counter bytesTransferred_;
-    sim::Counter utilizedTicks_;
-    sim::Counter flowCount_;
+    std::string name_;
+    double bytes_ = 0;         ///< bytes of every flow started
+    double utilizedTicks_ = 0; ///< integral of utilization over time
+    /** Flows served; a double like the others, so the stats lines
+     *  print every value the same way. */
+    double flows_ = 0;
 
     sim::Timeline *timeline_ = nullptr;
     sim::Timeline::TrackId track_ = 0;

@@ -28,9 +28,6 @@ enum class AccessPattern
     Random,     ///< pointer-chasing / scattered (Scan&Push object loads)
 };
 
-/** Printable pattern name. */
-const char *patternName(AccessPattern p);
-
 /** One stream request as seen by a memory system model. */
 struct StreamRequest
 {

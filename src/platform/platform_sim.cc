@@ -11,20 +11,6 @@ using gc::PrimKind;
 using sim::PlatformKind;
 using sim::Tick;
 
-double &
-PrimBreakdown::byKind(PrimKind kind)
-{
-    switch (kind) {
-      case PrimKind::Copy:        return copy;
-      case PrimKind::Search:      return search;
-      case PrimKind::ScanPush:    return scanPush;
-      case PrimKind::BitmapCount: return bitmapCount;
-      case PrimKind::BitSweep:    return bitSweep;
-      case PrimKind::RefCount:    return refCount;
-    }
-    sim::panic("bad primitive kind");
-}
-
 PlatformSim::PlatformSim(PlatformKind kind, const sim::SystemConfig &cfg,
                          int cube_shift,
                          const sim::Instrumentation &instr,
@@ -118,7 +104,8 @@ struct PlatformSim::ThreadAgent
     PlatformSim *sim = nullptr;
     const gc::PhaseTrace *phase = nullptr;
     gc::ThreadSpan span;
-    PrimBreakdown *breakdown = nullptr;
+    /** The phase's roll-up; this thread adds its seconds to it. */
+    gc::PhaseRollup *rollup = nullptr;
     std::size_t next = 0;
     double hitRate = 0;
     sim::Timeline::TrackId ttrack = 0;
@@ -142,7 +129,7 @@ struct PlatformSim::ThreadAgent
     void
     finish(Tick t)
     {
-        breakdown->byKind(cur.kind) +=
+        rollup->prims[static_cast<int>(cur.kind)].seconds +=
             sim::ticksToSeconds(t - bucketStart);
         if (sim->timeline_) {
             sim->timeline_->completeSpan(
@@ -248,7 +235,7 @@ struct PlatformSim::ThreadAgent
     }
 };
 
-PrimBreakdown
+void
 PlatformSim::runPhase(const gc::PhaseTrace &phase,
                       gc::PhaseRollup &rollup)
 {
@@ -260,7 +247,6 @@ PlatformSim::runPhase(const gc::PhaseTrace &phase,
         // barrier (eq_.run() drains until empty).
         fault_->applyPendingDegrades(phase_start);
     }
-    PrimBreakdown breakdown;
     std::vector<ThreadAgent> agents(phase.threads.size());
 
     for (std::size_t ti = 0; ti < phase.threads.size(); ++ti) {
@@ -269,39 +255,32 @@ PlatformSim::runPhase(const gc::PhaseTrace &phase,
         agent.sim = this;
         agent.phase = &phase;
         agent.span = span;
-        agent.breakdown = &breakdown;
+        agent.rollup = &rollup;
         agent.hitRate = phase.bitmapCacheHitRate;
         agent.ttrack = timeline_ ? threadTrack(ti) : 0;
 
         // Kick off with the glue lump.
         Tick glue = host_->glueTicks(span.glueInstructions);
-        glueSecondsTotal_ += sim::ticksToSeconds(glue);
         if (timeline_ && glue > 0)
             timeline_->completeSpan(agent.ttrack, glueName_, phase_start,
                                     phase_start + glue);
         eq_.scheduleIn(glue, [agentp = &agent, glue] {
-            agentp->breakdown->glue += sim::ticksToSeconds(glue);
+            agentp->rollup->glueSeconds += sim::ticksToSeconds(glue);
             agentp->step();
         });
     }
 
     eq_.run(); // phase barrier: drain every thread and flow
 
-    // Fill the roll-up from the very same doubles the breakdown
-    // accumulated (so rollup totals match PrimBreakdown exactly),
-    // joined with the functional trace's byte/invocation counts.
+    // The threads filled the seconds; join the functional trace's
+    // byte/invocation counts (one columnar pass yields every kind's).
     rollup.kind = phase.kind;
     rollup.wallSeconds = sim::ticksToSeconds(eq_.now() - phase_start);
-    rollup.glueSeconds = breakdown.glue;
-    // One columnar pass yields every kind's byte/invocation totals.
     const auto totals = phase.primTotals();
     for (int k = 0; k < gc::kNumPrimKinds; ++k) {
-        auto kind = static_cast<PrimKind>(k);
-        rollup.prims[k].seconds = breakdown.byKind(kind);
         rollup.prims[k].bytes = totals.bytes[k];
         rollup.prims[k].invocations = totals.invocations[k];
     }
-    return breakdown;
 }
 
 GcTiming
@@ -324,7 +303,7 @@ PlatformSim::simulateGc(const gc::GcTrace &trace)
     for (const auto &phase : trace.phases) {
         Tick phase_start = eq_.now();
         gc::PhaseRollup rollup;
-        timing.breakdown += runPhase(phase, rollup);
+        runPhase(phase, rollup);
         timing.rollup.phases.push_back(rollup);
         if (timeline_) {
             timeline_->completeSpan(gcTrack_,
@@ -355,7 +334,6 @@ PlatformSim::simulate(const gc::RunTrace &trace)
 {
     RunTiming result;
     result.platform = kind_;
-    glueSecondsTotal_ = 0;
 
     for (const auto &gc : trace.gcs) {
         double unit_before = backend_ ? backend_->unitBusySeconds() : 0;
@@ -365,13 +343,10 @@ PlatformSim::simulate(const gc::RunTrace &trace)
                 backend_->unitBusySeconds() - unit_before;
         result.gcs.push_back(timing);
         result.gcSeconds += timing.seconds;
-        if (timing.major) {
+        if (timing.major)
             result.majorSeconds += timing.seconds;
-            result.majorBreakdown += timing.breakdown;
-        } else {
+        else
             result.minorSeconds += timing.seconds;
-            result.minorBreakdown += timing.breakdown;
-        }
     }
 
     // Mutator time: application instructions across all cores at the

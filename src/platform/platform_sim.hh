@@ -85,9 +85,6 @@ class PlatformSim
     sim::PlatformKind kind() const { return kind_; }
     const sim::SystemConfig &config() const { return cfg_; }
 
-    /** The HMC backing store (HMC-backed kinds only, else nullptr). */
-    hmc::HmcMemory *hmcMemory() { return hmc_.get(); }
-
     /** The offload backend (pure-host platforms: nullptr). */
     const accel::OffloadBackend *backend() const
     {
@@ -122,9 +119,12 @@ class PlatformSim
 
     bool usesHmc() const;
 
-    /** Run one phase to completion; returns its breakdown. */
-    PrimBreakdown runPhase(const gc::PhaseTrace &phase,
-                           gc::PhaseRollup &rollup);
+    /**
+     * Run one phase to completion.  Its threads add their primitive
+     * and glue seconds to @p rollup, which must start zeroed; the
+     * phase kind, wall time, bytes and invocations follow.
+     */
+    void runPhase(const gc::PhaseTrace &phase, gc::PhaseRollup &rollup);
 
     /** Lazily created "thread N" track (timeline attached only). */
     sim::Timeline::TrackId threadTrack(std::size_t thread);
@@ -142,8 +142,6 @@ class PlatformSim
     std::unique_ptr<hmc::HmcMemory> hmc_;
     std::unique_ptr<accel::OffloadBackend> backend_;
     std::unique_ptr<cpu::HostModel> host_;
-
-    double glueSecondsTotal_ = 0; ///< thread-seconds of host glue
 
     sim::Timeline *timeline_ = nullptr;
     sim::Timeline::TrackId gcTrack_ = 0;

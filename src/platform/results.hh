@@ -7,6 +7,7 @@
 #ifndef CHARON_PLATFORM_RESULTS_HH
 #define CHARON_PLATFORM_RESULTS_HH
 
+#include <optional>
 #include <vector>
 
 #include "gc/rollup.hh"
@@ -15,43 +16,6 @@
 
 namespace charon::platform
 {
-
-/** Thread-time (seconds) by work category, Figure 4's dimensions. */
-struct PrimBreakdown
-{
-    double copy = 0;
-    double search = 0;
-    double scanPush = 0;
-    double bitmapCount = 0;
-    double bitSweep = 0; ///< CMS-style sweep free-run discovery
-    double refCount = 0; ///< RC/ZCT count maintenance
-    double glue = 0;     ///< "Other" in Figure 4
-
-    double
-    total() const
-    {
-        return copy + search + scanPush + bitmapCount + bitSweep
-               + refCount + glue;
-    }
-
-    /** The offloadable fraction (everything but glue). */
-    double offloadable() const { return total() - glue; }
-
-    PrimBreakdown &
-    operator+=(const PrimBreakdown &o)
-    {
-        copy += o.copy;
-        search += o.search;
-        scanPush += o.scanPush;
-        bitmapCount += o.bitmapCount;
-        bitSweep += o.bitSweep;
-        refCount += o.refCount;
-        glue += o.glue;
-        return *this;
-    }
-
-    double &byKind(gc::PrimKind kind);
-};
 
 /** Timing of one collection. */
 struct GcTiming
@@ -62,8 +26,7 @@ struct GcTiming
      *  offload backend (0 on pure-host platforms): the per-GC demand
      *  the fleet arbiter charges against the shared device. */
     double unitSeconds = 0;
-    PrimBreakdown breakdown;     ///< summed thread time
-    gc::GcRollup rollup;         ///< per-phase primitive roll-up
+    gc::GcRollup rollup;         ///< per-phase thread time and traffic
 };
 
 /** Timing + energy of a whole run's GC activity on one platform. */
@@ -75,8 +38,6 @@ struct RunTiming
     double minorSeconds = 0;
     double majorSeconds = 0;
     double mutatorSeconds = 0;
-    PrimBreakdown minorBreakdown;
-    PrimBreakdown majorBreakdown;
     std::vector<GcTiming> gcs;
 
     // Memory-system observations over the GC intervals.
@@ -95,12 +56,34 @@ struct RunTiming
         return hostEnergyJ + dramEnergyJ + unitEnergyJ;
     }
 
-    PrimBreakdown
-    breakdown() const
+    /**
+     * Thread-seconds over the minor (@p major false) or the major
+     * collections' roll-ups: of primitive @p kind, or of the host
+     * glue when @p kind is empty.  Phases sum in order within a
+     * collection, then collections in order.
+     */
+    double
+    threadSeconds(bool major, std::optional<gc::PrimKind> kind) const
     {
-        PrimBreakdown b = minorBreakdown;
-        b += majorBreakdown;
-        return b;
+        double sum = 0;
+        for (const auto &gc : gcs) {
+            if (gc.major != major)
+                continue;
+            sum += kind ? gc.rollup.totalByKind(*kind).seconds
+                        : gc.rollup.glueSeconds();
+        }
+        return sum;
+    }
+
+    /**
+     * Whole-run thread-seconds of @p kind (glue when empty): the minor
+     * sum plus the major sum.  RunRollup::totalByKind interleaves the
+     * two classes, so its doubles differ in the last bits.
+     */
+    double
+    threadSeconds(std::optional<gc::PrimKind> kind) const
+    {
+        return threadSeconds(false, kind) + threadSeconds(true, kind);
     }
 
     /** The per-phase roll-ups of every collection, in order. */

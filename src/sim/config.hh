@@ -20,31 +20,20 @@ namespace charon::sim
 
 /**
  * Host processor: 8x 2.67 GHz Westmere-class out-of-order cores.
+ *
+ * Table 2's 128-entry ROB, 4-wide issue, 64/1024-entry L1/L2 TLBs,
+ * 32 KiB 8-way L1D (4 cycles), 32 KiB 4-way L1I (3 cycles), 256 KiB
+ * 8-way L2 (12 cycles), 16-way LLC (28 cycles) and 64 B lines are not
+ * fields: the host model bounds memory-level parallelism by the
+ * instruction window and the MSHRs, and the LLC enters only through
+ * its size (the flush at GC start).
  */
 struct HostConfig
 {
     int numCores = 8;
     double freqHz = 2.67e9;
     int instructionWindow = 36;  ///< scheduler entries limiting MLP
-    int robEntries = 128;
-    int issueWidth = 4;
-    int l1dTlbEntries = 64;
-    int l2TlbEntries = 1024;
-
-    // Cache hierarchy (sizes in bytes, latencies in core cycles).
-    std::uint64_t l1dSize = 32 * kKiB;
-    int l1dAssoc = 8;
-    int l1dLatency = 4;
-    std::uint64_t l1iSize = 32 * kKiB;
-    int l1iAssoc = 4;
-    int l1iLatency = 3;
-    std::uint64_t l2Size = 256 * kKiB;
-    int l2Assoc = 8;
-    int l2Latency = 12;
     std::uint64_t llcSize = 8 * kMiB;
-    int llcAssoc = 16;
-    int llcLatency = 28;
-    int cacheLineBytes = 64;
 
     /**
      * Per-core MSHR count; together with the instruction window this
@@ -67,26 +56,23 @@ struct HostConfig
     double coreActivePowerW = 9.0;
     /** Uncore/LLC power while collecting (Watts). */
     double uncorePowerW = 12.0;
-    /** Per-core idle (gated) power (Watts). */
-    double coreIdlePowerW = 1.5;
 };
 
 /**
- * DDR4 main memory: 32 GB, 2 channels, 4 ranks/channel, 8 banks/rank.
+ * DDR4 main memory: 2 channels.
+ *
+ * Table 2's 32 GB, 4 ranks/channel, 8 banks/rank, tRAS 35 ns, tWR
+ * 15 ns and 8 KiB row buffers are not fields: the latencies in
+ * ddr4.cc are built from tCK, tRCD, tCAS and tRP alone.
  */
 struct Ddr4Config
 {
-    std::uint64_t capacityBytes = 32ull * kGiB;
     int channels = 2;
-    int ranksPerChannel = 4;
-    int banksPerRank = 8;
 
     // Timing (Table 2).
     double tCkNs = 0.937;
-    double tRasNs = 35.0;
     double tRcdNs = 13.50;
     double tCasNs = 13.50;
-    double tWrNs = 15.0;
     double tRpNs = 13.50;
 
     /** Peak bandwidth: 17 GB/s per channel, 34 GB/s total. */
@@ -98,14 +84,7 @@ struct Ddr4Config
     /** Burst (minimum transfer) size in bytes: 64 B cache line. */
     int burstBytes = 64;
 
-    /** Row-buffer size per bank; determines page-hit behaviour. */
-    std::uint64_t rowBufferBytes = 8 * kKiB;
-
     double totalGBs() const { return perChannelGBs * channels; }
-    Tick tRcd() const { return nsToTicks(tRcdNs); }
-    Tick tCas() const { return nsToTicks(tCasNs); }
-    Tick tRp() const { return nsToTicks(tRpNs); }
-    Tick tRas() const { return nsToTicks(tRasNs); }
 };
 
 /** Inter-cube interconnect shape (Section 4.6: not architecture-bound). */
@@ -116,25 +95,25 @@ enum class HmcTopology
 };
 
 /**
- * HMC main memory: 32 GB over 4 cubes, 32 vaults per cube, star
- * topology with the host attached to the central cube (cube 0).
+ * HMC main memory: 4 cubes, star topology with the host attached to
+ * the central cube (cube 0).
+ *
+ * Table 2's 32 GB, 32 vaults per cube, 8 banks per vault, tRAS
+ * 22.4 ns, tWR 14.4 ns and 256 B maximum requests are not fields: a
+ * cube's vaults are one TSV channel, and the latencies in hmc.cc are
+ * built from tCK, tRCD, tCAS and tRP alone.
  */
 struct HmcConfig
 {
     /** Inter-cube topology. */
     HmcTopology topology = HmcTopology::Star;
 
-    std::uint64_t capacityBytes = 32ull * kGiB;
     int cubes = 4;
-    int vaultsPerCube = 32;
-    int banksPerVault = 8;
 
     // Timing (Table 2).
     double tCkNs = 1.6;
-    double tRasNs = 22.4;
     double tRcdNs = 11.2;
     double tCasNs = 11.2;
-    double tWrNs = 14.4;
     double tRpNs = 11.2;
 
     /** Aggregate internal (TSV) bandwidth per cube: 320 GB/s. */
@@ -152,23 +131,10 @@ struct HmcConfig
     /** Energy cost of a link traversal, pJ/bit (SerDes). */
     double linkEnergyPjPerBit = 4.0;
 
-    /** Maximum request granularity supported by HMC: 256 B. */
-    int maxRequestBytes = 256;
-
     /** Minimum access granularity: 16 B (Section 4.5). */
     int minRequestBytes = 16;
 
-    std::uint64_t bytesPerCube() const
-    {
-        return capacityBytes / static_cast<std::uint64_t>(cubes);
-    }
-    double vaultGBs() const
-    {
-        return internalGBsPerCube / vaultsPerCube;
-    }
     Tick linkLatency() const { return nsToTicks(linkLatencyNs); }
-    /** Closed-bank access time tRCD+tCAS. */
-    Tick accessLatency() const { return nsToTicks(tRcdNs + tCasNs); }
 };
 
 /**
@@ -186,16 +152,11 @@ struct CharonConfig
     /** Logic-layer clock for the processing units (1 req/cycle issue). */
     double unitFreqHz = 625e6; // HMC tCK = 1.6 ns
 
-    /** Bitmap cache: 8 KB, 8-way, 32 B blocks, write-back. */
-    std::uint64_t bitmapCacheBytes = 8 * kKiB;
-    int bitmapCacheAssoc = 8;
-    int bitmapCacheBlockBytes = 32;
-
     /** MAI request buffer entries per cube (caps in-flight accesses). */
     int maiEntries = 32;
 
-    /** Accelerator TLB: 8 KB, 32 B blocks / 32 entries per cube. */
-    int tlbEntriesPerCube = 32;
+    // The bitmap cache's geometry is gc::kBitmapCache (gc/recorder.hh):
+    // its hit rate is measured at record time and stored in the trace.
 
     /** Huge-page size used for heap pinning (1 GiB). */
     std::uint64_t hugePageBytes = 1ull * kGiB;
@@ -214,13 +175,6 @@ struct CharonConfig
      * instead of the paper's central-cube placement (Section 4.4).
      */
     bool scanPushLocal = false;
-
-    /**
-     * Place the units at the host memory controller instead of the HMC
-     * logic layer (Fig. 16 "CPU-side" configuration): units then see
-     * only the off-chip link bandwidth, not the internal TSV bandwidth.
-     */
-    bool cpuSide = false;
 
     /**
      * Average unit power while active (W).  Calibrated so the fleet's
@@ -407,19 +361,6 @@ struct SystemConfig
         cfg.charon.copySearchUnits = threads;
         cfg.charon.bitmapCountUnits = threads;
         cfg.charon.scanPushUnits = threads;
-        return cfg;
-    }
-
-    /**
-     * Figure 16 CPU-side placement: units beside the host memory
-     * controller, seeing only off-chip link bandwidth.  PlatformSim
-     * applies this automatically for PlatformKind::CharonCpuSide.
-     */
-    static SystemConfig
-    cpuSide()
-    {
-        SystemConfig cfg;
-        cfg.charon.cpuSide = true;
         return cfg;
     }
 };

@@ -22,12 +22,6 @@ setLogLevel(LogLevel level)
     g_level.store(level, std::memory_order_relaxed);
 }
 
-LogLevel
-logLevel()
-{
-    return g_level.load(std::memory_order_relaxed);
-}
-
 std::string
 vformat(const char *fmt, std::va_list ap)
 {

@@ -25,9 +25,6 @@ enum class LogLevel { Quiet, Normal, Verbose };
 /** Set the global log level (default Normal). */
 void setLogLevel(LogLevel level);
 
-/** Current global log level. */
-LogLevel logLevel();
-
 /** printf-style formatting into a std::string. */
 std::string vformat(const char *fmt, std::va_list ap);
 

@@ -6,22 +6,6 @@
 namespace charon::sim
 {
 
-Counter::Counter(StatGroup *group, std::string name, std::string desc)
-    : name_(std::move(name)), desc_(std::move(desc))
-{
-    if (group)
-        group->add(this);
-}
-
-QuantileAccumulator::QuantileAccumulator(StatGroup *group,
-                                         std::string name,
-                                         std::string desc)
-    : name_(std::move(name)), desc_(std::move(desc))
-{
-    if (group)
-        group->add(this);
-}
-
 void
 QuantileAccumulator::merge(const QuantileAccumulator &other)
 {
@@ -92,30 +76,6 @@ QuantileAccumulator::reset()
     samples_.clear();
     view_.clear();
     sorted_ = false;
-}
-
-void
-StatGroup::resetAll()
-{
-    for (auto *c : counters_)
-        c->reset();
-    for (auto *q : quantiles_)
-        q->reset();
-}
-
-void
-StatGroup::dump(std::ostream &os) const
-{
-    for (const auto *c : counters_)
-        os << name_ << '.' << c->name() << " = " << c->value() << '\n';
-    for (const auto *q : quantiles_) {
-        os << name_ << '.' << q->name() << ".count = " << q->count()
-           << '\n';
-        os << name_ << '.' << q->name() << ".p50 = " << q->quantile(0.5)
-           << '\n';
-        os << name_ << '.' << q->name() << ".p99 = " << q->quantile(0.99)
-           << '\n';
-    }
 }
 
 double

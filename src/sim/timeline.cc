@@ -6,6 +6,7 @@
 #include <ostream>
 
 #include "sim/event_queue.hh"
+#include "sim/json.hh"
 #include "sim/logging.hh"
 
 namespace charon::sim
@@ -34,29 +35,6 @@ putValue(std::ostream &os, double v)
     char buf[48];
     std::snprintf(buf, sizeof(buf), "%.17g", v);
     os << buf;
-}
-
-void
-putJsonString(std::ostream &os, const std::string &s)
-{
-    os << '"';
-    for (char c : s) {
-        switch (c) {
-          case '"':  os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\t': os << "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                os << buf;
-            } else {
-                os << c;
-            }
-        }
-    }
-    os << '"';
 }
 
 } // namespace

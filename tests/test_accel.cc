@@ -43,7 +43,7 @@ class DeviceTest : public ::testing::Test
     EventQueue eq;
     sim::SystemConfig cfg;
     hmc::HmcMemory hmc{eq, cfg.hmc};
-    CharonDevice dev{eq, hmc, cfg};
+    CharonDevice dev{eq, hmc, cfg, /*cpu_side=*/false};
     JoinPool joins{eq};
 
     DeviceTest() { hmc.setCubeShift(28); }
@@ -83,7 +83,7 @@ TEST_F(DeviceTest, PerInvocationOverheadScalesWithCount)
     Tick one = exec(copyBucket(64, 1));
     EventQueue eq2;
     hmc::HmcMemory hmc2(eq2, cfg.hmc);
-    CharonDevice dev2(eq2, hmc2, cfg);
+    CharonDevice dev2(eq2, hmc2, cfg, /*cpu_side=*/false);
     JoinPool joins2(eq2);
     Tick done = 0;
     dev2.execBucket(copyBucket(64 * 1000, 1000), 0.9,
@@ -123,7 +123,7 @@ TEST_F(DeviceTest, BitmapCountHitRateMatters)
     Tick hot = exec(b, 0.95);
     EventQueue eq2;
     hmc::HmcMemory hmc2(eq2, cfg.hmc);
-    CharonDevice dev2(eq2, hmc2, cfg);
+    CharonDevice dev2(eq2, hmc2, cfg, /*cpu_side=*/false);
     JoinPool joins2(eq2);
     Tick cold = 0;
     dev2.execBucket(b, 0.0, finishInto(joins2, cold));
@@ -151,7 +151,7 @@ TEST_F(DeviceTest, ScanPushWithFewRefsIsLatencyBound)
     Tick t_sparse = exec(sparse);
     EventQueue eq2;
     hmc::HmcMemory hmc2(eq2, cfg.hmc);
-    CharonDevice dev2(eq2, hmc2, cfg);
+    CharonDevice dev2(eq2, hmc2, cfg, /*cpu_side=*/false);
     JoinPool joins2(eq2);
     Tick t_dense = 0;
     dev2.execBucket(dense, 0.9, finishInto(joins2, t_dense));
@@ -167,7 +167,7 @@ TEST_F(DeviceTest, GcPrologueScalesWithLlc)
     big.host.llcSize *= 2;
     EventQueue eq2;
     hmc::HmcMemory hmc2(eq2, big.hmc);
-    CharonDevice dev2(eq2, hmc2, big);
+    CharonDevice dev2(eq2, hmc2, big, /*cpu_side=*/false);
     EXPECT_EQ(dev2.gcPrologueTicks(), 2 * dev.gcPrologueTicks());
 }
 
@@ -202,7 +202,7 @@ TEST(DeviceUnits, IdleEnergyAndAreaCountTheUnitsThePoolsHold)
         cfg.charon.scanPushLocal = c.scanPushLocal;
         EventQueue eq;
         hmc::HmcMemory hmc(eq, cfg.hmc);
-        CharonDevice dev(eq, hmc, cfg);
+        CharonDevice dev(eq, hmc, cfg, /*cpu_side=*/false);
 
         // A fresh device has done nothing: every unit idles.
         const int held = c.copySearch + c.bitmapCount + c.scanPush;

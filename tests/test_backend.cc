@@ -263,15 +263,15 @@ expectTimingEq(const platform::RunTiming &a,
     EXPECT_EQ(a.gcSeconds, b.gcSeconds);
     EXPECT_EQ(a.minorSeconds, b.minorSeconds);
     EXPECT_EQ(a.majorSeconds, b.majorSeconds);
-    auto ba = a.breakdown();
-    auto bb = b.breakdown();
-    EXPECT_EQ(ba.copy, bb.copy);
-    EXPECT_EQ(ba.search, bb.search);
-    EXPECT_EQ(ba.scanPush, bb.scanPush);
-    EXPECT_EQ(ba.bitmapCount, bb.bitmapCount);
-    EXPECT_EQ(ba.bitSweep, bb.bitSweep);
-    EXPECT_EQ(ba.refCount, bb.refCount);
-    EXPECT_EQ(ba.glue, bb.glue);
+    for (bool major : {false, true}) {
+        for (int k = 0; k < gc::kNumPrimKinds; ++k) {
+            auto kind = static_cast<gc::PrimKind>(k);
+            EXPECT_EQ(a.threadSeconds(major, kind),
+                      b.threadSeconds(major, kind));
+        }
+        EXPECT_EQ(a.threadSeconds(major, std::nullopt),
+                  b.threadSeconds(major, std::nullopt));
+    }
 }
 
 } // namespace

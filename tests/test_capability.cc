@@ -182,14 +182,15 @@ TEST(Capability, EmptySetDegradesCharonReplayToHost)
     EXPECT_EQ(a.majorSeconds, b.majorSeconds);
     EXPECT_EQ(a.mutatorSeconds, b.mutatorSeconds);
     EXPECT_EQ(a.dramBytes, b.dramBytes);
-    auto ba = a.breakdown(), bb = b.breakdown();
-    EXPECT_EQ(ba.copy, bb.copy);
-    EXPECT_EQ(ba.search, bb.search);
-    EXPECT_EQ(ba.scanPush, bb.scanPush);
-    EXPECT_EQ(ba.bitmapCount, bb.bitmapCount);
-    EXPECT_EQ(ba.bitSweep, bb.bitSweep);
-    EXPECT_EQ(ba.refCount, bb.refCount);
-    EXPECT_EQ(ba.glue, bb.glue);
+    for (bool major : {false, true}) {
+        for (int k = 0; k < gc::kNumPrimKinds; ++k) {
+            auto kind = static_cast<PrimKind>(k);
+            EXPECT_EQ(a.threadSeconds(major, kind),
+                      b.threadSeconds(major, kind));
+        }
+        EXPECT_EQ(a.threadSeconds(major, std::nullopt),
+                  b.threadSeconds(major, std::nullopt));
+    }
 }
 
 // ----------------------------------------------------------------------

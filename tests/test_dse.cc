@@ -633,12 +633,6 @@ TEST(Explorer, CanonicalKeyPrunesWhatTheReplayCannotObserve)
     EXPECT_NE(canonicalCellKey(c, 0, scanPush),
               canonicalCellKey(spl, 0, scanPush));
 
-    // cpuSide is pinned from the platform kind, so it never matters.
-    harness::Cell side = c;
-    side.config.charon.cpuSide = !c.config.charon.cpuSide;
-    EXPECT_EQ(canonicalCellKey(c, 0, scanPush),
-              canonicalCellKey(side, 0, scanPush));
-
     // The families can never collide inside one journal.
     EXPECT_EQ(canonicalCellKey(c, 0, scanPush).rfind("i1|", 0), 0u);
     EXPECT_EQ(cellKey(c, 0).rfind("c1|", 0), 0u);

@@ -298,7 +298,8 @@ contendedConfig(ArbPolicy policy, int tenants = 8)
     cfg.gcRateScale = 24;
     for (int i = 0; i < tenants; ++i) {
         TenantSpec spec;
-        spec.name = "t" + std::to_string(i);
+        spec.name = "t";
+        spec.name += std::to_string(i);
         spec.meanRps = 2000;
         spec.serviceUs = 50;
         cfg.tenants.push_back(spec);

@@ -22,6 +22,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -151,17 +152,16 @@ measureCells(const std::vector<Cell> &cells,
         CellMetrics m;
         m.label = cells[i].label;
         const auto &t = results[i].timing;
-        auto b = t.breakdown();
         m.gcSeconds = t.gcSeconds;
         m.minorSeconds = t.minorSeconds;
         m.majorSeconds = t.majorSeconds;
-        m.copy = b.copy;
-        m.search = b.search;
-        m.scanPush = b.scanPush;
-        m.bitmapCount = b.bitmapCount;
-        m.bitSweep = b.bitSweep;
-        m.refCount = b.refCount;
-        m.glue = b.glue;
+        m.copy = t.threadSeconds(gc::PrimKind::Copy);
+        m.search = t.threadSeconds(gc::PrimKind::Search);
+        m.scanPush = t.threadSeconds(gc::PrimKind::ScanPush);
+        m.bitmapCount = t.threadSeconds(gc::PrimKind::BitmapCount);
+        m.bitSweep = t.threadSeconds(gc::PrimKind::BitSweep);
+        m.refCount = t.threadSeconds(gc::PrimKind::RefCount);
+        m.glue = t.threadSeconds(std::nullopt);
         g.cells.push_back(m);
     }
     // Per pair: DDR4 cell then Charon cell.

@@ -465,11 +465,8 @@ TEST(ExperimentRunner, TimelineCoversEveryInstrumentedLayer)
     EXPECT_FALSE(tl.events().empty());
 }
 
-TEST(ExperimentRunner, RollupMatchesBreakdownExactly)
+TEST(ExperimentRunner, RollupPhasesPartitionEachPause)
 {
-    // The roll-up is built from the same accumulators as the
-    // breakdown, so per-kind sums must agree to 1e-9, not just
-    // approximately.
     const auto cells = determinismCells();
     ExperimentRunner runner(RunnerConfig{2, std::string()});
     auto results = runner.run(cells);
@@ -477,21 +474,9 @@ TEST(ExperimentRunner, RollupMatchesBreakdownExactly)
         SCOPED_TRACE(cells[i].key.str());
         ASSERT_TRUE(results[i].ok);
         const auto &timing = results[i].timing;
-        gc::RunRollup rollup = timing.rollup();
-        platform::PrimBreakdown b = timing.breakdown();
-        EXPECT_NEAR(rollup.totalByKind(gc::PrimKind::Copy).seconds,
-                    b.copy, 1e-9);
-        EXPECT_NEAR(rollup.totalByKind(gc::PrimKind::Search).seconds,
-                    b.search, 1e-9);
-        EXPECT_NEAR(rollup.totalByKind(gc::PrimKind::ScanPush).seconds,
-                    b.scanPush, 1e-9);
-        EXPECT_NEAR(
-            rollup.totalByKind(gc::PrimKind::BitmapCount).seconds,
-            b.bitmapCount, 1e-9);
-        EXPECT_NEAR(rollup.glueSeconds(), b.glue, 1e-9);
-        // Wall-clock: the phases partition each pause exactly on
-        // host platforms; Charon pauses also carry the GC-prologue
-        // cache flush, which belongs to no phase.
+        // The phases partition each pause exactly on host platforms;
+        // Charon pauses also carry the GC-prologue cache flush, which
+        // belongs to no phase.
         const bool charon =
             cells[i].platform == sim::PlatformKind::CharonNmp;
         for (const auto &gc_timing : timing.gcs) {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -53,6 +54,18 @@ class PlatformTest : public ::testing::Test
 };
 
 workload::Mutator *PlatformTest::mut = nullptr;
+
+/** Whole-run thread-seconds over every primitive and the glue. */
+double
+threadSeconds(const RunTiming &t)
+{
+    double s = 0;
+    for (const auto &gc : t.gcs) {
+        for (const auto &phase : gc.rollup.phases)
+            s += phase.threadSeconds();
+    }
+    return s;
+}
 
 } // namespace
 
@@ -120,14 +133,13 @@ TEST_F(PlatformTest, CharonSavesEnergy)
 TEST_F(PlatformTest, BreakdownCoversWholeGc)
 {
     auto ddr4 = simulate(PlatformKind::HostDdr4);
-    auto bd = ddr4.breakdown();
-    EXPECT_GT(bd.copy, 0.0);
-    EXPECT_GT(bd.search, 0.0);
-    EXPECT_GT(bd.scanPush, 0.0);
-    EXPECT_GT(bd.glue, 0.0);
+    auto rollup = ddr4.rollup();
+    EXPECT_GT(rollup.totalByKind(gc::PrimKind::Copy).seconds, 0.0);
+    EXPECT_GT(rollup.totalByKind(gc::PrimKind::Search).seconds, 0.0);
+    EXPECT_GT(rollup.totalByKind(gc::PrimKind::ScanPush).seconds, 0.0);
+    EXPECT_GT(rollup.glueSeconds(), 0.0);
     // Thread-time never exceeds cores x wall time.
-    EXPECT_LE(bd.total(),
-              ddr4.gcSeconds * 8 * 1.001);
+    EXPECT_LE(threadSeconds(ddr4), ddr4.gcSeconds * 8 * 1.001);
     // Minor + major partition the GCs.
     EXPECT_EQ(ddr4.gcs.size(),
               mut->recorder().run().gcs.size());
@@ -140,8 +152,8 @@ TEST_F(PlatformTest, OffloadablePrimitivesDominateHostGc)
     // Figure 4's headline: the three primitives cover most of GC time
     // on the host.
     auto ddr4 = simulate(PlatformKind::HostDdr4);
-    auto bd = ddr4.breakdown();
-    EXPECT_GT(bd.offloadable() / bd.total(), 0.55);
+    const double total = threadSeconds(ddr4);
+    EXPECT_GT((total - ddr4.rollup().glueSeconds()) / total, 0.55);
 }
 
 TEST_F(PlatformTest, DistributedStructuresScaleNoWorse)
@@ -204,11 +216,11 @@ TEST_P(EveryPlatform, ProducesSaneTiming)
     EXPECT_EQ(t.gcs.size(), mut.recorder().run().gcs.size());
     EXPECT_GT(t.totalEnergyJ(), 0.0);
     EXPECT_GT(t.dramBytes, 0.0);
-    auto bd = t.breakdown();
-    EXPECT_GE(bd.copy, 0.0);
-    EXPECT_GT(bd.glue, 0.0);
+    auto rollup = t.rollup();
+    EXPECT_GE(rollup.totalByKind(gc::PrimKind::Copy).seconds, 0.0);
+    EXPECT_GT(rollup.glueSeconds(), 0.0);
     // Thread time cannot exceed cores x wall clock.
-    EXPECT_LE(bd.total(), t.gcSeconds * 8 * 1.001);
+    EXPECT_LE(threadSeconds(t), t.gcSeconds * 8 * 1.001);
 }
 
 /** Every platform kind, with the name its test case carries. */
@@ -258,4 +270,86 @@ TEST(SeedRobustness, CharonSpeedupStableAcrossSeeds)
     double hi = *std::max_element(speedups.begin(), speedups.end());
     EXPECT_GT(lo, 2.0);
     EXPECT_LT(hi / lo, 1.25); // <25% spread across seeds
+}
+
+// ---------------------------------------------------------------------
+// --dump-stats: every fluid channel prints its bytes, utilized ticks
+// and flows, in construction order, with default stream formatting.
+
+namespace
+{
+
+/** One minor collection: a single thread copying 1 MiB cube 1 -> 2. */
+gc::RunTrace
+oneCopyTrace()
+{
+    gc::Bucket copy;
+    copy.kind = gc::PrimKind::Copy;
+    copy.srcCube = 1;
+    copy.dstCube = 2;
+    copy.invocations = 4;
+    copy.seqReadBytes = 1 << 20;
+    copy.writeBytes = 1 << 20;
+    gc::ThreadWork work;
+    work.glueInstructions = 1000;
+    work.buckets.push_back(copy);
+    gc::PhaseTrace phase;
+    phase.kind = gc::PhaseKind::MinorEvacuate;
+    phase.addThread(work);
+    gc::GcTrace gct;
+    gct.phases.push_back(std::move(phase));
+    gc::RunTrace trace;
+    trace.gcs.push_back(std::move(gct));
+    trace.mutatorInstructions.push_back(0);
+    return trace;
+}
+
+std::string
+dumpAfterReplay(PlatformKind kind)
+{
+    PlatformSim sim_(kind, sim::SystemConfig{}, /*cube_shift=*/22);
+    sim_.simulate(oneCopyTrace());
+    std::ostringstream os;
+    sim_.dumpStats(os);
+    return os.str();
+}
+
+} // namespace
+
+TEST(PlatformStats, DumpPrintsThreeLinesPerChannel)
+{
+    EXPECT_EQ(dumpAfterReplay(PlatformKind::HostDdr4),
+              "ddr4.ch0.bytes = 1.16508e+06\n"
+              "ddr4.ch0.utilized_ticks = 6.85344e+07\n"
+              "ddr4.ch0.flows = 1\n"
+              "ddr4.ch1.bytes = 1.16508e+06\n"
+              "ddr4.ch1.utilized_ticks = 6.85344e+07\n"
+              "ddr4.ch1.flows = 1\n");
+    // The unit on cube 1 reads its own TSV and writes cube 2's through
+    // the central cube, over links 1 and 2; the host link 0 is idle.
+    EXPECT_EQ(dumpAfterReplay(PlatformKind::CharonNmp),
+              "hmc.cube0.tsv.bytes = 0\n"
+              "hmc.cube0.tsv.utilized_ticks = 0\n"
+              "hmc.cube0.tsv.flows = 0\n"
+              "hmc.cube1.tsv.bytes = 1.16508e+06\n"
+              "hmc.cube1.tsv.utilized_ticks = 3.64089e+06\n"
+              "hmc.cube1.tsv.flows = 1\n"
+              "hmc.cube2.tsv.bytes = 1.16508e+06\n"
+              "hmc.cube2.tsv.utilized_ticks = 3.64089e+06\n"
+              "hmc.cube2.tsv.flows = 1\n"
+              "hmc.cube3.tsv.bytes = 0\n"
+              "hmc.cube3.tsv.utilized_ticks = 0\n"
+              "hmc.cube3.tsv.flows = 0\n"
+              "hmc.link0.bytes = 0\n"
+              "hmc.link0.utilized_ticks = 0\n"
+              "hmc.link0.flows = 0\n"
+              "hmc.link1.bytes = 1.17965e+06\n"
+              "hmc.link1.utilized_ticks = 1.47456e+07\n"
+              "hmc.link1.flows = 1\n"
+              "hmc.link2.bytes = 1.17965e+06\n"
+              "hmc.link2.utilized_ticks = 1.47456e+07\n"
+              "hmc.link2.flows = 1\n"
+              "hmc.link3.bytes = 0\n"
+              "hmc.link3.utilized_ticks = 0\n"
+              "hmc.link3.flows = 0\n");
 }

@@ -7,12 +7,12 @@
  * on whichever worker thread picks it up.
  *
  * "Bit for bit" is taken literally: every timing double, every
- * per-collection breakdown, every roll-up cell, the executed event
- * count, and the full timeline event stream (type, track, name,
- * ticks, counter values, in emission order) are compared with exact
- * equality — no tolerances.  The corpus is real traces from all four
- * collector families ({ps, g1, cms, rc}) plus seeded randomized
- * synthetic traces, each replayed on all five platforms.
+ * roll-up cell, the executed event count, and the full timeline
+ * event stream (type, track, name, ticks, counter values, in
+ * emission order) are compared with exact equality — no tolerances.
+ * The corpus is real traces from all four collector families ({ps,
+ * g1, cms, rc}) plus seeded randomized synthetic traces, each
+ * replayed on all five platforms.
  */
 
 #include <gtest/gtest.h>

@@ -1,40 +1,15 @@
 /**
  * @file
- * Tests for the statistics package.
+ * Tests for the summary statistics: quantiles and the geometric mean.
  */
 
 #include <gtest/gtest.h>
 
 #include <limits>
-#include <sstream>
-#include <type_traits>
-#include <utility>
 
 #include "sim/stats.hh"
 
 using namespace charon::sim;
-
-TEST(Counter, AccumulatesAndResets)
-{
-    StatGroup g("g");
-    Counter c(&g, "c", "test counter");
-    c += 2.5;
-    ++c;
-    EXPECT_DOUBLE_EQ(c.value(), 3.5);
-    g.resetAll();
-    EXPECT_DOUBLE_EQ(c.value(), 0.0);
-}
-
-TEST(StatGroup, DumpMentionsEveryStat)
-{
-    StatGroup g("grp");
-    Counter c(&g, "ctr", "");
-    c += 7;
-    std::ostringstream os;
-    g.dump(os);
-    auto s = os.str();
-    EXPECT_NE(s.find("grp.ctr = 7"), std::string::npos);
-}
 
 TEST(Geomean, MatchesHandComputation)
 {
@@ -50,46 +25,6 @@ TEST(Geomean, IgnoresNonPositive)
 TEST(Geomean, EmptyIsZero)
 {
     EXPECT_DOUBLE_EQ(geomean({}), 0.0);
-}
-
-namespace
-{
-
-template <typename T, typename = void>
-struct HasArbitraryWrite : std::false_type
-{
-};
-
-template <typename T>
-struct HasArbitraryWrite<
-    T, std::void_t<decltype(std::declval<T &>().set(1.0))>>
-    : std::true_type
-{
-};
-
-} // namespace
-
-TEST(Counter, ContractIsAccumulateOnly)
-{
-    // The documented contract: a Counter only accumulates (+=, ++)
-    // and resets to zero.  Last-value semantics belong to a gauge
-    // (a Timeline counter track), so there must be no arbitrary-write
-    // set() to silently break monotonicity with.
-    static_assert(!HasArbitraryWrite<Counter>::value,
-                  "Counter::set() would break the monotone-"
-                  "accumulation contract; use a gauge instead");
-
-    StatGroup g("g");
-    Counter c(&g, "c", "contract");
-    c += 1.0;
-    c += 2.5;
-    ++c;
-    EXPECT_DOUBLE_EQ(c.value(), 4.5) << "accumulation must sum deltas";
-    c.reset();
-    EXPECT_DOUBLE_EQ(c.value(), 0.0)
-        << "reset restarts accumulation at zero";
-    c += 0.25;
-    EXPECT_DOUBLE_EQ(c.value(), 0.25);
 }
 
 TEST(QuantileAccumulator, ExactNearestRank)
@@ -168,13 +103,12 @@ TEST(QuantileAccumulator, DeterministicMerge)
     EXPECT_DOUBLE_EQ(merged.samples()[50], b.samples()[0]);
 }
 
-TEST(QuantileAccumulator, GroupResetClears)
+TEST(QuantileAccumulator, ResetClears)
 {
-    StatGroup g("g");
-    QuantileAccumulator q(&g, "lat", "latency quantiles");
+    QuantileAccumulator q;
     q.add(1.0);
     q.add(2.0);
-    g.resetAll();
+    q.reset();
     EXPECT_EQ(q.count(), 0u);
     EXPECT_DOUBLE_EQ(q.quantile(0.5), 0.0);
 }

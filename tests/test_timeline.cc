@@ -186,7 +186,8 @@ TEST(Timeline, FuzzedEmitSequenceExportsWellNestedJson)
         auto track = spans[rng.below(3)];
         switch (rng.below(5)) {
           case 0: {
-            std::string name = "b" + std::to_string(begins++);
+            std::string name = "b";
+            name += std::to_string(begins++);
             emitted_names.insert(name);
             tl.beginSpan(track, std::move(name), now);
             ++open[track];
@@ -201,14 +202,18 @@ TEST(Timeline, FuzzedEmitSequenceExportsWellNestedJson)
           case 2: {
             sim::Tick start = now - std::min<sim::Tick>(
                                   now, rng.below(500));
-            std::string name = "x" + std::to_string(i);
+            std::string name = "x";
+            name += std::to_string(i);
             emitted_names.insert(name);
             tl.completeSpan(track, std::move(name), start, now);
             break;
           }
-          case 3:
-            tl.instant(track, "i" + std::to_string(i), now);
+          case 3: {
+            std::string name = "i";
+            name += std::to_string(i);
+            tl.instant(track, name, now);
             break;
+          }
           case 4:
             tl.counter(counters, now,
                        static_cast<double>(rng.below(1 << 20)));

@@ -1,9 +1,10 @@
 /**
  * @file
  * Exact gtest comparators for replay results: every RunTiming field,
- * every collection's breakdown and unit-seconds, and every roll-up
- * cell, with no tolerance.  Shared by the replay determinism check
- * and the crash-isolated runner's in-process equivalence test.
+ * every collection's unit-seconds, and every roll-up cell (the only
+ * record of thread time), with no tolerance.  Shared by the replay
+ * determinism check and the crash-isolated runner's in-process
+ * equivalence test.
  */
 
 #ifndef CHARON_TESTS_TIMING_EQ_HH
@@ -20,19 +21,6 @@ namespace charon::test
 {
 
 inline void
-expectBreakdownEq(const platform::PrimBreakdown &a,
-                  const platform::PrimBreakdown &b)
-{
-    EXPECT_EQ(a.copy, b.copy);
-    EXPECT_EQ(a.search, b.search);
-    EXPECT_EQ(a.scanPush, b.scanPush);
-    EXPECT_EQ(a.bitmapCount, b.bitmapCount);
-    EXPECT_EQ(a.bitSweep, b.bitSweep);
-    EXPECT_EQ(a.refCount, b.refCount);
-    EXPECT_EQ(a.glue, b.glue);
-}
-
-inline void
 expectTimingEq(const platform::RunTiming &a,
                const platform::RunTiming &b)
 {
@@ -47,15 +35,12 @@ expectTimingEq(const platform::RunTiming &a,
     EXPECT_EQ(a.hostEnergyJ, b.hostEnergyJ);
     EXPECT_EQ(a.dramEnergyJ, b.dramEnergyJ);
     EXPECT_EQ(a.unitEnergyJ, b.unitEnergyJ);
-    expectBreakdownEq(a.minorBreakdown, b.minorBreakdown);
-    expectBreakdownEq(a.majorBreakdown, b.majorBreakdown);
     ASSERT_EQ(a.gcs.size(), b.gcs.size());
     for (std::size_t i = 0; i < a.gcs.size(); ++i) {
         SCOPED_TRACE("gc " + std::to_string(i));
         EXPECT_EQ(a.gcs[i].major, b.gcs[i].major);
         EXPECT_EQ(a.gcs[i].seconds, b.gcs[i].seconds);
         EXPECT_EQ(a.gcs[i].unitSeconds, b.gcs[i].unitSeconds);
-        expectBreakdownEq(a.gcs[i].breakdown, b.gcs[i].breakdown);
     }
     EXPECT_TRUE(gc::rollupEquals(a.rollup(), b.rollup()));
 }

@@ -159,8 +159,10 @@ main(int argc, char **argv)
     fleetWide.maxPauseMs = res.pauseMs.max();
     table.addRow(row("fleet", fleetWide));
     if (res.slotsKilled > 0) {
-        table.note("\n" + std::to_string(res.slotsKilled)
-                   + " device slot(s) fault-killed during the run");
+        std::string note = "\n";
+        note += std::to_string(res.slotsKilled);
+        note += " device slot(s) fault-killed during the run";
+        table.note(note);
     }
 
     if (!opt.traceOut.empty()) {
